@@ -8,12 +8,15 @@ over [0, limit] gives O(log n) factorisation, which in turn gives
              counting signs and order,
     φ(n)   Euler's totient,
 
-and divisor enumeration restricted to a window, which is what the divisor
-split of the triple-sum engine consumes.  A prime p is called a *Linnik
-prime* here when p − 1 = x² + y² has a solution in integers; r₂(p−1) > 0 is
-the equivalent character-sum test, and ``linnik_witness`` produces the actual
-(x, y) pair by an integer square scan so the two routes can be checked
-against each other.
+and divisor enumeration.  Statistics over the divisors of every p − 1 go
+through ``divisor_sum``, which sums a weight array over the divisors of all
+n ≤ N at once; a divisor window is a weight array that is zero outside it.
+
+A prime p is called a *Linnik prime* here when p − 1 = x² + y² has a
+solution in integers; r₂(p−1) > 0 is the equivalent character-sum test, and
+``linnik_witness`` reads the actual (x, y) pair from a least-witness table
+built by enumerating squares, so the two routes can be checked against each
+other.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class PrimeTable:
     log_weights: np.ndarray       # float64, log_weights[i] = ln(primes[i])
     spf: np.ndarray               # int32, spf[n] = smallest prime factor of n (spf[1] = 1)
     _log_cumsum: np.ndarray | None = field(default=None, repr=False)
+    _witnesses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def log_cumsum(self) -> np.ndarray:
@@ -47,6 +51,18 @@ class PrimeTable:
             np.cumsum(self.log_weights, out=cs[1:])
             self._log_cumsum = cs
         return self._log_cumsum
+
+    @property
+    def witnesses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Least-witness columns (wx, wy) over [0, limit], built on first use.
+
+        wx[n], wy[n] is the pair x ≤ y with x² + y² = n and x least, or
+        (−1, −1) when n is not a sum of two squares.  Two int32 columns:
+        8 bytes per slot.
+        """
+        if self._witnesses is None:
+            self._witnesses = _witness_table(self.limit)
+        return self._witnesses
 
     def prime_count(self, x: float) -> int:
         """π(x) for x ≤ limit."""
@@ -195,23 +211,32 @@ def r2_bulk(ns: np.ndarray, table: PrimeTable) -> np.ndarray:
     return 4 * sig
 
 
+def _witness_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least (x, y), x ≤ y, with x² + y² = n for every n ≤ n_max; −1 if none.
+
+    One numpy pass per x with 2x² ≤ n_max, taken from the largest x down, so
+    the least x is the last to write each n.
+    """
+    wx = np.full(n_max + 1, -1, dtype=np.int32)
+    wy = np.full(n_max + 1, -1, dtype=np.int32)
+    for x in range(math.isqrt(n_max // 2), -1, -1):
+        y = np.arange(x, math.isqrt(n_max - x * x) + 1, dtype=np.int64)
+        n = x * x + y * y
+        wx[n] = x
+        wy[n] = y
+    return wx, wy
+
+
 def linnik_witness(p: int, table: PrimeTable) -> tuple[int, int] | None:
     """Least witness (x, y), x ≤ y, with p − 1 = x² + y², or None.
 
-    Integer-only scan: x ascends while 2x² ≤ p − 1, y = isqrt(p − 1 − x²) is
-    accepted iff it squares back exactly.  Exists iff r₂(p − 1) > 0.
+    A lookup in ``table.witnesses``.  Exists iff r₂(p − 1) > 0.
     """
     if p < 2 or p > table.limit or not table.is_prime(p):
         raise DomainError(f"linnik_witness needs a prime ≤ {table.limit}, got {p}")
-    n = p - 1
-    x = 0
-    while 2 * x * x <= n:
-        y2 = n - x * x
-        y = math.isqrt(y2)
-        if y * y == y2:
-            return (x, y)
-        x += 1
-    return None
+    wx, wy = table.witnesses
+    x = int(wx[p - 1])
+    return None if x < 0 else (x, int(wy[p - 1]))
 
 
 def divisors(n: int, table: PrimeTable) -> list[int]:
@@ -223,19 +248,31 @@ def divisors(n: int, table: PrimeTable) -> list[int]:
     return ds
 
 
-def divisors_in_range(
-    n: int,
-    lo: float,
-    hi: float,
-    table: PrimeTable,
-    include_lo: bool = False,
-    include_hi: bool = False,
-) -> list[int]:
-    """Divisors of n in the window (lo, hi); endpoint flags close the ends."""
-    out = []
-    for d in divisors(n, table):
-        above = d >= lo if include_lo else d > lo
-        below = d <= hi if include_hi else d < hi
-        if above and below:
-            out.append(d)
-    return out
+def divisor_sum(w: np.ndarray, n_max: int) -> np.ndarray:
+    """acc[n] = Σ_{d|n} w[d] for 0 < n ≤ n_max (acc[0] = 0).
+
+    ``w`` is indexed by d and needs at least n_max + 1 entries; restrict the
+    divisors to a window by zeroing w outside it.  Integer and boolean weights
+    are summed in int64, floating ones in at least float64.  Each pair d·m = n is
+    visited once, through whichever factor is ≤ s = ⌊√n_max⌋: small d add
+    w[d] to the stride acc[d::d], and the d > s are covered by looping over
+    their cofactor m ≤ s.  That is O(√n_max) numpy passes; divisors with zero
+    weight are skipped.
+    """
+    if n_max < 0:
+        raise DomainError(f"divisor_sum needs n_max ≥ 0, got {n_max}")
+    w = np.asarray(w)
+    if len(w) < n_max + 1:
+        raise DomainError(f"divisor_sum needs {n_max + 1} weights, got {len(w)}")
+    w = w[: n_max + 1]
+    acc = np.zeros(n_max + 1, dtype=np.result_type(w.dtype, np.int64))
+    s = math.isqrt(n_max)
+    for d in np.flatnonzero(w[1 : s + 1]) + 1:
+        acc[d::d] += w[d]
+    big = np.flatnonzero(w[s + 1 :]) + (s + 1)
+    for m in range(1, s + 1):
+        ds = big[: np.searchsorted(big, n_max // m, side="right")]
+        if ds.size == 0:
+            break
+        acc[m * ds] += w[ds]
+    return acc

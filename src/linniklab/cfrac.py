@@ -26,7 +26,7 @@ from .errors import DomainError, PrecisionError
 
 DEFAULT_PREC_BITS = 256
 
-_NAMED = {"sqrt2", "sqrt3", "phi", "e"}
+NAMED = {"sqrt2", "sqrt3", "phi", "e"}
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
 def certified_named(name: str, prec_bits: int = DEFAULT_PREC_BITS) -> CertifiedReal:
     """√2, √3, the golden ratio, or e as a certified interval at prec_bits."""
     key = name.lstrip("+-")
-    if key not in _NAMED:
-        raise DomainError(f"unknown named constant {name!r}; known: {sorted(_NAMED)}")
+    if key not in NAMED:
+        raise DomainError(f"unknown named constant {name!r}; known: {sorted(NAMED)}")
     negative = name.startswith("-")
     with mpmath.workprec(prec_bits + 40):
         if key == "sqrt2":

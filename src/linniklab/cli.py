@@ -26,7 +26,6 @@ import numpy as np
 from . import arith, cfrac, dirichlet, expsums, gamma, schedule, smoothing
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
 
-_NAMED = {"sqrt2", "sqrt3", "phi", "e"}
 ENV_WORK_BUDGET = "LINNIKLAB_WORK_BUDGET"
 
 
@@ -60,7 +59,7 @@ class _Coeff:
     def __init__(self, text: str):
         s = text.strip()
         key = s.lstrip("+-")
-        self.is_named = key in _NAMED
+        self.is_named = key in cfrac.NAMED
         self.name = key if self.is_named else None
         if self.is_named:
             cert = cfrac.certified_named(s if not s.startswith("+") else key)
@@ -135,6 +134,8 @@ def _budget(args, cfg) -> int:
 
 
 def _table_for(x: float) -> arith.PrimeTable:
+    if not math.isfinite(x):
+        raise DomainError(f"X must be finite, got {x}")
     return arith.sieve_primes(int(math.ceil(x)))
 
 
@@ -403,12 +404,12 @@ def cmd_linnik(args, cfg) -> int:
         rep = dirichlet.linnik_empirical(table, x)
         _emit_json({"x": x, **rep})
         return 0
-    n = table.prime_count(x)
+    ps = table.primes[: table.prime_count(x)]
+    wx, wy = table.witnesses
+    n = ps[wx[ps - 1] >= 0] - 1
+    rows = zip(n.tolist(), wx[n].tolist(), wy[n].tolist())
     sys.stdout.write("# p\tx\ty\n")
-    for p in table.primes[:n]:
-        wit = arith.linnik_witness(int(p), table)
-        if wit is not None:
-            sys.stdout.write(f"{p}\t{wit[0]}\t{wit[1]}\n")
+    sys.stdout.write("".join(f"{m + 1}\t{a}\t{b}\n" for m, a, b in rows))
     return 0
 
 
@@ -467,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="certified continued-fraction convergents",
         description="Convergents a/q of a certified real; every emitted "
                     "convergent satisfies |x - a/q| < 1/q².")
-    sp.add_argument("--name", choices=sorted(_NAMED) + ["-sqrt2", "-sqrt3", "-phi", "-e"])
+    sp.add_argument("--name", choices=sorted(cfrac.NAMED) + ["-sqrt2", "-sqrt3", "-phi", "-e"])
     sp.add_argument("--value", help="decimal or decimal±err")
     sp.add_argument("--count", type=int)
     sp.add_argument("--pattern", action="store_const", const=True,

@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import PrimeTable, chi, divisors, linnik_witness, r2_bulk
+from .arith import PrimeTable, chi, chi_vec, divisor_sum, divisors, linnik_witness, r2_bulk
 from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, theta_antiderivative, theta_eval
 
@@ -59,6 +59,9 @@ class Instance:
     hp_coeffs: tuple | None = None   # optional 256-bit (λ₁, λ₂, λ₃, η)
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "lambda3", "eta", "eps", "x", "lambda0"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lambda1 == 0 or self.lambda2 == 0 or self.lambda3 == 0:
             raise DomainError("all three coefficients must be nonzero")
         if self.eps < 0:
@@ -292,25 +295,17 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
     eng = _Engine(inst, table)
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
 
+    n3m1 = eng.p3 - 1
+    n_max = int(n3m1.max())
+    d = np.arange(n_max + 1)
+    chi_d = chi_vec(d)
     t_hi = inst.x / d_split
-    n3 = len(eng.p3)
-    a1 = np.zeros(n3)
-    a2 = np.zeros(n3)
-    a3 = np.zeros(n3)
-    rvals = r2_bulk(eng.p3 - 1, table)
-    for i, p in enumerate(eng.p3):
-        s1 = s2 = s3 = 0
-        for dv in divisors(int(p) - 1, table):
-            cd = chi(dv)
-            if dv <= d_split:
-                s1 += cd
-            elif dv < t_hi:
-                s2 += cd
-            else:
-                s3 += cd
-        a1[i], a2[i], a3[i] = s1, s2, s3
-        if 4 * (s1 + s2 + s3) != rvals[i]:
-            raise NumericError(f"divisor split lost mass at p3={p}")
+    a1, a2, a3 = (divisor_sum(np.where(win, chi_d, 0), n_max)[n3m1]
+                  for win in (d <= d_split, (d_split < d) & (d < t_hi), d >= t_hi))
+    rvals = r2_bulk(n3m1, table)
+    lost = np.flatnonzero(4 * (a1 + a2 + a3) != rvals)
+    if lost.size:
+        raise NumericError(f"divisor split lost mass at p3={eng.p3[lost[0]]}")
 
     logs3 = np.log(eng.p3.astype(np.float64))
     cols = [eng.sorted_col(a1 * logs3), eng.sorted_col(a2 * logs3),
@@ -492,16 +487,14 @@ def hooley_sigma_prime(table: PrimeTable, x: float, d_split: float,
         raise DomainError(f"need 1 < D < √X, got D={d_split}")
     if not 0.0 <= lambda0 < 1.0:
         raise DomainError("lambda0 must lie in [0,1)")
-    t_hi = x / d_split
-    sl = table.prime_slice(lambda0 * x, x)
-    total = 0
-    for p in table.primes[sl]:
-        s = 0
-        for dv in divisors(int(p) - 1, table):
-            if d_split < dv < t_hi:
-                s += chi(dv)
-        total += s * s
-    return total
+    ps = table.primes[table.prime_slice(lambda0 * x, x)]
+    if ps.size == 0:
+        return 0
+    n_max = int(ps[-1]) - 1
+    d = np.arange(n_max + 1)
+    mid = (d_split < d) & (d < x / d_split)
+    sums = divisor_sum(np.where(mid, chi_vec(d), 0), n_max)[ps - 1]
+    return int(np.sum(sums * sums))
 
 
 def hooley_f_omega(table: PrimeTable, x: float, omega: float) -> int:
@@ -513,10 +506,10 @@ def hooley_f_omega(table: PrimeTable, x: float, omega: float) -> int:
     lx = math.log(x)
     lo = math.sqrt(x) * lx ** (-omega)
     hi = math.sqrt(x) * lx ** omega
-    count = 0
-    for p in table.primes[: table.prime_count(x)]:
-        for dv in divisors(int(p) - 1, table):
-            if lo < dv < hi:
-                count += 1
-                break
-    return count
+    ps = table.primes[: table.prime_count(x)]
+    if ps.size == 0:
+        return 0
+    n_max = int(ps[-1]) - 1
+    d = np.arange(n_max + 1)
+    hits = divisor_sum((lo < d) & (d < hi), n_max)[ps - 1]
+    return int(np.count_nonzero(hits > 0))

@@ -8,8 +8,8 @@ from linniklab.arith import (
     PrimeTable,
     chi,
     chi_vec,
+    divisor_sum,
     divisors,
-    divisors_in_range,
     euler_phi,
     factorize,
     linnik_witness,
@@ -98,14 +98,46 @@ def test_factorize_and_divisors(table4):
         assert sorted(ds) == sorted(d for d in range(1, n + 1) if n % d == 0)
 
 
-def test_divisors_in_range(table4):
-    n = 720
-    full = divisors(n, table4)
-    lo, hi = 5.0, 60.0
-    strict = divisors_in_range(n, lo, hi, table4)
-    assert sorted(strict) == sorted(d for d in full if lo < d < hi)
-    closed_hi = divisors_in_range(n, lo, hi, table4, include_hi=True)
-    assert sorted(closed_hi) == sorted(d for d in full if lo < d <= hi)
+def _brute_window_sums(n_max, weight, inside):
+    """Σ weight(d) over the divisors d of each n ≤ n_max with inside(d)."""
+    sympy = pytest.importorskip("sympy")
+    out = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        out[n] = sum(weight(d) for d in sympy.divisors(n) if inside(d))
+    return out
+
+
+def test_divisor_sum_integer_endpoints():
+    # D = 5, X = 100: X/D = 20 exactly, so divisors 5 and 20 sit on the cuts
+    x, dd = 100.0, 5.0
+    d = np.arange(101)
+    for win, inside in (
+        (d <= dd, lambda v: v <= dd),
+        ((dd < d) & (d < x / dd), lambda v: dd < v < x / dd),
+        (d >= x / dd, lambda v: v >= x / dd),
+    ):
+        got = divisor_sum(np.where(win, chi_vec(d), 0), 100)
+        assert got.tolist() == _brute_window_sums(100, chi, inside)
+
+
+def test_divisor_sum_fractional_cut():
+    x, dd = 3000.0, 17.5
+    d = np.arange(3001)
+    mid = (dd < d) & (d < x / dd)
+    got = divisor_sum(np.where(mid, chi_vec(d), 0), 3000)
+    assert got.tolist() == _brute_window_sums(3000, chi, lambda v: dd < v < x / dd)
+    ones = divisor_sum(np.ones(3001, dtype=bool), 3000)   # counts, not OR
+    assert ones.tolist() == _brute_window_sums(3000, lambda v: 1, lambda v: True)
+
+
+def test_divisor_sum_empty_window():
+    d = np.arange(501)
+    for win in (np.zeros(501, dtype=bool), (10.2 < d) & (d < 10.9)):
+        got = divisor_sum(win.astype(np.int64), 500)
+        assert not got.any()
+    assert divisor_sum(np.ones(1, dtype=np.int64), 0).tolist() == [0]
+    with pytest.raises(DomainError):
+        divisor_sum(np.ones(10, dtype=np.int64), 10)
 
 
 def test_euler_phi(table4):
@@ -135,6 +167,23 @@ def test_linnik_witness_canonical_order(table4):
     assert linnik_witness(2, table4) == (0, 1)
     assert linnik_witness(83, table4) == (1, 9)
     assert linnik_witness(7, table4) is None
+
+
+def test_witness_table_matches_brute():
+    n_max = 2 * 10**4
+    least = {}
+    for x in range(math.isqrt(n_max // 2) + 1):   # x ascending: first hit is least
+        for y in range(x, math.isqrt(n_max - x * x) + 1):
+            least.setdefault(x * x + y * y, (x, y))
+    table = sieve_primes(n_max)
+    assert table._witnesses is None                # built only on demand
+    wx, wy = table.witnesses
+    assert wx.dtype == wy.dtype == np.int32
+    assert table.witnesses[0] is wx
+    for n in range(n_max + 1):
+        assert (int(wx[n]), int(wy[n])) == least.get(n, (-1, -1)), n
+    for p in table.primes.tolist():
+        assert linnik_witness(p, table) == least.get(p - 1)
 
 
 def test_prime_table_basics(table4):

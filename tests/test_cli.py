@@ -282,6 +282,20 @@ def test_exit_code_domain_errors(capsys):
     assert rc == 2 and "major-arc" in err
 
 
+def test_gamma_nan_eps_exits_2(capsys):
+    rc, out, err = run(capsys, "gamma", "--mode", "sharp", "--x", "1000",
+                       "--l1", "1.4", "--l2", "-1", "--l3", "-1.7", "--eta", "0",
+                       "--eps", "nan", "--lambda0", "0.1")
+    assert rc == 2 and out == "" and "finite" in err
+
+
+def test_hooley_non_finite_x_exits_2(capsys):
+    for x in ("nan", "inf"):
+        rc, out, err = run(capsys, "hooley", "--x", x, "--stat", "sigma",
+                           "--d", "5")
+        assert rc == 2 and out == "" and "finite" in err
+
+
 def test_exit_code_resource_errors(capsys, monkeypatch):
     argv = ["gamma", "--mode", "sharp", "--x", "10000", "--l1", "1",
             "--l2", "-1", "--l3", "-1", "--eta", "0", "--eps", "1"]

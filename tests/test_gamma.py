@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from linniklab import gamma as gamma_mod
 from linniklab.arith import r2_bulk, sieve_primes
-from linniklab.errors import DomainError, ResourceError
+from linniklab.errors import DomainError, NumericError, ResourceError
 from linniklab.gamma import (
     Instance,
     b_j_volume,
@@ -218,6 +219,22 @@ def test_split_d_invariance(table4):
         s0 = base.g1 + base.g2 + base.g3
         s1 = br.g1 + br.g2 + br.g3
         assert abs(s1 - s0) <= 1e-12 * max(1.0, abs(s0))
+
+
+def test_split_mass_check_catches_r2_error(table4, monkeypatch):
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.2, eps=1.0, x=300.0, lambda0=0.05)
+    kern = kernel_new(1.0, 2)
+    base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
+    bad_p3 = int(base[len(base) // 2])
+
+    def r2_off_at_one(ns, table):
+        out = r2_bulk(ns, table)
+        out[np.asarray(ns) == bad_p3 - 1] += 4
+        return out
+
+    monkeypatch.setattr(gamma_mod, "r2_bulk", r2_off_at_one)
+    with pytest.raises(NumericError, match=f"p3={bad_p3}"):
+        gamma_split(inst, kern, table4, d_split=9.0)
 
 
 def test_split_validation(table4):
@@ -442,6 +459,12 @@ def test_instance_validation(table4):
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=2e4)
     with pytest.raises(DomainError):
         gamma_sharp(inst, table4)   # X beyond the sieve limit
+    good = dict(lambda1=1.0, lambda2=-1.0, lambda3=-1.0, eta=0.0, eps=0.5,
+                x=30.0, lambda0=0.5)
+    for key in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                Instance(**{**good, key: bad})
 
 
 def test_theorem_mode_flag():
