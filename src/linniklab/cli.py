@@ -107,13 +107,25 @@ def _pick(args, cfg: dict, key: str, default=None, cast=float):
         v = cfg[key]
     if v is None:
         return default
-    return cast(v) if isinstance(v, str) else v
+    if not isinstance(v, str):
+        return v
+    try:
+        return cast(v)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(
+            f"--{key.replace('_', '-')}: cannot use {v!r} ({exc})") from None
 
 
 def _need(args, cfg, key: str, cast=float):
     v = _pick(args, cfg, key, None, cast)
     if v is None:
         raise DomainError(f"--{key.replace('_', '-')} is required")
+    return v
+
+
+def _finite(key: str, v: float) -> float:
+    if not math.isfinite(v):
+        raise DomainError(f"--{key} must be finite, got {v}")
     return v
 
 
@@ -206,7 +218,7 @@ def cmd_kernel(args, cfg) -> int:
     if n < 2:
         raise DomainError(f"--grid must be ≥ 2, got {n}")
     if bool(_pick(args, cfg, "fourier", False, lambda s: s == "true")):
-        xmax = _pick(args, cfg, "xmax", 8.0 * k / (math.pi * eps))
+        xmax = _finite("xmax", _pick(args, cfg, "xmax", 8.0 * k / (math.pi * eps)))
         xs = np.linspace(0.0, xmax, n)
         th = smoothing.theta_fourier(kern, xs)
         bd = smoothing.theta_fourier_bound(kern, xs)
@@ -214,7 +226,7 @@ def cmd_kernel(args, cfg) -> int:
         for x, t, b in zip(xs, th, bd):
             sys.stdout.write(f"{_g(x)}\t{_g(t)}\t{_g(b)}\n")
         return 0
-    ymax = _pick(args, cfg, "ymax", 1.25 * eps)
+    ymax = _finite("ymax", _pick(args, cfg, "ymax", 1.25 * eps))
     ys = np.linspace(-ymax, ymax, n)
     th = smoothing.theta_eval(kern, ys)
     sys.stdout.write("# y\ttheta\tantideriv\n")
@@ -611,8 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     try:
+        cfg = _load_config(args.config) if getattr(args, "config", None) else {}
         return _DISPATCH[args.cmd](args, cfg)
     except (DomainError, PrecisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,15 +17,19 @@ choice; checking it to 1e−9 relative is the engine's primary self-test.
 
 Algorithm: sort {λ₃p₃} once with prefix sums of the p₃ weights; every
 (p₁,p₂) pair then reduces to two binary searches, O(P² log P) total for
-P = π(X) − π(λ₀X).  The pair range is cut into fixed 64-row chunks whose
-partial sums are combined in chunk order with exact compensated summation,
-so results are bit-identical for any thread count.
+P = π(X) − π(λ₀X).  Each Γ call, and the triple finder, makes one sweep
+over the pairs: the window bounds of a chunk feed the sharp prefix-sum
+total, the triple count, the θ-weighted columns and the collected hits
+together.  The pair range is cut into fixed 64-row chunks whose partial
+sums are combined in chunk order with exact compensated summation, so
+results are bit-identical for any thread count.  Each worker bounds its
+chunks row by row into scratch arrays it keeps from chunk to chunk.
 """
 
 from __future__ import annotations
 
 import math
-import time
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -86,10 +90,8 @@ class GammaBreakdown:
     g3: float
     d: float
     triple_count: int
-    timing: float
 
     def as_dict(self) -> dict:
-        # timing intentionally omitted: CLI output must be run-to-run identical
         return {
             "gamma": self.gamma,
             "gamma0": self.gamma0,
@@ -134,11 +136,42 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(r, min(r + _ROWS, n)) for r in range(0, n, _ROWS)]
 
 
-def _run_chunks(fn, spans: list[tuple[int, int]], threads: int) -> list:
-    if threads <= 1:
-        return [fn(r0, r1) for r0, r1 in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: fn(*s), spans))
+def _run_chunks(fn, spans: list[tuple[int, int]], threads: int, make_buffers) -> list:
+    """fn(r0, r1, buffers) for every span, results in span order.
+
+    With w workers, worker k takes spans k, k + w, k + 2w, … and reuses one
+    make_buffers() for all of them.
+    """
+    workers = max(1, min(threads, len(spans), os.cpu_count() or 1))
+
+    def work(k):
+        buf = make_buffers()
+        return [fn(r0, r1, buf) for r0, r1 in spans[k::workers]]
+
+    if workers == 1:
+        return work(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(work, range(workers)))
+    out = [None] * len(spans)
+    for k, part in enumerate(parts):
+        out[k::workers] = part
+    return out
+
+
+class _Buffers:
+    """One worker's scratch arrays for a chunk of pairs, reused chunk after chunk.
+
+    A fresh chunk-sized temporary lands on new pages, and faulting them in
+    costs about as much as the window search itself; row-sized temporaries
+    stay in cache and malloc recycles them.
+    """
+
+    def __init__(self, n2: int, prefix: bool):
+        self.nc = np.empty((_ROWS, n2))
+        self.lo, self.hi, self.cnt = (np.empty((_ROWS, n2), np.intp) for _ in range(3))
+        self.edge = np.empty(n2)
+        if prefix:
+            self.pw, self.win = np.empty((_ROWS, n2)), np.empty((_ROWS, n2))
 
 
 class _Engine:
@@ -163,7 +196,7 @@ class _Engine:
         self.p3_sorted = self.p3[order]
         self.order = order
         self.p1f = self.p1.astype(np.float64)
-        self.p2f = self.p2.astype(np.float64)
+        self.l2p2 = inst.lambda2 * self.p2.astype(np.float64)
 
     def sorted_col(self, col: np.ndarray) -> np.ndarray:
         return np.asarray(col, dtype=np.float64)[self.order]
@@ -173,79 +206,93 @@ class _Engine:
         np.cumsum(col_sorted, out=pref[1:])
         return pref
 
-    def _bounds(self, r0: int, r1: int):
-        inst = self.inst
-        c = (inst.lambda1 * self.p1f[r0:r1] + inst.eta)[:, None] \
-            + inst.lambda2 * self.p2f[None, :]
-        cf = c.ravel()
-        lo = np.searchsorted(self.zs, -cf - inst.eps, side="right")
-        hi = np.searchsorted(self.zs, -cf + inst.eps, side="left")
-        cnt = hi - lo
-        bad = cnt < 0
-        if bad.any():          # only when eps == 0 and exact hits exist
-            hi = np.where(bad, lo, hi)
-            cnt = hi - lo
-        return cf, lo, hi, cnt
+    def _bounds(self, r0: int, r1: int, buf: _Buffers):
+        """Window [lo, hi) into zs, and −c, for every pair with p₁ in rows r0:r1.
 
-    def scan_prefix(self, pref: np.ndarray, threads: int) -> tuple[float, int]:
-        """Σ pairweight · (windowed column sum) and the raw triple count."""
-
-        def do(r0, r1):
-            cf, lo, hi, cnt = self._bounds(r0, r1)
-            pw = (self.w1[r0:r1])[:, None] * self.w2[None, :]
-            val = float(np.sum(pw.ravel() * (pref[hi] - pref[lo])))
-            return val, int(cnt.sum())
-
-        parts = _run_chunks(do, _chunks(len(self.p1)), threads)
-        return math.fsum(v for v, _ in parts), sum(c for _, c in parts)
-
-    def scan_hits(self, cols: list[np.ndarray], kern: SmoothingKernel,
-                  threads: int, collect: bool = False):
-        """θ-weighted Σ over in-window triples, one total per column.
-
-        With collect=True also returns the flat hit arrays
-        (p1, p2, inner-sorted-index, residual) in deterministic order.
+        c = λ₁p₁ + λ₂p₂ + η is built negated; negation is exact, so
+        nc == −c bit for bit.  When ε is below the float resolution of
+        −c, both bounds round onto −c itself and hi < lo: the entries
+        [hi, lo) then equal −c exactly (residual 0 < ε), so the pair
+        swaps into that window instead of dropping it.  Returns (rows, n₂)
+        views into buf.
         """
-        n2 = len(self.p2)
+        inst, zs, l2p2, edge = self.inst, self.zs, self.l2p2, buf.edge
+        m = r1 - r0
+        nc, lo, hi, cnt = buf.nc[:m], buf.lo[:m], buf.hi[:m], buf.cnt[:m]
+        neg_a = -(inst.lambda1 * self.p1f[r0:r1] + inst.eta)
+        for r in range(m):      # row by row, so each step reads cache-hot data
+            np.subtract(neg_a[r], l2p2, out=nc[r])
+            lo[r] = zs.searchsorted(np.subtract(nc[r], inst.eps, out=edge), side="right")
+            hi[r] = zs.searchsorted(np.add(nc[r], inst.eps, out=edge), side="left")
+            np.subtract(hi[r], lo[r], out=cnt[r])
+        if cnt.min() < 0:
+            swap = cnt < 0
+            lo[swap], hi[swap] = hi[swap], lo[swap]
+            np.abs(cnt, out=cnt)
+        return nc, lo, hi, cnt
 
-        def do(r0, r1):
-            cf, lo, hi, cnt = self._bounds(r0, r1)
+    def scan(self, pref: np.ndarray | None = None, cols=(),
+             kern: SmoothingKernel | None = None, threads: int = 1,
+             collect: bool = False):
+        """One sweep over every (p₁,p₂) pair; each 64-row chunk bounded once.
+
+        Returns (prefix_total, triple_count, col_totals, hits):
+        prefix_total is Σ pairweight·(pref[hi] − pref[lo]) (None without
+        pref); col_totals holds one θ-weighted Σ over the in-window triples
+        per column of cols (kern required); hits, with collect=True, are
+        the flat arrays (p1, p2, inner-sorted-index, residual) in chunk
+        order.  Hits are enumerated only for cols or collect, and only then
+        count against HITS_BUDGET.
+        """
+        enumerate_hits = bool(cols) or collect
+
+        def do(r0, r1, buf):
+            nc, lo, hi, cnt = self._bounds(r0, r1, buf)
             tot = int(cnt.sum())
+            val = None
+            if pref is not None:
+                pw, win = buf.pw[:r1 - r0], buf.win[:r1 - r0]
+                np.take(pref, hi, out=win, mode="clip")
+                np.subtract(win, np.take(pref, lo, out=pw, mode="clip"), out=win)
+                np.multiply(self.w1[r0:r1, None], self.w2, out=pw)
+                val = float(np.sum(np.multiply(pw, win, out=win).ravel()))
+            if not enumerate_hits or tot == 0:
+                return val, tot, [0.0] * len(cols), None
             if tot > HITS_BUDGET:
                 raise ResourceError(
                     f"{tot:.2e} window hits in one chunk exceeds the hits budget"
                 )
-            if tot == 0:
-                empty = np.zeros(0)
-                return ([0.0] * len(cols),
-                        (empty.astype(np.int64),) * 3 + (empty,) if collect else None)
-            nz = np.nonzero(cnt)[0]
+            nc, lo, cnt = nc.ravel(), lo.ravel(), cnt.ravel()
+            nz = np.flatnonzero(cnt)
             reps = cnt[nz]
-            pairid = np.repeat(nz, reps)
-            ends = np.cumsum(reps)
-            offs = np.arange(tot, dtype=np.int64) - np.repeat(ends - reps, reps)
-            inner = np.repeat(lo[nz], reps) + offs
-            res = cf[pairid] + self.zs[inner]
-            th = theta_eval(kern, res) if kern is not None else np.ones(tot)
-            pw = ((self.w1[r0:r1])[:, None] * self.w2[None, :]).ravel()
-            base = th * pw[pairid]
-            sums = [float(np.sum(base * col[inner])) for col in cols]
+            starts = np.cumsum(reps) - reps
+            inner = np.repeat(lo[nz] - starts, reps) + np.arange(tot, dtype=np.int64)
+            res = self.zs[inner] - np.repeat(nc[nz], reps)
+            i1, i2 = np.divmod(nz, len(self.p2))
+            i1 += r0
+            sums = []
+            if cols:
+                base = theta_eval(kern, res) * np.repeat(self.w1[i1] * self.w2[i2], reps)
+                sums = [float(np.sum(base * col[inner])) for col in cols]
+            hits = None
             if collect:
-                i1 = r0 + pairid // n2
-                i2 = pairid % n2
-                return sums, (self.p1[i1], self.p2[i2], inner, res)
-            return sums, None
+                hits = (np.repeat(self.p1[i1], reps), np.repeat(self.p2[i2], reps),
+                        inner, res)
+            return val, tot, sums, hits
 
-        parts = _run_chunks(do, _chunks(len(self.p1)), threads)
-        totals = [math.fsum(p[0][i] for p in parts) for i in range(len(cols))]
+        parts = _run_chunks(do, _chunks(len(self.p1)), threads,
+                            lambda: _Buffers(len(self.p2), pref is not None))
+        total = math.fsum(p[0] for p in parts) if pref is not None else None
+        count = sum(p[1] for p in parts)
+        totals = [math.fsum(p[2][i] for p in parts) for i in range(len(cols))]
         if not collect:
-            return totals, None
-        hits = [p[1] for p in parts if p[1] is not None and len(p[1][3])]
+            return total, count, totals, None
+        hits = [p[3] for p in parts if p[3] is not None]
         if hits:
             merged = tuple(np.concatenate([h[i] for h in hits]) for i in range(4))
         else:
             merged = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
-        return totals, merged
+        return total, count, totals, merged
 
 
 # -------------------------------------------------------------- the Γ family
@@ -259,8 +306,8 @@ def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
     r = r2_bulk(eng.p3 - 1, table).astype(np.float64)
     w3 = r * np.log(eng.p3.astype(np.float64))
-    pref = eng.prefix(eng.sorted_col(w3))
-    return eng.scan_prefix(pref, threads)
+    gamma, count, _, _ = eng.scan(pref=eng.prefix(eng.sorted_col(w3)), threads=threads)
+    return gamma, count
 
 
 def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
@@ -274,7 +321,7 @@ def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
     r = r2_bulk(eng.p3 - 1, table).astype(np.float64)
     w3 = eng.sorted_col(r * np.log(eng.p3.astype(np.float64)))
-    (total,), _ = eng.scan_hits([w3], kern, threads)
+    _, _, (total,), _ = eng.scan(cols=[w3], kern=kern, threads=threads)
     return total
 
 
@@ -282,7 +329,6 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
                 d_split: float, threads: int = 1,
                 work_budget: int = WORK_BUDGET) -> GammaBreakdown:
     """Γ₀ split by divisor size at D and X/D, with the exactness self-check."""
-    t0 = time.perf_counter()
     if kern.eps != inst.eps:
         raise DomainError(
             f"kernel eps {kern.eps} does not match instance eps {inst.eps}"
@@ -310,7 +356,8 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
     logs3 = np.log(eng.p3.astype(np.float64))
     cols = [eng.sorted_col(a1 * logs3), eng.sorted_col(a2 * logs3),
             eng.sorted_col(a3 * logs3), eng.sorted_col(rvals * logs3)]
-    (g1, g2, g3, gamma0), _ = eng.scan_hits(cols, kern, threads)
+    gamma, count, (g1, g2, g3, gamma0), _ = eng.scan(
+        pref=eng.prefix(cols[3]), cols=cols, kern=kern, threads=threads)
 
     ident = 4.0 * (g1 + g2 + g3)
     tol = 1e-9 * max(1.0, abs(gamma0))
@@ -318,11 +365,8 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
         raise NumericError(
             f"split identity violated: 4(g1+g2+g3)={ident!r} vs gamma0={gamma0!r}"
         )
-    pref = eng.prefix(cols[3])
-    gamma, count = eng.scan_prefix(pref, threads)
     return GammaBreakdown(gamma=gamma, gamma0=gamma0, g1=g1, g2=g2, g3=g3,
-                          d=d_split, triple_count=count,
-                          timing=time.perf_counter() - t0)
+                          d=d_split, triple_count=count)
 
 
 def gamma3_reflect(p3: int, d_split: float, x: float, table: PrimeTable) -> dict:
@@ -438,8 +482,7 @@ def find_triples(inst: Instance, table: PrimeTable,
     if len(eng.p1) == 0 or len(eng.p2) == 0 or len(eng.p3) == 0:
         return []
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
-    _, hits = eng.scan_hits([], None, threads, collect=True)
-    p1h, p2h, inner, res = hits
+    _, _, _, (p1h, p2h, inner, res) = eng.scan(threads=threads, collect=True)
     if len(res) == 0:
         return []
     p3h = eng.p3_sorted[inner]

@@ -53,8 +53,8 @@ class SmoothingKernel:
 
 def kernel_new(eps: float, k: int) -> SmoothingKernel:
     """Kernel with plateau [−3ε/4, 3ε/4] and support (−ε, ε); degree k."""
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     if k < 1 or k != int(k):
         raise DomainError(f"k must be a positive integer, got {k}")
     k = int(k)

@@ -296,6 +296,19 @@ def test_hooley_non_finite_x_exits_2(capsys):
         assert rc == 2 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("gamma", "--config", "{missing}", "--mode", "sharp", "--x", "1000"),
+     "cannot read config"),
+    (("singular", "--pmax", "1e4", "--dmax", "abc"), "--dmax"),
+    (("kernel", "--eps", "nan"), "finite"),
+    (("kernel", "--eps", "0.1", "--ymax", "nan"), "--ymax"),
+], ids=["missing-config", "dmax-not-a-number", "eps-nan", "ymax-nan"])
+def test_bad_input_exits_2(capsys, tmp_path, argv, needle):
+    argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and needle in err
+
+
 def test_exit_code_resource_errors(capsys, monkeypatch):
     argv = ["gamma", "--mode", "sharp", "--x", "10000", "--l1", "1",
             "--l2", "-1", "--l3", "-1", "--eta", "0", "--eps", "1"]

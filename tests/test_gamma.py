@@ -256,6 +256,64 @@ def test_thread_determinism(table4):
         assert getattr(runs[0], field) == getattr(runs[1], field)
 
 
+def test_split_bounds_each_chunk_once(table4, monkeypatch):
+    # Γ, the triple count and the θ-weighted columns share one pair sweep
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=2000.0, lambda0=0.3)
+    calls = []
+    bounds = gamma_mod._Engine._bounds
+
+    def spy(self, r0, r1, *buffers):
+        calls.append((r0, r1))
+        return bounds(self, r0, r1, *buffers)
+
+    monkeypatch.setattr(gamma_mod._Engine, "_bounds", spy)
+    gamma_split(inst, kernel_new(2.0, 4), table4, d_split=11.0)
+    n1 = len(table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)])
+    assert sorted(calls) == gamma_mod._chunks(n1)
+
+
+def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
+    asked = []
+
+    class Pool:
+        # records the pool size and runs the chunks inline; no thread starts
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=2000.0, lambda0=0.3)
+    want = gamma_sharp(inst, table4)
+    monkeypatch.setattr(gamma_mod, "ThreadPoolExecutor", Pool)
+    for cpus, workers in ((64, 4), (3, 3), (None, None)):   # 4 chunks of rows
+        monkeypatch.setattr(gamma_mod.os, "cpu_count", lambda: cpus)
+        asked.clear()
+        assert gamma_sharp(inst, table4, threads=10**6) == want
+        assert asked == ([] if workers is None else [workers])
+
+
+def test_sharp_keeps_exact_hits_below_float_resolution(table4):
+    # every exact hit has |λ₁p₁+λ₂p₂| ≥ 2³¹, where half an ulp exceeds ε:
+    # both window edges round onto the hit itself, whose residual is 0 < ε
+    s = 2.0 ** 30
+    inst = Instance(s, -s, -s, eta=0.0, eps=5e-8, x=30.0, lambda0=0.05,
+                    ratio_irrational=True)
+    val, cnt = gamma_sharp(inst, table4)
+    want, wcnt = _brute_sharp(inst, table4)
+    assert cnt == wcnt == 8
+    assert abs(val - want) <= 1e-12 * abs(want)
+    assert [(w.p1, w.p2, w.p3, w.residual) for w in find_triples(inst, table4)] == \
+        [(5, 2, 3, 0.0), (5, 3, 2, 0.0), (7, 2, 5, 0.0), (7, 5, 2, 0.0),
+         (13, 2, 11, 0.0), (13, 11, 2, 0.0), (19, 2, 17, 0.0), (19, 17, 2, 0.0)]
+
+
 # ---------------------------------------------------------------- reflection
 
 def test_reflect_hand_cases(table4):
@@ -445,6 +503,15 @@ def test_hits_budget(table4):
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=1e9, x=1e4, lambda0=0.1)
     with pytest.raises(ResourceError):
         gamma_smoothed(inst, kernel_new(1e9, 2), table4)
+
+
+def test_sharp_enumerates_no_hits(table4):
+    # the sharp Γ reads prefix sums only, so a window holding every triple
+    # stays clear of HITS_BUDGET (the smoothed twin trips it: test_hits_budget)
+    inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=1e9, x=1e4, lambda0=0.1)
+    _, cnt = gamma_sharp(inst, table4)
+    n = len(table4.primes[table4.prime_slice(1e3, 1e4)])
+    assert cnt == n ** 3
 
 
 def test_instance_validation(table4):
