@@ -30,6 +30,9 @@ from .errors import DomainError, ResourceError
 
 # Default cap on sieve size: spf table is 4 bytes per slot.
 MEMORY_BUDGET = 2**31
+# Default cap on inner-loop evaluations per call: (p1,p2) pairs in the pair
+# scans, Q·π(X) modulus-prime steps in the progression error scan.
+WORK_BUDGET = 2**31
 
 
 @dataclass
@@ -92,7 +95,7 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     The sieve walks primes p ≤ √limit; a composite n is first touched by its
     smallest prime factor because n ≥ spf(n)².
     """
-    if limit < 2:
+    if not limit >= 2:
         raise DomainError(f"limit must be ≥ 2, got {limit}")
     if limit + 1 > memory_budget:
         raise ResourceError(

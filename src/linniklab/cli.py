@@ -10,6 +10,10 @@ Coefficients (--l1/--l2/--l3/--eta) accept plain decimals (`-1`, `0.25`),
 decimals with an explicit uncertainty (`1.4142135±1e-7`), or the named
 constants sqrt2, sqrt3, phi, e (optionally signed), which are resolved to
 certified 256-bit values.
+
+`_build_parser` declares each flag's type and default once; a `--config`
+file and LINNIKLAB_WORK_BUDGET only replace defaults of the subcommand,
+so argparse checks their values exactly as it checks flags.
 """
 
 from __future__ import annotations
@@ -50,7 +54,11 @@ def _r15(v):
 
 
 def _emit_json(obj: dict):
-    sys.stdout.write(json.dumps(_r15(obj)) + "\n")
+    try:
+        text = json.dumps(_r15(obj), allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"report holds a non-finite value: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 class _Coeff:
@@ -59,9 +67,8 @@ class _Coeff:
     def __init__(self, text: str):
         s = text.strip()
         key = s.lstrip("+-")
-        self.is_named = key in cfrac.NAMED
-        self.name = key if self.is_named else None
-        if self.is_named:
+        self.name = key if key in cfrac.NAMED else None
+        if self.name:
             cert = cfrac.certified_named(s if not s.startswith("+") else key)
         else:
             cert = cfrac.certified_decimal(s)
@@ -75,14 +82,47 @@ class _Coeff:
 
 
 def _ratio_irrational(c1: _Coeff, c2: _Coeff, forced: bool) -> bool:
-    if forced:
-        return True
-    if c1.is_named != c2.is_named:
-        return True
-    if c1.is_named and c2.is_named:
-        return c1.name != c2.name
-    return False
+    """λ₁/λ₂ is known irrational when exactly one is named or the names differ."""
+    return forced or c1.name != c2.name
 
+
+# ------------------------------------------------------------- flag types
+
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
+def _int_from_float(text: str) -> int:
+    """An integer that may be written as a float, e.g. 1e6."""
+    return int(_finite_float(text))
+
+
+def _positive_int(text: str) -> int:
+    v = _int_from_float(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return v
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma list of integers, e.g. `100,1e4`; the empty string is the empty list."""
+    return [_int_from_float(t) for t in text.split(",") if t.strip()]
+
+
+def _coeff(text: str) -> _Coeff:
+    try:
+        return _Coeff(text)
+    except (DomainError, PrecisionError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot use {text!r}: {exc}") from None
+
+
+# ------------------------------------------------------ config and parsing
 
 def _load_config(path: str) -> dict:
     cfg = {}
@@ -101,95 +141,85 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _pick(args, cfg: dict, key: str, default=None, cast=float):
-    v = getattr(args, key, None)
-    if v is None and key in cfg:
-        v = cfg[key]
-    if v is None:
-        return default
-    if not isinstance(v, str):
-        return v
-    try:
-        return cast(v)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(
-            f"--{key.replace('_', '-')}: cannot use {v!r} ({exc})") from None
+def _config_defaults(sp: argparse.ArgumentParser, cfg: dict) -> dict:
+    """The config values that are flags of subcommand sp, as its defaults.
+
+    Strings stay strings, so argparse runs them through the flag's type;
+    `true`/`false` are the values of on/off flags.  Other keys are ignored.
+    """
+    flags = {a.dest: a for a in sp._actions if a.dest != "help"}
+    out = {}
+    for key, v in cfg.items():
+        a = flags.get(key)
+        if a is None:
+            continue
+        if a.nargs == 0:
+            if v not in ("true", "false"):
+                raise DomainError(f"config {key}: expected true or false, got {v!r}")
+            v = v == "true"
+        elif a.choices is not None and v not in a.choices:
+            raise DomainError(f"config {key}: {v!r} is not one of {sorted(a.choices)}")
+        out[key] = v
+    return out
 
 
-def _need(args, cfg, key: str, cast=float):
-    v = _pick(args, cfg, key, None, cast)
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; precedence of a value is flag > environment > config > built-in."""
+    parser, subs = _build_parser()
+    args = parser.parse_args(argv)
+    sp = subs[args.cmd]
+    defaults = _config_defaults(sp, _load_config(args.config)) if args.config else {}
+    env = os.environ.get(ENV_WORK_BUDGET)
+    if env is not None:
+        defaults["work_budget"] = env
+    if not defaults:
+        return args
+    sp.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
+def _need(args, key: str):
+    v = getattr(args, key)
     if v is None:
         raise DomainError(f"--{key.replace('_', '-')} is required")
     return v
 
 
-def _finite(key: str, v: float) -> float:
-    if not math.isfinite(v):
-        raise DomainError(f"--{key} must be finite, got {v}")
-    return v
-
-
-def _budget(args, cfg) -> int:
-    v = getattr(args, "work_budget", None)
-    if v is None:
-        env = os.environ.get(ENV_WORK_BUDGET)
-        if env is not None:
-            v = env
-    if v is None and "work_budget" in cfg:
-        v = cfg["work_budget"]
-    if v is None:
-        return gamma.WORK_BUDGET
-    b = int(float(v))
-    if b <= 0:
-        raise DomainError(f"work budget must be positive, got {b}")
-    return b
-
-
 def _table_for(x: float) -> arith.PrimeTable:
-    if not math.isfinite(x):
-        raise DomainError(f"X must be finite, got {x}")
     return arith.sieve_primes(int(math.ceil(x)))
+
+
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.linspace(lo, hi, n)
+    if not np.isfinite(g).all():
+        raise DomainError(f"grid from {lo} to {hi} overflows")
+    return g
 
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_schedule(args, cfg) -> int:
-    if _pick(args, cfg, "eps_report", False, lambda s: s == "true"):
-        rep = schedule.eps_positivity_report(
-            _pick(args, cfg, "x_lo", 100.0),
-            _pick(args, cfg, "x_hi", 1e300),
-        )
-        _emit_json(rep)
+def cmd_schedule(args) -> int:
+    if args.eps_report:
+        _emit_json(schedule.eps_positivity_report(args.x_lo, args.x_hi))
         return 0
-    x = _need(args, cfg, "x")
-    mode = _pick(args, cfg, "mode", "paper", str)
-    if mode == "paper":
+    x = _need(args, "x")
+    if args.mode == "paper":
         sch = schedule.paper_schedule(x)
-    elif mode == "desk":
-        sch = schedule.desk_schedule(
-            x,
-            _need(args, cfg, "d"),
-            _need(args, cfg, "eps"),
-            h=_pick(args, cfg, "h"),
-            delta=_pick(args, cfg, "delta"),
-        )
     else:
-        raise DomainError(f"unknown schedule mode {mode!r}")
+        sch = schedule.desk_schedule(x, _need(args, "d"), _need(args, "eps"),
+                                     h=args.h, delta=args.delta)
     _emit_json(sch.as_dict())
     return 0
 
 
-def cmd_cfrac(args, cfg) -> int:
-    name = _pick(args, cfg, "name", None, str)
-    value = _pick(args, cfg, "value", None, str)
-    count = int(_pick(args, cfg, "count", 10, int))
-    pattern = bool(_pick(args, cfg, "pattern", False, lambda s: s == "true"))
-    verify = bool(_pick(args, cfg, "verify", False, lambda s: s == "true"))
+def cmd_cfrac(args) -> int:
+    name, value, count, verify = args.name, args.value, args.count, args.verify
     if (name is None) == (value is None):
         raise DomainError("exactly one of --name / --value is required")
     if count < 1:
         raise DomainError(f"--count must be ≥ 1, got {count}")
-    if pattern:
+    if args.pattern:
         if name is None:
             raise DomainError("--pattern needs --name (classical expansions only)")
         convs = cfrac.convergents_from_terms(cfrac.named_cf_terms(name), count)
@@ -210,24 +240,22 @@ def cmd_cfrac(args, cfg) -> int:
     return 0
 
 
-def cmd_kernel(args, cfg) -> int:
-    eps = _need(args, cfg, "eps")
-    k = int(_pick(args, cfg, "k", 4, int))
+def cmd_kernel(args) -> int:
+    eps, k, n = _need(args, "eps"), args.k, args.grid
     kern = smoothing.kernel_new(eps, k)
-    n = int(_pick(args, cfg, "grid", 201, int))
     if n < 2:
         raise DomainError(f"--grid must be ≥ 2, got {n}")
-    if bool(_pick(args, cfg, "fourier", False, lambda s: s == "true")):
-        xmax = _finite("xmax", _pick(args, cfg, "xmax", 8.0 * k / (math.pi * eps)))
-        xs = np.linspace(0.0, xmax, n)
+    if args.fourier:
+        xmax = args.xmax if args.xmax is not None else 8.0 * k / (math.pi * eps)
+        xs = _grid(0.0, xmax, n)
         th = smoothing.theta_fourier(kern, xs)
         bd = smoothing.theta_fourier_bound(kern, xs)
         sys.stdout.write("# x\ttheta_hat\tbound\n")
         for x, t, b in zip(xs, th, bd):
             sys.stdout.write(f"{_g(x)}\t{_g(t)}\t{_g(b)}\n")
         return 0
-    ymax = _finite("ymax", _pick(args, cfg, "ymax", 1.25 * eps))
-    ys = np.linspace(-ymax, ymax, n)
+    ymax = args.ymax if args.ymax is not None else 1.25 * eps
+    ys = _grid(-ymax, ymax, n)
     th = smoothing.theta_eval(kern, ys)
     sys.stdout.write("# y\ttheta\tantideriv\n")
     for y, t in zip(ys, th):
@@ -237,15 +265,10 @@ def cmd_kernel(args, cfg) -> int:
     return 0
 
 
-def cmd_expsum(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    alpha = _need(args, cfg, "alpha")
-    lam0 = _pick(args, cfg, "lambda0", 0.5)
-    l = int(_pick(args, cfg, "l", 1, int))
-    d = int(_pick(args, cfg, "d", 1, int))
-    lo = _pick(args, cfg, "lo", lam0 * x)
-    hi = _pick(args, cfg, "hi", x)
-    delta = _pick(args, cfg, "delta", None)
+def cmd_expsum(args) -> int:
+    x, alpha, l, d, delta = _need(args, "x"), _need(args, "alpha"), args.l, args.d, args.delta
+    lo = args.lo if args.lo is not None else args.lambda0 * x
+    hi = args.hi if args.hi is not None else x
     table = _table_for(hi)
     s = expsums.s_ld(table, l, d, (lo, hi), alpha)
     i = expsums.i_j((lo, hi), alpha)
@@ -260,30 +283,24 @@ def cmd_expsum(args, cfg) -> int:
     return 0
 
 
-def cmd_eterm(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    q = int(_need(args, cfg, "q", int))
-    a = int(_need(args, cfg, "a", int))
+def cmd_eterm(args) -> int:
+    x, q, a = _need(args, "x"), _need(args, "q"), _need(args, "a")
     table = _table_for(x)
     _emit_json({"x": x, "q": q, "a": a,
                 "e_term": expsums.e_term(table, x, q, a)})
     return 0
 
 
-def cmd_bvsum(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    q_max = int(_need(args, cfg, "q_max", int))
+def cmd_bvsum(args) -> int:
+    x, q_max = _need(args, "x"), _need(args, "q_max")
     table = _table_for(x)
-    val = expsums.bv_aggregate(table, x, q_max, work_budget=_budget(args, cfg))
+    val = expsums.bv_aggregate(table, x, q_max, work_budget=args.work_budget)
     _emit_json({"x": x, "q_max": q_max, "bv_sum": val})
     return 0
 
 
-def cmd_minorarc(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    a = int(_need(args, cfg, "a", int))
-    q = int(_need(args, cfg, "q", int))
-    alpha = _pick(args, cfg, "alpha", None)
+def cmd_minorarc(args) -> int:
+    x, a, q, alpha = _need(args, "x"), _need(args, "a"), _need(args, "q"), args.alpha
     if alpha is None:
         if q < 1:
             raise DomainError(f"q must be ≥ 1, got {q}")
@@ -294,36 +311,26 @@ def cmd_minorarc(args, cfg) -> int:
     return 0
 
 
-def _parse_instance(args, cfg, x: float) -> gamma.Instance:
-    c1 = _Coeff(_need(args, cfg, "l1", str))
-    c2 = _Coeff(_need(args, cfg, "l2", str))
-    c3 = _Coeff(_need(args, cfg, "l3", str))
-    ce = _Coeff(str(_pick(args, cfg, "eta", "0", str)))
-    eps = _need(args, cfg, "eps")
-    lam0 = _pick(args, cfg, "lambda0", 0.5)
-    forced = bool(_pick(args, cfg, "ratio_irrational", False,
-                        lambda s: s == "true"))
+def _parse_instance(args, x: float) -> gamma.Instance:
+    c1, c2, c3, ce = _need(args, "l1"), _need(args, "l2"), _need(args, "l3"), args.eta
     return gamma.Instance(
         lambda1=c1.value, lambda2=c2.value, lambda3=c3.value,
-        eta=ce.value, eps=eps, x=x, lambda0=lam0,
-        ratio_irrational=_ratio_irrational(c1, c2, forced),
+        eta=ce.value, eps=_need(args, "eps"), x=x, lambda0=args.lambda0,
+        ratio_irrational=_ratio_irrational(c1, c2, args.ratio_irrational),
         hp_coeffs=(c1.hp, c2.hp, c3.hp, ce.hp),
     )
 
 
-def cmd_gamma(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    mode = _pick(args, cfg, "mode", "sharp", str)
-    inst = _parse_instance(args, cfg, x)
-    threads = int(_pick(args, cfg, "threads", 1, int))
-    budget = _budget(args, cfg)
+def cmd_gamma(args) -> int:
+    x, mode, threads, budget = _need(args, "x"), args.mode, args.threads, args.work_budget
+    inst = _parse_instance(args, x)
     table = _table_for(x)
     if mode == "sharp":
         val, count = gamma.gamma_sharp(inst, table, threads, budget)
         _emit_json({"mode": "sharp", "x": x, "eps": inst.eps,
                     "gamma": val, "triple_count": count})
         return 0
-    k = int(_pick(args, cfg, "k", smoothing.suggested_k(x), int))
+    k = args.k if args.k is not None else smoothing.suggested_k(x)
     kern = smoothing.kernel_new(inst.eps, k)
     if mode == "smoothed":
         val = gamma.gamma_smoothed(inst, kern, table, threads, budget)
@@ -332,33 +339,28 @@ def cmd_gamma(args, cfg) -> int:
         return 0
     if mode == "split":
         # default divisor cut X^0.4 keeps all three ranges populated at X ≥ 1e4
-        d = _pick(args, cfg, "d", x ** 0.4)
+        d = args.d if args.d is not None else x ** 0.4
         br = gamma.gamma_split(inst, kern, table, d, threads, budget)
         out = {"mode": "split", "x": x, "eps": inst.eps, "k": k}
         out.update(br.as_dict())
         _emit_json(out)
         return 0
-    if mode == "volume":
-        j_lo = _pick(args, cfg, "j_lo", inst.lambda0 * x)
-        j_hi = _pick(args, cfg, "j_hi", x)
-        val = gamma.b_j_volume(inst, kern, (j_lo, j_hi))
-        _emit_json({"mode": "volume", "x": x, "eps": inst.eps, "k": k,
-                    "j_lo": j_lo, "j_hi": j_hi, "b_j": val})
-        return 0
-    raise DomainError(f"unknown gamma mode {mode!r}")
+    j_lo = args.j_lo if args.j_lo is not None else inst.lambda0 * x
+    j_hi = args.j_hi if args.j_hi is not None else x
+    val = gamma.b_j_volume(inst, kern, (j_lo, j_hi))
+    _emit_json({"mode": "volume", "x": x, "eps": inst.eps, "k": k,
+                "j_lo": j_lo, "j_hi": j_hi, "b_j": val})
+    return 0
 
 
-def cmd_triples(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    inst = _parse_instance(args, cfg, x)
-    spec = str(_pick(args, cfg, "require_linnik", "3", str)).strip()
-    req = frozenset(int(t) for t in spec.split(",") if t != "") if spec else frozenset()
+def cmd_triples(args) -> int:
+    x = _need(args, "x")
+    inst = _parse_instance(args, x)
     table = _table_for(x)
     wits = gamma.find_triples(
-        inst, table, require_linnik=req,
-        max_results=int(_pick(args, cfg, "max_results", 100, int)),
-        threads=int(_pick(args, cfg, "threads", 1, int)),
-        work_budget=_budget(args, cfg),
+        inst, table, require_linnik=frozenset(args.require_linnik),
+        max_results=args.max_results, threads=args.threads,
+        work_budget=args.work_budget,
     )
     sys.stdout.write("# p1\tp2\tp3\tx\ty\tresidual\n")
     for w in wits:
@@ -368,28 +370,23 @@ def cmd_triples(args, cfg) -> int:
     return 0
 
 
-def cmd_hooley(args, cfg) -> int:
-    x = _need(args, cfg, "x")
-    stat = _pick(args, cfg, "stat", "sigma", str)
+def cmd_hooley(args) -> int:
+    x = _need(args, "x")
     table = _table_for(x)
-    if stat == "sigma":
-        d = _need(args, cfg, "d")
-        lam0 = _pick(args, cfg, "lambda0", 0.0)
+    if args.stat == "sigma":
+        d, lam0 = _need(args, "d"), args.lambda0
         val = gamma.hooley_sigma_prime(table, x, d, lam0)
         _emit_json({"stat": "sigma_prime", "x": x, "d": d,
                     "lambda0": lam0, "value": val})
         return 0
-    if stat == "fomega":
-        omega = _need(args, cfg, "omega")
-        val = gamma.hooley_f_omega(table, x, omega)
-        _emit_json({"stat": "f_omega", "x": x, "omega": omega, "value": val})
-        return 0
-    raise DomainError(f"unknown hooley stat {stat!r}")
+    omega = _need(args, "omega")
+    val = gamma.hooley_f_omega(table, x, omega)
+    _emit_json({"stat": "f_omega", "x": x, "omega": omega, "value": val})
+    return 0
 
 
-def cmd_singular(args, cfg) -> int:
-    pmax = int(_need(args, cfg, "pmax", lambda s: int(float(s))))
-    s = _pick(args, cfg, "s", 0.0)
+def cmd_singular(args) -> int:
+    pmax, s, dmax = _need(args, "pmax"), args.s, args.dmax
     table = _table_for(pmax)
     approx = dirichlet.n_s(s, pmax, table)
     lo, hi = approx.bracket()
@@ -399,20 +396,16 @@ def cmd_singular(args, cfg) -> int:
         "f_zero": dirichlet.f_zero(pmax, table),
         "linnik_constant": dirichlet.linnik_constant(pmax, table),
     }
-    dmax = _pick(args, cfg, "dmax", None, lambda t: int(float(t)))
     if dmax is not None:
-        cps_spec = _pick(args, cfg, "checkpoints", None, str)
-        cps = ([int(float(t)) for t in cps_spec.split(",")]
-               if cps_spec else None)
-        out["chi_phi"] = dirichlet.chi_phi_partial(int(dmax), table, cps)
+        out["chi_phi"] = dirichlet.chi_phi_partial(dmax, table, args.checkpoints or None)
     _emit_json(out)
     return 0
 
 
-def cmd_linnik(args, cfg) -> int:
-    x = _need(args, cfg, "x")
+def cmd_linnik(args) -> int:
+    x = _need(args, "x")
     table = _table_for(x)
-    if bool(_pick(args, cfg, "empirical", False, lambda s: s == "true")):
+    if args.empirical:
         rep = dirichlet.linnik_empirical(table, x)
         _emit_json({"x": x, **rep})
         return 0
@@ -441,13 +434,28 @@ _DISPATCH = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
+    num = _finite_float
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying flag defaults")
-    common.add_argument("--threads", type=int,
+    common.add_argument("--threads", type=int, default=1,
                         help="worker threads for pair scans (default 1)")
-    common.add_argument("--work-budget", dest="work_budget",
-                        help=f"max pair evaluations (default 2^31; env {ENV_WORK_BUDGET})")
+    common.add_argument("--work-budget", dest="work_budget", type=_positive_int,
+                        default=arith.WORK_BUDGET,
+                        help=f"max pair evaluations (default {arith.WORK_BUDGET}; "
+                             f"env {ENV_WORK_BUDGET})")
+
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--x", type=num)
+    instance.add_argument("--l1", type=_coeff)
+    instance.add_argument("--l2", type=_coeff)
+    instance.add_argument("--l3", type=_coeff)
+    instance.add_argument("--eta", type=_coeff, default="0")
+    instance.add_argument("--eps", type=num)
+    instance.add_argument("--lambda0", type=num, default=0.5)
+    instance.add_argument("--ratio-irrational", dest="ratio_irrational",
+                          action="store_true")
 
     p = argparse.ArgumentParser(
         prog="linniklab",
@@ -464,16 +472,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "divisor cut D, window width, smoothing budget; or, with "
                     "--eps-report, a certificate that the asymptotic window "
                     "width stays above 1 for all X up to 1e300.")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--mode", choices=["paper", "desk"])
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--eps-report", dest="eps_report", action="store_const",
-                    const=True, help="emit the window-width positivity certificate")
-    sp.add_argument("--x-lo", dest="x_lo", type=float)
-    sp.add_argument("--x-hi", dest="x_hi", type=float)
+    sp.add_argument("--x", type=num)
+    sp.add_argument("--mode", choices=["paper", "desk"], default="paper")
+    sp.add_argument("--d", type=num)
+    sp.add_argument("--eps", type=num)
+    sp.add_argument("--h", type=num)
+    sp.add_argument("--delta", type=num)
+    sp.add_argument("--eps-report", dest="eps_report", action="store_true",
+                    help="emit the window-width positivity certificate")
+    sp.add_argument("--x-lo", dest="x_lo", type=num, default=100.0)
+    sp.add_argument("--x-hi", dest="x_hi", type=num, default=1e300)
 
     sp = sub.add_parser(
         "cfrac", parents=[common],
@@ -482,10 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "convergent satisfies |x - a/q| < 1/q².")
     sp.add_argument("--name", choices=sorted(cfrac.NAMED) + ["-sqrt2", "-sqrt3", "-phi", "-e"])
     sp.add_argument("--value", help="decimal or decimal±err")
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--pattern", action="store_const", const=True,
+    sp.add_argument("--count", type=int, default=10)
+    sp.add_argument("--pattern", action="store_true",
                     help="use the classical expansion pattern (named constants only)")
-    sp.add_argument("--verify", action="store_const", const=True,
+    sp.add_argument("--verify", action="store_true",
                     help="append q²·|x - a/q| per row")
 
     sp = sub.add_parser(
@@ -494,33 +502,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tabulate the C^k smoothed window θ (plateau on "
                     "[-3ε/4, 3ε/4], support (-ε, ε)) or, with --fourier, its "
                     "transform and decay ceiling.")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--grid", type=int)
-    sp.add_argument("--ymax", type=float)
-    sp.add_argument("--fourier", action="store_const", const=True)
-    sp.add_argument("--xmax", type=float)
+    sp.add_argument("--eps", type=num)
+    sp.add_argument("--k", type=int, default=4)
+    sp.add_argument("--grid", type=int, default=201)
+    sp.add_argument("--ymax", type=num)
+    sp.add_argument("--fourier", action="store_true")
+    sp.add_argument("--xmax", type=num)
 
     sp = sub.add_parser(
         "expsum", parents=[common],
         help="prime exponential sum vs its integral",
         description="S(α) = Σ e(αp)·ln p over a prime range against "
                     "I(α) = ∫ e(αy) dy, with the normalized gap |S-I|/X.")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--lambda0", type=float)
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--lo", type=float)
-    sp.add_argument("--hi", type=float)
-    sp.add_argument("--delta", type=float,
-                    help="major-arc radius to compare |α| against (flag only)")
+    sp.add_argument("--x", type=num)
+    sp.add_argument("--alpha", type=num)
+    sp.add_argument("--lambda0", type=num, default=0.5)
+    sp.add_argument("--l", type=int, default=1)
+    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--lo", type=num)
+    sp.add_argument("--hi", type=num)
+    sp.add_argument("--delta", type=num,
+                    help="major-arc radius to compare |α| against")
 
     sp = sub.add_parser(
         "eterm", parents=[common],
         help="prime-progression error term",
         description="E(x;q,a) = Σ_{p≤x, p≡a (q)} ln p − x/φ(q).")
-    sp.add_argument("--x", type=float)
+    sp.add_argument("--x", type=num)
     sp.add_argument("--q", type=int)
     sp.add_argument("--a", type=int)
 
@@ -530,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Σ_{q≤Q} max over residues and y ≤ X of |E(y;q,a)|, "
                     "the quantity the large-sieve machinery controls on "
                     "average over moduli.")
-    sp.add_argument("--x", type=float)
+    sp.add_argument("--x", type=num)
     sp.add_argument("--q-max", dest="q_max", type=int)
 
     sp = sub.add_parser(
@@ -538,52 +546,36 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exponential sum near a rational point",
         description="|S(α)| for α within 1/q² of a/q, against the classical "
                     "q-dependent ceiling (reported, not asserted).")
-    sp.add_argument("--x", type=float)
+    sp.add_argument("--x", type=num)
     sp.add_argument("--a", type=int)
     sp.add_argument("--q", type=int)
-    sp.add_argument("--alpha", type=float, help="defaults to a/q")
+    sp.add_argument("--alpha", type=num, help="defaults to a/q")
 
     sp = sub.add_parser(
-        "gamma", parents=[common],
+        "gamma", parents=[common, instance],
         help="weighted triple counts",
         description="Weighted counts over prime triples with "
                     "|λ₁p₁+λ₂p₂+λ₃p₃+η| small: sharp window, smoothed "
                     "window, its three-way divisor split (exact identity "
                     "Γ₀ = 4(Γ₁+Γ₂+Γ₃)), or the continuous volume analogue.")
-    sp.add_argument("--mode", choices=["sharp", "smoothed", "split", "volume"])
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--l1")
-    sp.add_argument("--l2")
-    sp.add_argument("--l3")
-    sp.add_argument("--eta")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--lambda0", type=float)
-    sp.add_argument("--ratio-irrational", dest="ratio_irrational",
-                    action="store_const", const=True)
-    sp.add_argument("--d", type=float, help="divisor cut for --mode split")
+    sp.add_argument("--mode", choices=["sharp", "smoothed", "split", "volume"],
+                    default="sharp")
+    sp.add_argument("--d", type=num, help="divisor cut for --mode split (default X^0.4)")
     sp.add_argument("--k", type=int, help="smoothness order (default ⌊ln X⌋)")
-    sp.add_argument("--j-lo", dest="j_lo", type=float)
-    sp.add_argument("--j-hi", dest="j_hi", type=float)
+    sp.add_argument("--j-lo", dest="j_lo", type=num, help="default λ₀X")
+    sp.add_argument("--j-hi", dest="j_hi", type=num, help="default X")
 
     sp = sub.add_parser(
-        "triples", parents=[common],
+        "triples", parents=[common, instance],
         help="explicit solution triples with witnesses",
         description="Prime triples satisfying the inequality, each with the "
                     "two-squares witness for the constrained position(s); "
                     "residuals re-verified at 256-bit precision.")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--l1")
-    sp.add_argument("--l2")
-    sp.add_argument("--l3")
-    sp.add_argument("--eta")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--lambda0", type=float)
-    sp.add_argument("--ratio-irrational", dest="ratio_irrational",
-                    action="store_const", const=True)
-    sp.add_argument("--require-linnik", dest="require_linnik",
+    sp.add_argument("--require-linnik", dest="require_linnik", type=_int_list,
+                    default="3",
                     help="comma list of positions that must be Linnik primes "
                          "(default 3; empty string for none)")
-    sp.add_argument("--max-results", dest="max_results", type=int)
+    sp.add_argument("--max-results", dest="max_results", type=int, default=100)
 
     sp = sub.add_parser(
         "hooley", parents=[common],
@@ -591,11 +583,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mean-square character sum over divisors of p−1 in "
                     "(D, X/D), or the count of p whose p−1 has a divisor "
                     "near √X.")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--stat", choices=["sigma", "fomega"])
-    sp.add_argument("--d", type=float)
-    sp.add_argument("--lambda0", type=float)
-    sp.add_argument("--omega", type=float)
+    sp.add_argument("--x", type=num)
+    sp.add_argument("--stat", choices=["sigma", "fomega"], default="sigma")
+    sp.add_argument("--d", type=num)
+    sp.add_argument("--lambda0", type=num, default=0.0)
+    sp.add_argument("--omega", type=num)
 
     sp = sub.add_parser(
         "singular", parents=[common],
@@ -603,10 +595,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Truncated Euler product N(s), the two-squares density "
                     "constant (π/4)·N(0), the asymptotic constant π·N(0), "
                     "and optional character partial sums Σ χ(d)/φ(d).")
-    sp.add_argument("--pmax")
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--dmax")
-    sp.add_argument("--checkpoints")
+    sp.add_argument("--pmax", type=_int_from_float)
+    sp.add_argument("--s", type=num, default=0.0)
+    sp.add_argument("--dmax", type=_int_from_float)
+    sp.add_argument("--checkpoints", type=_int_list,
+                    help="comma list of D ≤ Dmax (default Dmax)")
 
     sp = sub.add_parser(
         "linnik", parents=[common],
@@ -614,18 +607,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="List primes p ≤ X expressible as x²+y²+1 with a "
                     "witness pair, or (--empirical) compare Σ r(p−1) to its "
                     "predicted main term.")
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--empirical", action="store_const", const=True)
+    sp.add_argument("--x", type=num)
+    sp.add_argument("--empirical", action="store_true")
 
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-        return _DISPATCH[args.cmd](args, cfg)
+        args = _parse_args(argv)
+        return _DISPATCH[args.cmd](args)
+    except SystemExit as exc:      # argparse printed the usage and the reason
+        return exc.code
     except (DomainError, PrecisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

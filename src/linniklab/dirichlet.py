@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import PrimeTable, chi_vec, r2_bulk
-from .errors import DomainError
+from .arith import MEMORY_BUDGET, PrimeTable, chi_vec, r2_bulk
+from .errors import DomainError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class EulerProductApprox:
 
 def n_s(s: float, pmax: int, table: PrimeTable) -> EulerProductApprox:
     """Truncated Euler product N(s) over p ≤ pmax with certified tail."""
-    if s < 0:
-        raise DomainError(f"s must be ≥ 0, got {s}")
+    if not 0 <= s < math.inf:
+        raise DomainError(f"s must be finite and ≥ 0, got {s}")
     if pmax < 2:
         raise DomainError(f"pmax must be ≥ 2, got {pmax}")
     if pmax > table.limit:
@@ -81,6 +81,8 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
     """
     if dmax < 1:
         raise DomainError(f"Dmax must be ≥ 1, got {dmax}")
+    if dmax + 1 > MEMORY_BUDGET:
+        raise ResourceError(f"Dmax={dmax} exceeds memory budget {MEMORY_BUDGET}")
     if checkpoints is None:
         checkpoints = [dmax]
     if any(not 1 <= c <= dmax for c in checkpoints):

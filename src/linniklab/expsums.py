@@ -19,10 +19,8 @@ import math
 
 import numpy as np
 
-from .arith import PrimeTable, euler_phi
+from .arith import WORK_BUDGET, PrimeTable, euler_phi
 from .errors import DomainError, ResourceError
-
-WORK_BUDGET = 2**31
 
 _SPLITTER = 134217729.0   # 2**27 + 1, Dekker's constant for binary64
 
@@ -58,6 +56,8 @@ def s_ld(table: PrimeTable, l: int, d: int, j: tuple[float, float],
         raise DomainError(f"empty range J=({lo}, {hi}]")
     if hi > table.limit:
         raise DomainError(f"range end {hi} exceeds table limit {table.limit}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"α must be finite, got {alpha}")
     sl = table.prime_slice(lo, hi)
     ps = table.primes[sl]
     ws = table.log_weights[sl]
@@ -80,6 +80,8 @@ def i_j(j: tuple[float, float], alpha: float) -> complex:
     lo, hi = j
     if not lo < hi:
         raise DomainError(f"empty range J=({lo}, {hi}]")
+    if not math.isfinite(alpha):
+        raise DomainError(f"α must be finite, got {alpha}")
     length = hi - lo
     mid = 0.5 * (lo + hi)
     if abs(alpha) * length < 1e-12:

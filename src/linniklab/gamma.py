@@ -39,11 +39,11 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from .arith import PrimeTable, chi, chi_vec, divisor_sum, divisors, linnik_witness, r2_bulk
+from .arith import (WORK_BUDGET, PrimeTable, chi, chi_vec, divisor_sum, divisors,
+                    linnik_witness, r2_bulk)
 from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, theta_antiderivative, theta_eval
 
-WORK_BUDGET = 2**31        # max (p1,p2) pair evaluations per call
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
 _ROWS = 64                 # fixed chunk height; independent of thread count
 
@@ -197,6 +197,11 @@ class _Engine:
         self.order = order
         self.p1f = self.p1.astype(np.float64)
         self.l2p2 = inst.lambda2 * self.p2.astype(np.float64)
+        # ε within two ulps of the largest |−c|: a rounded edge may land on
+        # −c itself, so _bounds clamps both edges strictly past −c
+        mag = (abs(inst.lambda1) * float(np.max(self.p1f, initial=0.0))
+               + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
+        self.clamp = inst.eps <= 2.0 * float(np.spacing(mag))
 
     def sorted_col(self, col: np.ndarray) -> np.ndarray:
         return np.asarray(col, dtype=np.float64)[self.order]
@@ -210,25 +215,27 @@ class _Engine:
         """Window [lo, hi) into zs, and −c, for every pair with p₁ in rows r0:r1.
 
         c = λ₁p₁ + λ₂p₂ + η is built negated; negation is exact, so
-        nc == −c bit for bit.  When ε is below the float resolution of
-        −c, both bounds round onto −c itself and hi < lo: the entries
-        [hi, lo) then equal −c exactly (residual 0 < ε), so the pair
-        swaps into that window instead of dropping it.  Returns (rows, n₂)
-        views into buf.
+        nc == −c bit for bit.  When ε is near the float resolution of −c,
+        an edge −c ∓ ε can round onto −c itself and drop the entries equal
+        to −c (residual 0 < ε); with self.clamp the edges are pushed to at
+        least the neighbouring floats, so fl(−c−ε) < −c < fl(−c+ε) and
+        hi ≥ lo.  Returns (rows, n₂) views into buf.
         """
-        inst, zs, l2p2, edge = self.inst, self.zs, self.l2p2, buf.edge
+        inst, zs, l2p2, edge, clamp = self.inst, self.zs, self.l2p2, buf.edge, self.clamp
         m = r1 - r0
         nc, lo, hi, cnt = buf.nc[:m], buf.lo[:m], buf.hi[:m], buf.cnt[:m]
         neg_a = -(inst.lambda1 * self.p1f[r0:r1] + inst.eta)
         for r in range(m):      # row by row, so each step reads cache-hot data
             np.subtract(neg_a[r], l2p2, out=nc[r])
-            lo[r] = zs.searchsorted(np.subtract(nc[r], inst.eps, out=edge), side="right")
-            hi[r] = zs.searchsorted(np.add(nc[r], inst.eps, out=edge), side="left")
+            np.subtract(nc[r], inst.eps, out=edge)
+            if clamp:
+                np.minimum(edge, np.nextafter(nc[r], -np.inf), out=edge)
+            lo[r] = zs.searchsorted(edge, side="right")
+            np.add(nc[r], inst.eps, out=edge)
+            if clamp:
+                np.maximum(edge, np.nextafter(nc[r], np.inf), out=edge)
+            hi[r] = zs.searchsorted(edge, side="left")
             np.subtract(hi[r], lo[r], out=cnt[r])
-        if cnt.min() < 0:
-            swap = cnt < 0
-            lo[swap], hi[swap] = hi[swap], lo[swap]
-            np.abs(cnt, out=cnt)
         return nc, lo, hi, cnt
 
     def scan(self, pref: np.ndarray | None = None, cols=(),
@@ -542,13 +549,16 @@ def hooley_sigma_prime(table: PrimeTable, x: float, d_split: float,
 
 def hooley_f_omega(table: PrimeTable, x: float, omega: float) -> int:
     """Count primes p ≤ X whose p−1 has a divisor in (√X·ln⁻ᵂX, √X·lnᵂX)."""
-    if omega <= 0:
-        raise DomainError(f"omega must be positive, got {omega}")
+    if not 0 < omega < math.inf:
+        raise DomainError(f"omega must be positive and finite, got {omega}")
     if x > table.limit:
         raise DomainError(f"X={x} exceeds table limit")
     lx = math.log(x)
-    lo = math.sqrt(x) * lx ** (-omega)
-    hi = math.sqrt(x) * lx ** omega
+    try:
+        lo = math.sqrt(x) * lx ** (-omega)
+        hi = math.sqrt(x) * lx ** omega
+    except OverflowError:
+        raise DomainError(f"(ln X)^omega overflows at omega={omega}") from None
     ps = table.primes[: table.prime_count(x)]
     if ps.size == 0:
         return 0

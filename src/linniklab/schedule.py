@@ -60,8 +60,8 @@ class Schedule:
 
 def paper_schedule(x: float) -> Schedule:
     """Asymptotic schedule at scale x; domain x > e^e so ln ln x > 0."""
-    if not x > math.e**math.e:
-        raise DomainError(f"paper schedule needs X > e^e ≈ 15.154, got {x}")
+    if not math.e**math.e < x < math.inf:
+        raise DomainError(f"paper schedule needs finite X > e^e ≈ 15.154, got {x}")
     lx = math.log(x)
     llx = math.log(lx)
     log_q0_sq = lx - 22.0 * llx
@@ -99,6 +99,9 @@ def desk_schedule(
     D must sit strictly inside (1, √X) or the three-way divisor split of the
     triple sum stops being a partition.
     """
+    given = [v for v in (x, d, eps, h, delta) if v is not None]
+    if not all(map(math.isfinite, given)):
+        raise DomainError(f"desk schedule needs finite X, D, eps, H, Delta, got {given}")
     if x < 100:
         raise DomainError(f"desk schedule needs X ≥ 100, got {x}")
     if eps <= 0:

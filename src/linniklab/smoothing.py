@@ -53,11 +53,12 @@ class SmoothingKernel:
 
 def kernel_new(eps: float, k: int) -> SmoothingKernel:
     """Kernel with plateau [−3ε/4, 3ε/4] and support (−ε, ε); degree k."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise DomainError(f"eps must be positive and finite, got {eps}")
-    if k < 1 or k != int(k):
+    if not (1 <= k < math.inf and k == int(k)):
         raise DomainError(f"k must be a positive integer, got {k}")
     k = int(k)
+    # θ's transform needs 2πε and ε/4k as nonzero finite floats
+    if not (math.isfinite(2.0 * math.pi * eps) and eps / (4.0 * k) > 0):
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     return SmoothingKernel(eps=eps, k=k, a=7.0 * eps / 8.0, delta=eps / (4.0 * k))
 
 
@@ -177,7 +178,8 @@ def theta_fourier(kern: SmoothingKernel, x):
     t = ax[nz]
     box = np.sin(2.0 * math.pi * kern.a * t) / (math.pi * t)
     cell = math.pi * kern.delta * t
-    out[nz] = box * (np.sin(cell) / cell) ** kern.k
+    sinc = np.divide(np.sin(cell), cell, out=np.ones_like(cell), where=cell != 0)
+    out[nz] = box * sinc ** kern.k
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

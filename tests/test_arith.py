@@ -220,6 +220,13 @@ def test_sieve_validation():
         sieve_primes(10**9, memory_budget=10**6)
 
 
+def test_sieve_rejects_non_finite_limit():
+    with pytest.raises(DomainError):
+        sieve_primes(math.nan)
+    with pytest.raises(ResourceError):
+        sieve_primes(math.inf)
+
+
 def test_log_weights_match_primes(table4):
     assert np.allclose(
         table4.log_weights, np.log(table4.primes.astype(float)), rtol=0, atol=0

@@ -346,3 +346,98 @@ def test_subprocess_smoke():
         capture_output=True, text=True, timeout=120,
     )
     assert bad.returncode == 2
+
+
+_INSTANCE = ("--l1", "1", "--l2", "-1", "--l3", "-1", "--eps", "0.5")
+# every subcommand: a valid argv, and the numeric flags it takes
+_ADVERSARIAL_BASE = {
+    "schedule": (("--x", "1e5", "--mode", "desk", "--d", "100", "--eps", "0.01"),
+                 ("--x", "--d", "--eps", "--h", "--delta", "--x-lo", "--x-hi")),
+    "cfrac": (("--name", "sqrt2"), ("--count",)),
+    "kernel": (("--eps", "0.1", "--fourier"), ("--eps", "--k", "--grid", "--ymax", "--xmax")),
+    "expsum": (("--x", "1000", "--alpha", "0.1"),
+               ("--x", "--alpha", "--lambda0", "--l", "--d", "--lo", "--hi", "--delta")),
+    "eterm": (("--x", "100", "--q", "4", "--a", "1"), ("--x", "--q", "--a")),
+    "bvsum": (("--x", "100", "--q-max", "3"), ("--x", "--q-max")),
+    "minorarc": (("--x", "1000", "--a", "1", "--q", "5"), ("--x", "--a", "--q", "--alpha")),
+    "gamma": (("--mode", "volume", "--x", "100", *_INSTANCE),
+              ("--x", "--l1", "--l2", "--l3", "--eta", "--eps", "--lambda0", "--d", "--k",
+               "--j-lo", "--j-hi")),
+    "triples": (("--x", "30", *_INSTANCE),
+                ("--x", "--l1", "--l2", "--l3", "--eta", "--eps", "--lambda0",
+                 "--require-linnik", "--max-results")),
+    "hooley": (("--x", "100", "--stat", "fomega", "--omega", "10"),
+               ("--x", "--d", "--lambda0", "--omega")),
+    "singular": (("--pmax", "100", "--dmax", "50"), ("--pmax", "--s", "--dmax", "--checkpoints")),
+    "linnik": (("--x", "100"), ("--x",)),
+}
+_ADVERSARIAL = [
+    pytest.param((cmd, *base, flag, bad), {}, 2, id=f"{cmd}{flag}={bad}")
+    for cmd, (base, flags) in _ADVERSARIAL_BASE.items()
+    for flag in (*flags, "--threads", "--work-budget")
+    for bad in ("nan", "inf", "abc")
+] + [
+    pytest.param(("bvsum", "--x", "100", "--q-max", "3"),
+                 {"LINNIKLAB_WORK_BUDGET": "nan"}, 2, id="bvsum-env=nan"),
+    pytest.param(("gamma", *_INSTANCE, "--x", "100"),
+                 {"LINNIKLAB_WORK_BUDGET": "nan"}, 2, id="gamma-env=nan"),
+    pytest.param(("triples", *_INSTANCE, "--x", "30", "--work-budget", "0"), {}, 2,
+                 id="triples--work-budget=0"),
+    pytest.param(("gamma", *_INSTANCE, "--x", "100", "--l1", "1e400"), {}, 2,
+                 id="gamma--l1=1e400"),
+    pytest.param(("singular", "--pmax", "100", "--s=-inf"), {}, 2, id="singular--s=-inf"),
+    pytest.param(("schedule", "--x", "1e5", "--mode", "bogus"), {}, 2,
+                 id="schedule--mode=bogus"),
+    pytest.param(("kernel", "--nope"), {}, 2, id="kernel--nope"),
+    # finite but extreme: overflow or underflow inside the computation
+    pytest.param(("kernel", "--eps", "1e400"), {}, 2, id="kernel--eps=1e400"),
+    pytest.param(("kernel", "--eps", "1e308", "--fourier"), {}, 2, id="kernel--eps=1e308"),
+    pytest.param(("kernel", "--eps", "5e-324", "--fourier"), {}, 2, id="kernel--eps=5e-324"),
+    pytest.param(("kernel", "--eps", "0.1", "--ymax", "1e308"), {}, 2, id="kernel--ymax=1e308"),
+    pytest.param(("hooley", "--x", "100", "--stat", "fomega", "--omega", "1e300"), {}, 2,
+                 id="hooley--omega=1e300"),
+    pytest.param(("singular", "--pmax", "100", "--dmax", "1e300"), {}, 3,
+                 id="singular--dmax=1e300"),
+]
+
+
+@pytest.mark.parametrize("argv, env, want", _ADVERSARIAL)
+def test_adversarial_input_exits_cleanly(capsys, monkeypatch, argv, env, want):
+    for k, v in env.items():
+        monkeypatch.setenv(k, v)
+    rc, out, err = run(capsys, *argv)
+    assert rc == want and out == "" and "Traceback" not in err
+
+
+def test_non_finite_report_exits_3(capsys, monkeypatch):
+    from linniklab import expsums
+
+    monkeypatch.setattr(expsums, "e_term", lambda *a: math.nan)
+    rc, out, err = run(capsys, "eterm", "--x", "100", "--q", "4", "--a", "1")
+    assert rc == 3 and out == "" and "non-finite" in err
+
+
+@pytest.mark.parametrize("cmd, line", [
+    ("kernel", "work_budget = abc"), ("kernel", "eps = nan"), ("kernel", "k = 1.5"),
+    ("kernel", "fourier = yes"), ("schedule", "mode = bogus"),
+])
+def test_config_values_checked_like_flags(capsys, tmp_path, cmd, line):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"x = 1e5\neps = 0.1\nunknown_key = 1\n{line}\n")
+    rc, out, err = run(capsys, cmd, "--config", str(cfg))
+    assert rc == 2 and out == "" and "Traceback" not in err
+
+
+def test_config_booleans_and_precedence(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("eps = 1\nk = 2\ngrid = 3\nfourier = true\nwork-budget = 1\n")
+    monkeypatch.setenv("LINNIKLAB_WORK_BUDGET", "100")
+    rc, out, _ = run(capsys, "kernel", "--config", str(cfg))
+    assert rc == 0 and out.splitlines()[0] == "# x\ttheta_hat\tbound"
+    cfg.write_text("x = 10000\nl1 = 1\nl2 = -1\nl3 = -1\neps = 1\n"
+                   "work_budget = 1e9\nratio-irrational = false\n")
+    argv = ["gamma", "--config", str(cfg)]
+    rc, _, err = run(capsys, *argv)     # the environment outranks the config
+    assert rc == 3 and "budget" in err
+    rc, out, _ = run(capsys, *argv, "--work-budget", "1e9")
+    assert rc == 0 and json.loads(out)["triple_count"] >= 0

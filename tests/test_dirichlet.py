@@ -99,6 +99,12 @@ def test_n_s_validation(table4):
         n_s(0.0, 2 * 10**4, table4)
 
 
+def test_n_s_rejects_non_finite_s(table4):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            n_s(bad, 100, table4)
+
+
 def test_linnik_empirical(table4):
     rep = linnik_empirical(table4, 1e4)
     direct = sum(r2(int(p) - 1, table4) for p in table4.primes)

@@ -85,6 +85,14 @@ def test_s_validation(table4):
         s_ld(table4, 1, 1, (1.0, 2e4), 0.0)
 
 
+def test_alpha_must_be_finite(table4):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            s_ld(table4, 1, 1, (1.0, 10.0), bad)
+        with pytest.raises(DomainError):
+            i_j((1.0, 10.0), bad)
+
+
 def test_phase_reduction_vs_exact_rational():
     rng = random.Random(20260814)
     for _ in range(300):

@@ -302,16 +302,18 @@ def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
 def test_sharp_keeps_exact_hits_below_float_resolution(table4):
     # every exact hit has |λ₁p₁+λ₂p₂| ≥ 2³¹, where half an ulp exceeds ε:
     # both window edges round onto the hit itself, whose residual is 0 < ε
+    # (ε = 1.5e-7: for p₃ = 2, −c = −2³¹ and only the lower edge rounds onto it)
     s = 2.0 ** 30
-    inst = Instance(s, -s, -s, eta=0.0, eps=5e-8, x=30.0, lambda0=0.05,
-                    ratio_irrational=True)
-    val, cnt = gamma_sharp(inst, table4)
-    want, wcnt = _brute_sharp(inst, table4)
-    assert cnt == wcnt == 8
-    assert abs(val - want) <= 1e-12 * abs(want)
-    assert [(w.p1, w.p2, w.p3, w.residual) for w in find_triples(inst, table4)] == \
-        [(5, 2, 3, 0.0), (5, 3, 2, 0.0), (7, 2, 5, 0.0), (7, 5, 2, 0.0),
-         (13, 2, 11, 0.0), (13, 11, 2, 0.0), (19, 2, 17, 0.0), (19, 17, 2, 0.0)]
+    for eps in (5e-8, 1.5e-7):
+        inst = Instance(s, -s, -s, eta=0.0, eps=eps, x=30.0, lambda0=0.05,
+                        ratio_irrational=True)
+        val, cnt = gamma_sharp(inst, table4)
+        want, wcnt = _brute_sharp(inst, table4)
+        assert cnt == wcnt == 8
+        assert abs(val - want) <= 1e-12 * abs(want)
+        assert [(w.p1, w.p2, w.p3, w.residual) for w in find_triples(inst, table4)] == \
+            [(5, 2, 3, 0.0), (5, 3, 2, 0.0), (7, 2, 5, 0.0), (7, 5, 2, 0.0),
+             (13, 2, 11, 0.0), (13, 11, 2, 0.0), (19, 2, 17, 0.0), (19, 17, 2, 0.0)]
 
 
 # ---------------------------------------------------------------- reflection
@@ -594,3 +596,9 @@ def test_hooley_f_omega_saturates(table4):
     assert hooley_f_omega(table4, 100.0, 10.0) == table4.prime_count(100.0)
     with pytest.raises(DomainError):
         hooley_f_omega(table4, 100.0, 0.0)
+
+
+def test_hooley_f_omega_rejects_non_finite_omega(table4):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            hooley_f_omega(table4, 100.0, bad)

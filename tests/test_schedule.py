@@ -119,6 +119,19 @@ def test_desk_schedule_validation():
         desk_schedule(1e4, 50.0, 0.0)     # eps must be positive
 
 
+def test_schedules_reject_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            paper_schedule(bad)
+        for args in ((bad, 100.0, 0.01), (1e5, bad, 0.01), (1e5, 100.0, bad)):
+            with pytest.raises(DomainError):
+                desk_schedule(*args)
+        with pytest.raises(DomainError):
+            desk_schedule(1e5, 100.0, 0.01, h=bad)
+        with pytest.raises(DomainError):
+            desk_schedule(1e5, 100.0, 0.01, delta=bad)
+
+
 def test_eps_positivity_report():
     rep = eps_positivity_report()
     assert rep["eps_exceeds_one"] is True

@@ -283,6 +283,13 @@ def test_kernel_validation_and_fields():
     assert kernel_new(1.0, 1).a == 0.875 and kernel_new(1.0, 1).delta == 0.25
 
 
+def test_kernel_rejects_non_finite_and_extreme_input():
+    for eps, k in ((math.nan, 3), (math.inf, 3), (1e308, 3), (5e-324, 3),
+                   (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(DomainError):
+            kernel_new(eps, k)
+
+
 def test_fourier_vanishes_at_box_harmonics():
     kern = kernel_new(0.3, 4)
     for n in (1, 2, 5, 11):
