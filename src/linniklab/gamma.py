@@ -15,21 +15,26 @@ cutting the divisor range at D and X/D:
 The identity is exact term by term, so it survives any floating threshold
 choice; checking it to 1e−9 relative is the engine's primary self-test.
 
-Algorithm: sort {λ₃p₃} once with prefix sums of the p₃ weights; every
-(p₁,p₂) pair then reduces to two binary searches, O(P² log P) total for
-P = π(X) − π(λ₀X).  Each Γ call, and the triple finder, makes one sweep
-over the pairs: the window bounds of a chunk feed the sharp prefix-sum
-total, the triple count, the θ-weighted columns and the collected hits
-together.  The pair range is cut into fixed 64-row chunks whose partial
-sums are combined in chunk order with exact compensated summation, so
-results are bit-identical for any thread count.  Each worker bounds its
-chunks row by row into scratch arrays it keeps from chunk to chunk.
+Algorithm: sort {λ₃p₃} once with prefix sums of the p₃ weights; a
+(p₁,p₂) pair then reduces to two binary searches.  A pair can have a triple
+in its window only if −(λ₁p₁ + λ₂p₂ + η) lies within ε of the λ₃p₃ range;
+λ₂p₂ is monotone, so for each p₁ these p₂ form one run, found for all p₁ by
+two vectorised searches.  Only the L pairs of these runs are searched,
+O(P log P + L log P₃) in all for P = π(X) − π(λ₀X).  Each Γ call, and the
+triple finder, makes one sweep over the live pairs: the window bounds of a
+chunk feed the sharp prefix-sum total, the triple count, the θ-weighted
+columns and the collected hits together.  The live pairs, row after row,
+are cut into chunks of a fixed count, independent of the thread count;
+their partial sums are combined in chunk order with exact compensated
+summation, so results are bit-identical for any thread count.  Each worker
+bounds its chunks into scratch arrays it keeps from chunk to chunk.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +50,8 @@ from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, theta_antiderivative, theta_eval
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
-_ROWS = 64                 # fixed chunk height; independent of thread count
+_CHUNK = 2**16             # live pairs per chunk; independent of thread count
+_BLOCK = 2**12             # keys per searchsorted call
 
 
 @dataclass(frozen=True)
@@ -132,21 +138,17 @@ def _check_pair_budget(n1: int, n2: int, work_budget: int):
         )
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    return [(r, min(r + _ROWS, n)) for r in range(0, n, _ROWS)]
-
-
-def _run_chunks(fn, spans: list[tuple[int, int]], threads: int, make_buffers) -> list:
-    """fn(r0, r1, buffers) for every span, results in span order.
+def _run_chunks(fn, spans: list[tuple[int, int]], threads: int) -> list:
+    """fn(k0, k1, scratch) for every span, results in span order.
 
     With w workers, worker k takes spans k, k + w, k + 2w, … and reuses one
-    make_buffers() for all of them.
+    _Scratch for all of them.
     """
     workers = max(1, min(threads, len(spans), os.cpu_count() or 1))
 
     def work(k):
-        buf = make_buffers()
-        return [fn(r0, r1, buf) for r0, r1 in spans[k::workers]]
+        buf = _Scratch()
+        return [fn(k0, k1, buf) for k0, k1 in spans[k::workers]]
 
     if workers == 1:
         return work(0)
@@ -158,20 +160,19 @@ def _run_chunks(fn, spans: list[tuple[int, int]], threads: int, make_buffers) ->
     return out
 
 
-class _Buffers:
-    """One worker's scratch arrays for a chunk of pairs, reused chunk after chunk.
+class _Scratch:
+    """One worker's arrays for a chunk of live pairs, reused chunk after chunk.
 
-    A fresh chunk-sized temporary lands on new pages, and faulting them in
-    costs about as much as the window search itself; row-sized temporaries
-    stay in cache and malloc recycles them.
+    A fresh chunk-sized temporary lands on new pages: with fresh arrays,
+    gamma_split at X = 1e5 took about 680k minor page faults and a quarter
+    of its time faulting them in.  searchsorted, which cannot write into a
+    buffer, runs in blocks of _BLOCK keys, small enough for malloc to
+    recycle.
     """
 
-    def __init__(self, n2: int, prefix: bool):
-        self.nc = np.empty((_ROWS, n2))
-        self.lo, self.hi, self.cnt = (np.empty((_ROWS, n2), np.intp) for _ in range(3))
-        self.edge = np.empty(n2)
-        if prefix:
-            self.pw, self.win = np.empty((_ROWS, n2)), np.empty((_ROWS, n2))
+    def __init__(self):
+        self.rows, self.cols, self.lo, self.hi = (np.empty(_CHUNK, np.intp) for _ in range(4))
+        self.nc, self.edge, self.pw, self.win = (np.empty(_CHUNK) for _ in range(4))
 
 
 class _Engine:
@@ -195,11 +196,11 @@ class _Engine:
         self.zs = z[order]
         self.p3_sorted = self.p3[order]
         self.order = order
-        self.p1f = self.p1.astype(np.float64)
+        self.na = -(inst.lambda1 * self.p1.astype(np.float64) + inst.eta)
         self.l2p2 = inst.lambda2 * self.p2.astype(np.float64)
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
-        mag = (abs(inst.lambda1) * float(np.max(self.p1f, initial=0.0))
+        mag = (abs(inst.lambda1) * float(np.max(self.p1, initial=0))
                + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
         self.clamp = inst.eps <= 2.0 * float(np.spacing(mag))
 
@@ -211,72 +212,126 @@ class _Engine:
         np.cumsum(col_sorted, out=pref[1:])
         return pref
 
-    def _bounds(self, r0: int, r1: int, buf: _Buffers):
-        """Window [lo, hi) into zs, and −c, for every pair with p₁ in rows r0:r1.
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live run of p₂ columns of every p₁ row, as (off, cum).
+
+        Row i's run holds the cum[i+1] − cum[i] columns off[i] + k for
+        cum[i] ≤ k < cum[i+1]; k numbers the live pairs row after row.
+        A pair can have lo < hi only if zs[0] < −c + ε and −c − ε < zs[−1],
+        that is  na − zs[−1] − ε < λ₂p₂ < na − zs[0] + ε  with na = −(λ₁p₁+η);
+        λ₂p₂ is monotone in p₂, so these p₂ are one run.  Every float step of
+        the scan and of the two thresholds rounds by at most an ulp of mag,
+        and a clamped edge moves by at most two, so widening the thresholds
+        by 1024 ulps of mag leaves lo == hi for every pair outside the run.
+        """
+        n1, n2 = len(self.na), len(self.l2p2)
+        zs, eps = self.zs, self.inst.eps
+        mag = (float(np.max(np.abs(self.na))) + float(np.max(np.abs(self.l2p2)))
+               + eps + max(abs(float(zs[0])), abs(float(zs[-1]))))
+        if math.isfinite(4.0 * mag):
+            delta = 1024.0 * float(np.spacing(mag))
+            sgn = 1.0 if self.inst.lambda2 > 0 else -1.0
+            t_lo = sgn * (self.na - zs[-1] - eps - delta)
+            t_hi = sgn * (self.na - zs[0] + eps + delta)
+            key = sgn * self.l2p2                  # ascending in p₂
+            a = key.searchsorted(np.minimum(t_lo, t_hi), side="left")
+            b = key.searchsorted(np.maximum(t_lo, t_hi), side="right")
+        else:   # a magnitude overflows: no margin is provable, keep whole rows
+            a, b = np.zeros(n1, np.intp), np.full(n1, n2, np.intp)
+        cum = np.zeros(n1 + 1, np.int64)
+        np.cumsum(b - a, out=cum[1:])
+        return a - cum[:-1], cum
+
+    def _bounds(self, off: np.ndarray, cum: np.ndarray, k0: int, k1: int,
+                buf: _Scratch):
+        """Row, column, −c and window [lo, hi) into zs of live pairs k0:k1.
 
         c = λ₁p₁ + λ₂p₂ + η is built negated; negation is exact, so
         nc == −c bit for bit.  When ε is near the float resolution of −c,
         an edge −c ∓ ε can round onto −c itself and drop the entries equal
         to −c (residual 0 < ε); with self.clamp the edges are pushed to at
         least the neighbouring floats, so fl(−c−ε) < −c < fl(−c+ε) and
-        hi ≥ lo.  Returns (rows, n₂) views into buf.
+        hi ≥ lo.  Returns views into buf.
         """
-        inst, zs, l2p2, edge, clamp = self.inst, self.zs, self.l2p2, buf.edge, self.clamp
-        m = r1 - r0
-        nc, lo, hi, cnt = buf.nc[:m], buf.lo[:m], buf.hi[:m], buf.cnt[:m]
-        neg_a = -(inst.lambda1 * self.p1f[r0:r1] + inst.eta)
-        for r in range(m):      # row by row, so each step reads cache-hot data
-            np.subtract(neg_a[r], l2p2, out=nc[r])
-            np.subtract(nc[r], inst.eps, out=edge)
-            if clamp:
-                np.minimum(edge, np.nextafter(nc[r], -np.inf), out=edge)
-            lo[r] = zs.searchsorted(edge, side="right")
-            np.add(nc[r], inst.eps, out=edge)
-            if clamp:
-                np.maximum(edge, np.nextafter(nc[r], np.inf), out=edge)
-            hi[r] = zs.searchsorted(edge, side="left")
-            np.subtract(hi[r], lo[r], out=cnt[r])
-        return nc, lo, hi, cnt
+        eps, zs, m = self.inst.eps, self.zs, k1 - k0
+        rows, cols, nc, edge, lo, hi = (
+            a[:m] for a in (buf.rows, buf.cols, buf.nc, buf.edge, buf.lo, buf.hi))
+        r0 = int(cum.searchsorted(k0, side="right")) - 1
+        r1 = int(cum.searchsorted(k1, side="left"))
+        rows.fill(0)
+        np.add.at(rows, cum[r0 + 1:r1] - k0, 1)     # +1 where each later row starts
+        np.cumsum(rows, out=rows)
+        rows += r0
+        np.take(off, rows, out=cols, mode="clip")
+        cols += np.arange(k0, k1)
+        np.take(self.na, rows, out=nc, mode="clip")
+        np.subtract(nc, np.take(self.l2p2, cols, out=edge, mode="clip"), out=nc)
+
+        def search(out, side):
+            for s in range(0, m, _BLOCK):
+                out[s:s + _BLOCK] = zs.searchsorted(edge[s:s + _BLOCK], side=side)
+
+        np.subtract(nc, eps, out=edge)
+        if self.clamp:
+            np.minimum(edge, np.nextafter(nc, -np.inf), out=edge)
+        search(lo, "right")
+        np.add(nc, eps, out=edge)
+        if self.clamp:
+            np.maximum(edge, np.nextafter(nc, np.inf), out=edge)
+        search(hi, "left")
+        return rows, cols, nc, lo, hi
 
     def scan(self, pref: np.ndarray | None = None, cols=(),
              kern: SmoothingKernel | None = None, threads: int = 1,
              collect: bool = False):
-        """One sweep over every (p₁,p₂) pair; each 64-row chunk bounded once.
+        """One sweep over the live (p₁,p₂) pairs, each chunk bounded once.
 
         Returns (prefix_total, triple_count, col_totals, hits):
         prefix_total is Σ pairweight·(pref[hi] − pref[lo]) (None without
         pref); col_totals holds one θ-weighted Σ over the in-window triples
         per column of cols (kern required); hits, with collect=True, are
-        the flat arrays (p1, p2, inner-sorted-index, residual) in chunk
+        the flat arrays (p1, p2, inner-sorted-index, residual) in (p₁, p₂)
         order.  Hits are enumerated only for cols or collect, and only then
-        count against HITS_BUDGET.
+        count against HITS_BUDGET: each chunk's, and with collect the
+        running total of those kept.
         """
         enumerate_hits = bool(cols) or collect
+        off, cum = self.runs()
+        lock, kept = threading.Lock(), [0]
 
-        def do(r0, r1, buf):
-            nc, lo, hi, cnt = self._bounds(r0, r1, buf)
-            tot = int(cnt.sum())
+        def do(k0, k1, buf):
+            rows, i2, nc, lo, hi = self._bounds(off, cum, k0, k1, buf)
             val = None
             if pref is not None:
-                pw, win = buf.pw[:r1 - r0], buf.win[:r1 - r0]
+                pw, win = buf.pw[:k1 - k0], buf.win[:k1 - k0]
                 np.take(pref, hi, out=win, mode="clip")
                 np.subtract(win, np.take(pref, lo, out=pw, mode="clip"), out=win)
-                np.multiply(self.w1[r0:r1, None], self.w2, out=pw)
-                val = float(np.sum(np.multiply(pw, win, out=win).ravel()))
+                np.take(self.w1, rows, out=pw, mode="clip")
+                np.multiply(pw, np.take(self.w2, i2, out=buf.edge[:k1 - k0], mode="clip"),
+                            out=pw)
+                val = float(np.sum(np.multiply(pw, win, out=win)))
+            cnt = np.subtract(hi, lo, out=hi)
+            tot = int(cnt.sum())
             if not enumerate_hits or tot == 0:
                 return val, tot, [0.0] * len(cols), None
             if tot > HITS_BUDGET:
                 raise ResourceError(
                     f"{tot:.2e} window hits in one chunk exceeds the hits budget"
                 )
-            nc, lo, cnt = nc.ravel(), lo.ravel(), cnt.ravel()
+            if collect:
+                with lock:
+                    kept[0] += tot
+                    held = kept[0]
+                if held > HITS_BUDGET:
+                    raise ResourceError(
+                        f"{held:.2e} collected window hits exceed the hits budget"
+                    )
             nz = np.flatnonzero(cnt)
             reps = cnt[nz]
             starts = np.cumsum(reps) - reps
             inner = np.repeat(lo[nz] - starts, reps) + np.arange(tot, dtype=np.int64)
             res = self.zs[inner] - np.repeat(nc[nz], reps)
-            i1, i2 = np.divmod(nz, len(self.p2))
-            i1 += r0
+            i1, i2 = rows[nz], i2[nz]
             sums = []
             if cols:
                 base = theta_eval(kern, res) * np.repeat(self.w1[i1] * self.w2[i2], reps)
@@ -287,8 +342,9 @@ class _Engine:
                         inner, res)
             return val, tot, sums, hits
 
-        parts = _run_chunks(do, _chunks(len(self.p1)), threads,
-                            lambda: _Buffers(len(self.p2), pref is not None))
+        n_live = int(cum[-1])
+        spans = [(k, min(k + _CHUNK, n_live)) for k in range(0, n_live, _CHUNK)]
+        parts = _run_chunks(do, spans, threads)
         total = math.fsum(p[0] for p in parts) if pref is not None else None
         count = sum(p[1] for p in parts)
         totals = [math.fsum(p[2][i] for p in parts) for i in range(len(cols))]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 
 import mpmath
@@ -256,20 +257,111 @@ def test_thread_determinism(table4):
         assert getattr(runs[0], field) == getattr(runs[1], field)
 
 
+def _box_scan(eng, pref):
+    # lo and hi for every pair of the box, with the scan's float expressions;
+    # returns the sharp Γ, the count, the hits (p1, p2, inner, residual) in
+    # (p₁, p₂) order, the lo < hi mask and the two window edges
+    inst = eng.inst
+    l2p2 = inst.lambda2 * eng.p2.astype(np.float64)
+    nc = (-(inst.lambda1 * eng.p1.astype(np.float64) + inst.eta))[:, None] - l2p2
+    lo_edge, hi_edge = nc - inst.eps, nc + inst.eps
+    mag = (abs(inst.lambda1) * float(eng.p1.max()) + float(np.abs(l2p2).max())
+           + abs(inst.eta))
+    if inst.eps <= 2.0 * float(np.spacing(mag)):
+        lo_edge = np.minimum(lo_edge, np.nextafter(nc, -np.inf))
+        hi_edge = np.maximum(hi_edge, np.nextafter(nc, np.inf))
+    lo = eng.zs.searchsorted(lo_edge, side="right")
+    hi = eng.zs.searchsorted(hi_edge, side="left")
+    hits = ([], [], [], [])
+    for i, j in zip(*np.nonzero(hi > lo)):
+        for k in range(lo[i, j], hi[i, j]):
+            for col, v in zip(hits, (eng.p1[i], eng.p2[j], k, eng.zs[k] - nc[i, j])):
+                col.append(v)
+    val = float(np.sum(eng.w1[:, None] * eng.w2[None, :] * (pref[hi] - pref[lo])))
+    return val, int((hi - lo).sum()), hits, hi > lo, (lo_edge, hi_edge)
+
+
+def _run_pairs(eng):
+    # every (row, column) of the live runs, row after row
+    off, cum = eng.runs()
+    return [(i, off[i] + k) for i in range(len(cum) - 1) for k in range(cum[i], cum[i + 1])]
+
+
+def test_live_strip_matches_full_box(table4):
+    s = 2.0 ** 30
+    cases = [
+        (Instance(SQ2, -1.0, -SQ3, eta=0.3, eps=0.5, x=3000.0, lambda0=0.3), None),
+        (Instance(SQ2, 1.0, -SQ3, eta=0.3, eps=0.5, x=3000.0, lambda0=0.3), None),
+        (Instance(-SQ2, 1.0, SQ3, eta=-0.7, eps=0.2, x=3000.0, lambda0=0.3), None),
+        (Instance(-SQ2, -1.0, SQ3, eta=-0.7, eps=2.0, x=1000.0, lambda0=0.1), None),
+        # a strip narrower than the prime gaps: empty runs lie between live rows
+        (Instance(1.0, -1.0, -0.01, eta=0.3, eps=0.5, x=1000.0, lambda0=0.1), None),
+        # −c + ε lands on zs[0] at (p₁,p₂) = (7, 997) and −c − ε on zs[−1] at (2, 2)
+        (Instance(1.0, 1.0, -1.0, eta=-4.5, eps=2.5, x=1000.0, lambda0=0.001), "ends"),
+        # −c + ε lands on zs[0] at (293, 2) and −c − ε on zs[−1] at (2, 293)
+        (Instance(1.0, -1.0, -1.0, eta=147.5, eps=145.5, x=300.0, lambda0=0.001), "ends"),
+        # require_linnik={1,2,3}: all three positions masked to Linnik primes
+        (Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=2.0, x=3000.0, lambda0=0.3), "linnik"),
+        (Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=2.0, x=3000.0, lambda0=0.3), "one-p2"),
+        # λ₂p₂ and ε below half an ulp of −c: the clamped edges keep pairs whose
+        # λ₂p₂ lies past the exact run ends, so only the margin keeps them in
+        (Instance(1.0, 1e-17, -1.0, eta=0.0, eps=1e-16, x=100.0, lambda0=0.01), None),
+        (Instance(1.0, -1e-18, -1.0, eta=0.0, eps=1e-17, x=100.0, lambda0=0.01), None),
+        (Instance(s, -s, -s, eta=0.0, eps=5e-8, x=30.0, lambda0=0.05), None),
+        (Instance(s, -s, -s, eta=0.0, eps=1.5e-7, x=30.0, lambda0=0.05), None),
+        # −c − ε overflows: no margin is provable and whole rows are scanned
+        (Instance(1.0, -1.0, -1.0, eta=1e308, eps=1e308, x=100.0, lambda0=0.1), None),
+    ]
+    trimmed = 0
+    for inst, kind in cases:
+        base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
+        masks = {}
+        if kind == "linnik":
+            lin = r2_bulk(base - 1, table4) > 0
+            masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
+        elif kind == "one-p2":
+            masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
+        eng = gamma_mod._Engine(inst, table4, **masks)
+        w3 = r2_bulk(eng.p3 - 1, table4) * np.log(eng.p3.astype(np.float64))
+        pref = eng.prefix(eng.sorted_col(w3))
+        with np.errstate(over="ignore"):
+            want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, pref)
+            got, cnt, _, hits = eng.scan(pref=pref, collect=True)
+        if kind == "ends":
+            assert (hi_edge == eng.zs[0]).any() and (lo_edge == eng.zs[-1]).any()
+        assert cnt == wcnt > 0, (inst, kind)
+        for h, w in zip(hits, whits):
+            assert np.array_equal(h, np.array(w, dtype=h.dtype)), (inst, kind)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # every pair with lo < hi lies in its row's live run
+        in_run = np.zeros_like(live)
+        for i, j in _run_pairs(eng):
+            in_run[i, j] = True
+        assert not (live & ~in_run).any()
+        trimmed += int((~in_run).sum())
+    assert trimmed > 0
+
+
 def test_split_bounds_each_chunk_once(table4, monkeypatch):
-    # Γ, the triple count and the θ-weighted columns share one pair sweep
+    # Γ, the triple count and the θ-weighted columns share one pair sweep,
+    # whose chunks tile the live pairs in order
     inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=2000.0, lambda0=0.3)
+    monkeypatch.setattr(gamma_mod, "_CHUNK", 1000)
     calls = []
     bounds = gamma_mod._Engine._bounds
 
-    def spy(self, r0, r1, *buffers):
-        calls.append((r0, r1))
-        return bounds(self, r0, r1, *buffers)
+    def spy(self, off, cum, k0, k1, *buffers):
+        rows, cols, *rest = bounds(self, off, cum, k0, k1, *buffers)
+        calls.append((k0, k1, list(zip(rows.tolist(), cols.tolist()))))
+        return (rows, cols, *rest)
 
     monkeypatch.setattr(gamma_mod._Engine, "_bounds", spy)
     gamma_split(inst, kernel_new(2.0, 4), table4, d_split=11.0)
-    n1 = len(table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)])
-    assert sorted(calls) == gamma_mod._chunks(n1)
+    pairs = _run_pairs(gamma_mod._Engine(inst, table4))
+    spans = [(k0, k1) for k0, k1, _ in sorted(calls)]
+    assert len(spans) == len(set(spans)) >= 3
+    assert spans == [(k, min(k + 1000, len(pairs))) for k in range(0, len(pairs), 1000)]
+    assert [p for *_, chunk in sorted(calls) for p in chunk] == pairs
 
 
 def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
@@ -289,14 +381,45 @@ def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=2000.0, lambda0=0.3)
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=1e4, lambda0=0.1)
+    _, cum = gamma_mod._Engine(inst, table4).runs()
+    chunks = -(-int(cum[-1]) // gamma_mod._CHUNK)
+    assert 4 <= chunks < 64
     want = gamma_sharp(inst, table4)
     monkeypatch.setattr(gamma_mod, "ThreadPoolExecutor", Pool)
-    for cpus, workers in ((64, 4), (3, 3), (None, None)):   # 4 chunks of rows
+    for threads, cpus, workers in ((10**6, 64, chunks), (10**6, 3, 3), (2, 64, 2),
+                                   (10**6, None, None)):
         monkeypatch.setattr(gamma_mod.os, "cpu_count", lambda: cpus)
         asked.clear()
-        assert gamma_sharp(inst, table4, threads=10**6) == want
+        assert gamma_sharp(inst, table4, threads=threads) == want
         assert asked == ([] if workers is None else [workers])
+
+
+def test_results_independent_of_threads_and_chunking(table4, monkeypatch):
+    # an odd chunk of 7 live pairs splits rows mid-way; the sums may regroup,
+    # but counts and hits may not move, and no thread count may move anything
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=0.5, x=1000.0, lambda0=0.3,
+                    ratio_irrational=True)
+    kern = kernel_new(0.5, 4)
+
+    def runs():
+        return [(gamma_split(inst, kern, table4, d_split=7.0, threads=t),
+                 gamma_sharp(inst, table4, threads=t),
+                 find_triples(inst, table4, require_linnik=frozenset(),
+                              max_results=10**6, threads=t))
+                for t in (1, 3, 8)]
+
+    default = runs()
+    monkeypatch.setattr(gamma_mod, "_CHUNK", 7)
+    small = runs()
+    for res in (default, small):
+        assert res[1] == res[0] and res[2] == res[0]
+    split, sharp, wits = default[0]
+    split7, sharp7, wits7 = small[0]
+    assert split7.triple_count == split.triple_count == sharp7[1] == sharp[1] > 0
+    assert wits7 == wits and len(wits) == sharp[1]
+    assert abs(sharp7[0] - sharp[0]) <= 1e-12 * sharp[0]
+    assert abs(split7.gamma0 - split.gamma0) <= 1e-12 * split.gamma0
 
 
 def test_sharp_keeps_exact_hits_below_float_resolution(table4):
@@ -501,10 +624,39 @@ def test_work_budget(table4):
 
 
 def test_hits_budget(table4):
-    # 64·n2·n3 window hits per chunk with an everything-in-window eps
+    # 2¹⁶·n3 window hits in one chunk of live pairs with an everything-in-window eps
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=1e9, x=1e4, lambda0=0.1)
     with pytest.raises(ResourceError):
         gamma_smoothed(inst, kernel_new(1e9, 2), table4)
+
+
+def test_finder_caps_total_hits(table4, monkeypatch):
+    # every chunk collects fewer than HITS_BUDGET hits, but all of them together
+    # are one too many
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e4, lambda0=0.1,
+                    ratio_irrational=True)
+    total = gamma_sharp(inst, table4)[1]
+    monkeypatch.setattr(gamma_mod, "HITS_BUDGET", total)
+    assert len(find_triples(inst, table4, require_linnik=frozenset(), threads=2)) == 100
+    monkeypatch.setattr(gamma_mod, "HITS_BUDGET", total - 1)
+    for threads in (1, 2):
+        with pytest.raises(ResourceError, match="hits budget"):
+            find_triples(inst, table4, require_linnik=frozenset(), threads=threads)
+    # more workers than cores, switching threads often: a lost update of the
+    # running total would let the last hit through
+    small = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=0.5, x=1000.0, lambda0=0.3,
+                     ratio_irrational=True)
+    monkeypatch.setattr(gamma_mod, "_CHUNK", 64)
+    monkeypatch.setattr(gamma_mod.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(gamma_mod, "HITS_BUDGET", gamma_sharp(small, table4)[1] - 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with pytest.raises(ResourceError, match="hits budget"):
+                find_triples(small, table4, require_linnik=frozenset(), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sharp_enumerates_no_hits(table4):
