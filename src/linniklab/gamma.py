@@ -16,11 +16,14 @@ The identity is exact term by term, so it survives any floating threshold
 choice; checking it to 1e−9 relative is the engine's primary self-test.
 
 Algorithm: sort {λ₃p₃} once with prefix sums of the p₃ weights; a
-(p₁,p₂) pair then reduces to two binary searches.  A pair can have a triple
-in its window only if −(λ₁p₁ + λ₂p₂ + η) lies within ε of the λ₃p₃ range;
-λ₂p₂ is monotone, so for each p₁ these p₂ form one run, found for all p₁ by
-two vectorised searches.  Only the L pairs of these runs are searched,
-O(P log P + L log P₃) in all for P = π(X) − π(λ₀X).  Each Γ call, and the
+(p₁,p₂) pair then reduces to two lookups of its window edges in that sorted
+column.  A lookup reads a bucket table over the λ₃p₃ range, built once per
+engine in O(P₃), and settles the entries of the key's own bucket with a
+few exact compares.  A pair can have a triple in its window only if
+−(λ₁p₁ + λ₂p₂ + η) lies within ε of the λ₃p₃ range; λ₂p₂ is monotone, so
+for each p₁ these p₂ form one run, found for all p₁ by two vectorised
+searches.  Only the L pairs of these runs are looked up,
+O(P log P + P₃ + L) in all for P = π(X) − π(λ₀X).  Each Γ call, and the
 triple finder, makes one sweep over the live pairs: the window bounds of a
 chunk feed the sharp prefix-sum total, the triple count, the θ-weighted
 columns and the collected hits together.  The live pairs, row after row,
@@ -51,7 +54,6 @@ from .smoothing import SmoothingKernel, theta_antiderivative, theta_eval
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
 _CHUNK = 2**16             # live pairs per chunk; independent of thread count
-_BLOCK = 2**12             # keys per searchsorted call
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,15 @@ class _Scratch:
 
     A fresh chunk-sized temporary lands on new pages: with fresh arrays,
     gamma_split at X = 1e5 took about 680k minor page faults and a quarter
-    of its time faulting them in.  searchsorted, which cannot write into a
-    buffer, runs in blocks of _BLOCK keys, small enough for malloc to
-    recycle.
+    of its time faulting them in.  The window lookup uses bkt and below,
+    and win as its float temporary.
     """
 
     def __init__(self):
-        self.rows, self.cols, self.lo, self.hi = (np.empty(_CHUNK, np.intp) for _ in range(4))
+        self.rows, self.cols, self.lo, self.hi, self.bkt = (
+            np.empty(_CHUNK, np.intp) for _ in range(5))
         self.nc, self.edge, self.pw, self.win = (np.empty(_CHUNK) for _ in range(4))
+        self.below = np.empty(_CHUNK, bool)
 
 
 class _Engine:
@@ -200,9 +203,72 @@ class _Engine:
         self.l2p2 = inst.lambda2 * self.p2.astype(np.float64)
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
-        mag = (abs(inst.lambda1) * float(np.max(self.p1, initial=0))
-               + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
-        self.clamp = inst.eps <= 2.0 * float(np.spacing(mag))
+        c_mag = (abs(inst.lambda1) * float(np.max(self.p1, initial=0))
+                 + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
+        self.clamp = inst.eps <= 2.0 * float(np.spacing(c_mag))
+        # every float the scan forms lies within mag of 0; when 4·mag
+        # overflows, keys may be ±inf or NaN: runs() keeps whole rows and
+        # _bounds falls back to searchsorted
+        self.mag = (float(np.max(np.abs(self.na), initial=0.0))
+                    + float(np.max(np.abs(self.l2p2), initial=0.0))
+                    + inst.eps + float(np.max(np.abs(self.zs), initial=0.0)))
+        self.finite = math.isfinite(4.0 * self.mag)
+        self.tab = None
+        if self.finite:
+            self._build_buckets()
+
+    def _build_buckets(self):
+        """Build the lookup's bucket table; tab stays None if b cannot map zs.
+
+        b(v) = trunc(clip((v − zs[0])·binv, 0, top)) is monotone in v, so
+        every zs in a lower bucket than a key k lies below k and every zs in
+        a higher one above it.  tab[b] counts the zs below bucket b, and no
+        bucket holds more than depth entries, so tab[b(k)] plus depth
+        compares against the sorted column gives searchsorted exactly.
+        With about span / (smallest gap) buckets, capped at 16·P₃, prime
+        gaps ≥ 1 leave about one entry per bucket.
+        """
+        zs, n3 = self.zs, len(self.zs)
+        span = float(zs[-1] - zs[0])
+        gap = float(np.min(np.diff(zs), initial=np.inf))
+        nb = math.ceil(span / gap) if span < 16 * n3 * gap else 16 * n3
+        self.binv = nb / span if span > 0 else 1.0
+        if not math.isfinite(self.binv):     # a span of subnormal width
+            return
+        self.top = nb + 1
+        bz = np.empty(n3, np.intp)
+        self._bucket(zs, np.empty(n3), bz)
+        per = np.bincount(bz, minlength=self.top + 1)
+        self.depth = int(per.max())
+        self.tab = np.zeros(self.top + 1, np.intp)
+        np.cumsum(per[:-1], out=self.tab[1:])
+        # NaN compares false on both sides, so a key of +inf stops at P₃
+        self.zpad = np.append(zs, np.nan)
+
+    def _bucket(self, v, t, out):
+        np.subtract(v, self.zs[0], out=t)
+        with np.errstate(over="ignore"):    # +inf clips to the top bucket
+            np.multiply(t, self.binv, out=t)
+        np.clip(t, 0.0, self.top, out=t)
+        np.copyto(out, t, casting="unsafe")
+
+    def _search(self, key, side, out, buf: _Scratch):
+        """out[:] = zs.searchsorted(key, side), through the bucket table.
+
+        The table exists only for a finite engine, whose keys are never NaN,
+        so every index it yields lies in range.
+        """
+        if self.tab is None:
+            out[:] = self.zs.searchsorted(key, side=side)
+            return
+        m = len(key)
+        t, bkt, below = buf.win[:m], buf.bkt[:m], buf.below[:m]
+        self._bucket(key, t, bkt)
+        np.take(self.tab, bkt, out=out, mode="clip")
+        cmp = np.less if side == "left" else np.less_equal
+        for _ in range(self.depth):
+            np.take(self.zpad, out, out=t, mode="clip")
+            out += cmp(t, key, out=below)
 
     def sorted_col(self, col: np.ndarray) -> np.ndarray:
         return np.asarray(col, dtype=np.float64)[self.order]
@@ -226,10 +292,8 @@ class _Engine:
         """
         n1, n2 = len(self.na), len(self.l2p2)
         zs, eps = self.zs, self.inst.eps
-        mag = (float(np.max(np.abs(self.na))) + float(np.max(np.abs(self.l2p2)))
-               + eps + max(abs(float(zs[0])), abs(float(zs[-1]))))
-        if math.isfinite(4.0 * mag):
-            delta = 1024.0 * float(np.spacing(mag))
+        if self.finite:
+            delta = 1024.0 * float(np.spacing(self.mag))
             sgn = 1.0 if self.inst.lambda2 > 0 else -1.0
             t_lo = sgn * (self.na - zs[-1] - eps - delta)
             t_hi = sgn * (self.na - zs[0] + eps + delta)
@@ -253,7 +317,7 @@ class _Engine:
         least the neighbouring floats, so fl(−c−ε) < −c < fl(−c+ε) and
         hi ≥ lo.  Returns views into buf.
         """
-        eps, zs, m = self.inst.eps, self.zs, k1 - k0
+        eps, m = self.inst.eps, k1 - k0
         rows, cols, nc, edge, lo, hi = (
             a[:m] for a in (buf.rows, buf.cols, buf.nc, buf.edge, buf.lo, buf.hi))
         r0 = int(cum.searchsorted(k0, side="right")) - 1
@@ -266,19 +330,14 @@ class _Engine:
         cols += np.arange(k0, k1)
         np.take(self.na, rows, out=nc, mode="clip")
         np.subtract(nc, np.take(self.l2p2, cols, out=edge, mode="clip"), out=nc)
-
-        def search(out, side):
-            for s in range(0, m, _BLOCK):
-                out[s:s + _BLOCK] = zs.searchsorted(edge[s:s + _BLOCK], side=side)
-
         np.subtract(nc, eps, out=edge)
         if self.clamp:
             np.minimum(edge, np.nextafter(nc, -np.inf), out=edge)
-        search(lo, "right")
+        self._search(edge, "right", lo, buf)
         np.add(nc, eps, out=edge)
         if self.clamp:
             np.maximum(edge, np.nextafter(nc, np.inf), out=edge)
-        search(hi, "left")
+        self._search(edge, "left", hi, buf)
         return rows, cols, nc, lo, hi
 
     def scan(self, pref: np.ndarray | None = None, cols=(),
@@ -540,10 +599,10 @@ def find_triples(inst: Instance, table: PrimeTable,
     if base.size == 0:
         return []
     linnik_mask = r2_bulk(base - 1, table) > 0
+    if require_linnik and not linnik_mask.any():
+        return []
     masks = {i: (linnik_mask if i in require_linnik else None) for i in (1, 2, 3)}
     eng = _Engine(inst, table, p1_mask=masks[1], p2_mask=masks[2], p3_mask=masks[3])
-    if len(eng.p1) == 0 or len(eng.p2) == 0 or len(eng.p3) == 0:
-        return []
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
     _, _, _, (p1h, p2h, inner, res) = eng.scan(threads=threads, collect=True)
     if len(res) == 0:

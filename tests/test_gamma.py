@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -437,6 +438,94 @@ def test_sharp_keeps_exact_hits_below_float_resolution(table4):
         assert [(w.p1, w.p2, w.p3, w.residual) for w in find_triples(inst, table4)] == \
             [(5, 2, 3, 0.0), (5, 3, 2, 0.0), (7, 2, 5, 0.0), (7, 5, 2, 0.0),
              (13, 2, 11, 0.0), (13, 11, 2, 0.0), (19, 2, 17, 0.0), (19, 17, 2, 0.0)]
+
+
+def test_bucket_lookup_matches_searchsorted(table4, monkeypatch):
+    # the window lookup equals searchsorted on both sides for keys on, next to
+    # and between the zs entries, on every bucket edge, past both ends and at ±inf
+    s = 2.0 ** 30
+    cases = [
+        # the instances of test_live_strip_matches_full_box
+        (Instance(SQ2, -1.0, -SQ3, eta=0.3, eps=0.5, x=3000.0, lambda0=0.3), None),
+        (Instance(SQ2, 1.0, -SQ3, eta=0.3, eps=0.5, x=3000.0, lambda0=0.3), None),
+        (Instance(-SQ2, 1.0, SQ3, eta=-0.7, eps=0.2, x=3000.0, lambda0=0.3), None),
+        (Instance(-SQ2, -1.0, SQ3, eta=-0.7, eps=2.0, x=1000.0, lambda0=0.1), None),
+        (Instance(1.0, -1.0, -0.01, eta=0.3, eps=0.5, x=1000.0, lambda0=0.1), None),
+        (Instance(1.0, 1.0, -1.0, eta=-4.5, eps=2.5, x=1000.0, lambda0=0.001), None),
+        (Instance(1.0, -1.0, -1.0, eta=147.5, eps=145.5, x=300.0, lambda0=0.001), None),
+        (Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=2.0, x=3000.0, lambda0=0.3), "linnik"),
+        (Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=2.0, x=3000.0, lambda0=0.3), "one-p2"),
+        (Instance(1.0, 1e-17, -1.0, eta=0.0, eps=1e-16, x=100.0, lambda0=0.01), None),
+        (Instance(1.0, -1e-18, -1.0, eta=0.0, eps=1e-17, x=100.0, lambda0=0.01), None),
+        (Instance(s, -s, -s, eta=0.0, eps=5e-8, x=30.0, lambda0=0.05), None),
+        (Instance(s, -s, -s, eta=0.0, eps=1.5e-7, x=30.0, lambda0=0.05), None),
+        (Instance(1.0, -1.0, -1.0, eta=1e308, eps=1e308, x=100.0, lambda0=0.1), None),
+        # λ₃ > 0; one prime, 29, so zs spans 0; p₃ ranges holding both 2 and 3
+        (Instance(SQ2, -1.0, SQ3, eta=0.1, eps=0.5, x=3000.0, lambda0=0.1), None),
+        (Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=30.0, lambda0=0.95), None),
+        (Instance(1.0, -1.0, -SQ3, eta=0.0, eps=0.5, x=3.0, lambda0=0.5), None),
+        (Instance(1.0, -1.0, -SQ3, eta=0.0, eps=0.5, x=50.0, lambda0=0.01), None),
+    ]
+    looked_up = 0
+    for inst, kind in cases:
+        base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
+        masks = {}
+        if kind == "linnik":
+            lin = r2_bulk(base - 1, table4) > 0
+            masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
+        elif kind == "one-p2":
+            masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
+        with np.errstate(over="ignore"):
+            eng = gamma_mod._Engine(inst, table4, **masks)
+        zs = eng.zs
+        if eng.tab is None:     # only −c − ε overflows: searchsorted decides
+            continue
+        looked_up += 1
+        edges = zs[0] + np.arange(eng.top + 2) / eng.binv
+        keys = np.concatenate([
+            zs, edges, [zs[0] - 1.0, zs[-1] + 1.0, -1e300, 1e300, -np.inf, np.inf]])
+        keys = np.concatenate([keys, np.nextafter(keys, -np.inf), np.nextafter(keys, np.inf)])
+        monkeypatch.setattr(gamma_mod, "_CHUNK", len(keys))
+        out = np.empty(len(keys), np.intp)
+        for side in ("left", "right"):
+            eng._search(keys, side, out, gamma_mod._Scratch())
+            assert np.array_equal(out, zs.searchsorted(keys, side=side)), (inst, side)
+    assert looked_up == len(cases) - 1
+    # λ₁p₁ and λ₂p₂ overflow to ∓inf, so every one of the 21² pair keys is NaN,
+    # which no bucket map may index with
+    inst = Instance(1e308, -1e308, -1.0, eta=0.0, eps=1.0, x=100.0, lambda0=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eng = gamma_mod._Engine(inst, table4)
+        off, cum = eng.runs()
+        nc = eng.na[:, None] - eng.l2p2[None, :]
+        assert int(cum[-1]) == 441 and np.isnan(nc).all()
+        assert gamma_sharp(inst, table4) == (0.0, 0)
+        assert find_triples(inst, table4) == []
+        # λ₃p₃ overflows to +inf from p₃ = 19 on, so zs spans no finite range
+        inst = Instance(1.0, -1.0, 1e307, eta=0.0, eps=1.0, x=100.0, lambda0=0.1)
+        assert np.isinf(gamma_mod._Engine(inst, table4).zs[3:]).all()
+        assert gamma_sharp(inst, table4) == (0.0, 0)
+    # a subnormal λ₃p₃ span, narrower than any bucket a float can map: only
+    # the 21 pairs p₁ = p₂ are in window, each with all 21 p₃
+    inst = Instance(1.0, -1.0, 1e-320, eta=0.5, eps=1.0, x=100.0, lambda0=0.1)
+    assert gamma_sharp(inst, table4)[1] == 21 ** 2
+
+
+@pytest.mark.xfail(strict=True, reason="the clamped window edges over-count "
+                   "(ROADMAP open item 1, certified window membership)")
+def test_clamped_edges_count_only_window_triples(table4):
+    # λ₂p₂ and ε both lie below half an ulp of −c, so the clamped edges admit
+    # every p₂ of a row; exactly the 4·25 triples p₃ = p₁, p₂ ≤ 7 are in window
+    inst = Instance(1.0, 1e-17, -1.0, eta=0.0, eps=1e-16, x=100.0, lambda0=0.01,
+                    ratio_irrational=True)
+    ps = [int(p) for p in table4.primes[table4.prime_slice(1.0, 100.0)]]
+    l1, l2, l3, eps = (Fraction(v) for v in (inst.lambda1, inst.lambda2,
+                                              inst.lambda3, inst.eps))
+    brute = sum(abs(l1 * a + l2 * b + l3 * c) < eps for a in ps for b in ps for c in ps)
+    wits = find_triples(inst, table4, require_linnik=frozenset(), max_results=10**6)
+    assert brute == len(wits) == 100
+    assert gamma_sharp(inst, table4)[1] == 100
 
 
 # ---------------------------------------------------------------- reflection
