@@ -5,7 +5,7 @@ Submodules:
     arith      — sieve, character mod 4, two-squares representation counts
     schedule   — derived parameter schedules (asymptotic and desk modes)
     cfrac      — certified continued-fraction convergents
-    smoothing  — C^k smoothed window, its transform, certified inversion
+    smoothing  — C^k smoothed window, its transform and antiderivative
     expsums    — prime exponential sums, progression error terms
     dirichlet  — Euler products and the density constant
     gamma      — weighted triple counts, divisor splits, witness finder

@@ -3,8 +3,9 @@
 Domain errors are bad inputs (wrong range, non-coprime residues, composite
 where a prime is required).  Resource errors mean the request is well posed
 but exceeds the configured work or memory budget.  Precision errors come from
-certified-interval arithmetic running out of certainty, numeric errors from
-quadrature that cannot reach its target.
+certified-interval arithmetic running out of certainty, numeric errors from a
+self-check that fails (an exact identity violated, a report value that is not
+finite).
 """
 
 

@@ -35,6 +35,7 @@ bounds its chunks into scratch arrays it keeps from chunk to chunk.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -45,12 +46,11 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import (WORK_BUDGET, PrimeTable, chi, chi_vec, divisor_sum, divisors,
                     linnik_witness, r2_bulk)
 from .errors import DomainError, NumericError, ResourceError
-from .smoothing import SmoothingKernel, theta_antiderivative, theta_eval
+from .smoothing import SmoothingKernel, theta_eval
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
 _CHUNK = 2**16             # live pairs per chunk; independent of thread count
@@ -515,13 +515,39 @@ def gamma3_reflect(p3: int, d_split: float, x: float, table: PrimeTable) -> dict
 
 # ------------------------------------------------------------- volume B_J(X)
 
+def _ih_h(u: Fraction, k: int) -> Fraction:
+    """H(u) = Σⱼ₌₀ᵏ (−1)ʲ C(k,j)·(u−j)₊ᵏ⁺³/(k+3)!, exactly.
+
+    H is the third antiderivative of the Irwin–Hall CDF.  Past u = k every
+    term is live and the sum is the cubic E[(u−T)³]/6 of T ~ Irwin–Hall(k),
+    i.e. w³/6 + k·w/24 with w = u − k/2.
+    """
+    if u <= 0:
+        return Fraction(0)
+    if u >= k:
+        w = u - Fraction(k, 2)
+        return w * (4 * w * w + k) / 24
+    n, d, p = u.numerator, u.denominator, k + 3
+    acc = sum((-1) ** j * math.comb(k, j) * (n - j * d) ** p
+              for j in range(math.ceil(u)))
+    return Fraction(acc, d ** p * math.factorial(p))
+
+
 def b_j_volume(inst: Instance, kern: SmoothingKernel,
                j: tuple[float, float]) -> float:
     """∫_J ∫∫ θ(λ₁y₁ + λ₂y₂ + λ₃y₃ + η) dy₁ dy₂ dy₃ over the (λ₀X, X] box.
 
-    The y₁ integral is the closed-form difference of the θ antiderivative;
-    the y₂ and y₃ integrals run adaptive quadrature with breakpoints where
-    the smoothing bands cross the box corners.  Relative target 1e−6.
+    θ(y) = G(u₊) − G(u₋) with u± = (y ± A)/δ + k/2 and G the Irwin–Hall
+    CDF, so the third antiderivative of θ from −∞ is
+    Θ₃(y) = δ³·(H(u₊) − H(u₋)), H as in `_ih_h`.  Integrating over the box
+    [a,b]² × J one coordinate at a time gives the corner formula
+
+        B_J = (λ₁λ₂λ₃)⁻¹ · Σ over the 8 corners c of ±Θ₃(λ·c + η),
+
+    each corner signed by the product of its end signs (− lower, + upper).
+    A, δ, λ, η and the box ends are floats, hence exact rationals: the sum
+    runs in `Fraction` and is rounded once, so the result is the correctly
+    rounded volume of the float-defined θ.
     """
     if kern.eps != inst.eps:
         raise DomainError("kernel eps does not match instance eps")
@@ -529,45 +555,18 @@ def b_j_volume(inst: Instance, kern: SmoothingKernel,
     a_box, b_box = inst.lambda0 * inst.x, inst.x
     if not (a_box <= j_lo < j_hi <= b_box):
         raise DomainError(f"J={j} must sit inside ({a_box:.6g}, {b_box:.6g}]")
-    l1, l2, l3, eta = inst.lambda1, inst.lambda2, inst.lambda3, inst.eta
-    eps = inst.eps
-    marks = (-eps, -0.75 * eps, 0.75 * eps, eps)
-
-    def line(u: float) -> float:
-        return (theta_antiderivative(kern, l1 * b_box + u)
-                - theta_antiderivative(kern, l1 * a_box + u)) / l1
-
-    inner_scale = (b_box - a_box) * 2.0 * kern.a / abs(l1) + 1e-300
-
-    def mid(y3: float) -> float:
-        c = l3 * y3 + eta
-        pts = []
-        for e1 in (a_box, b_box):
-            for s in marks:
-                t = (s - l1 * e1 - c) / l2
-                if a_box < t < b_box:
-                    pts.append(t)
-        val, err = quad(lambda y2: line(l2 * y2 + c), a_box, b_box,
-                        points=sorted(set(pts)), limit=200,
-                        epsabs=1e-12 * inner_scale, epsrel=1e-10)
-        return val
-
-    pts3 = []
-    for e1 in (a_box, b_box):
-        for e2 in (a_box, b_box):
-            for s in marks:
-                t = (s - l1 * e1 - l2 * e2 - eta) / l3
-                if j_lo < t < j_hi:
-                    pts3.append(t)
-    outer_scale = inner_scale * (j_hi - j_lo)
-    out = quad(mid, j_lo, j_hi, points=sorted(set(pts3)), limit=200,
-               epsabs=1e-10 * outer_scale, epsrel=1e-8, full_output=1)
-    val, err = out[0], out[1]
-    if len(out) > 3 or err > 1e-6 * max(abs(val), 1e-10 * outer_scale):
-        raise NumericError(
-            f"outer quadrature not converged: value {val!r}, error {err!r}"
-        )
-    return val
+    lams = [Fraction(v) for v in (inst.lambda1, inst.lambda2, inst.lambda3)]
+    ends = [(Fraction(lo), Fraction(hi))
+            for lo, hi in ((a_box, b_box), (a_box, b_box), (j_lo, j_hi))]
+    k, half_k = kern.k, Fraction(kern.k, 2)
+    fa, fd, eta = Fraction(kern.a), Fraction(kern.delta), Fraction(inst.eta)
+    total = Fraction(0)
+    for corner in itertools.product((0, 1), repeat=3):
+        y = eta + sum(lam * e[c] for lam, e, c in zip(lams, ends, corner))
+        # Θ₃(y)/δ³, signed by the corner: each lower end flips the sign
+        t3 = _ih_h((y + fa) / fd + half_k, k) - _ih_h((y - fa) / fd + half_k, k)
+        total += (-1) ** corner.count(0) * t3
+    return float(total * fd ** 3 / (lams[0] * lams[1] * lams[2]))
 
 
 # ------------------------------------------------------------- triple finder

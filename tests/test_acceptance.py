@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fourier_check import fourier_inverse_check
 from linniklab.arith import r2_bulk, sieve_primes
 from linniklab.dirichlet import chi_phi_partial, f_zero, linnik_constant, \
     linnik_empirical, n_s
@@ -23,8 +24,7 @@ from linniklab.expsums import major_arc_gap, minor_arc_report, s_ld
 from linniklab.gamma import Instance, find_triples, gamma_sharp, \
     gamma_smoothed, gamma_split, hooley_f_omega, hooley_sigma_prime
 from linniklab.schedule import THETA0, eps_positivity_report
-from linniklab.smoothing import fourier_inverse_check, kernel_new, \
-    theta_eval, theta_fourier, theta_fourier_bound
+from linniklab.smoothing import kernel_new, theta_eval, theta_fourier, theta_fourier_bound
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +332,21 @@ def test_config_file(capsys, tmp_path):
     # explicit flag outranks the config value
     rc, out, _ = run(capsys, "schedule", "--config", str(cfg), "--eps", "0.5")
     assert json.loads(out)["eps"] == 0.5
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.integrate alone costs most of a CLI call's start-up; the library
+    # must not import scipy at all
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, linniklab.cli, linniklab; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_subprocess_smoke():

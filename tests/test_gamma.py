@@ -22,7 +22,7 @@ from linniklab.gamma import (
     hooley_f_omega,
     hooley_sigma_prime,
 )
-from linniklab.smoothing import kernel_new, theta_eval
+from linniklab.smoothing import F64_MAX_K, kernel_new, theta_eval
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -613,6 +613,65 @@ def test_volume_validation():
         b_j_volume(inst, kernel_new(1.0, 3), (60.0, 120.0))   # J above the box
     with pytest.raises(DomainError):
         b_j_volume(inst, kernel_new(0.5, 3), (30.0, 100.0))   # eps mismatch
+
+
+def test_volume_cubic_branch_matches_truncated_sum():
+    # past u = k the closed cubic of `_ih_h` is the full alternating sum
+    for k in range(1, 9):
+        for u in (Fraction(k), Fraction(k) + Fraction(1, 3), Fraction(7 * k + 5, 2)):
+            direct = sum((-1) ** j * math.comb(k, j) * (u - j) ** (k + 3)
+                         for j in range(k + 1)) / math.factorial(k + 3)
+            assert gamma_mod._ih_h(u, k) == direct
+
+
+def test_volume_band_corner_matches_1d_integral():
+    # only the corner (X, λ₀X, λ₀X) meets the window, and the box is wide
+    # against ε, so B_J = Θ₃(η) = ∫_{−∞}^η θ(v)·(η−v)²/2 dv; η in either
+    # transition band or on the plateau puts that corner inside θ's support
+    kern = kernel_new(0.5, 3)
+    knots = sorted(s * kern.a + (j - kern.k / 2) * kern.delta
+                   for s in (-1, 1) for j in range(kern.k + 1))
+    for eta in (0.45, 0.3, -0.42):
+        inst = Instance(1.0, -1.0, -1.0, eta=eta, eps=0.5, x=100.0, lambda0=0.5)
+        want = mpmath.quad(lambda v: theta_eval(kern, float(v)) * (eta - v) ** 2 / 2,
+                           [t for t in knots if t < eta] + [eta])
+        assert b_j_volume(inst, kern, (50.0, 100.0)) == pytest.approx(float(want), rel=1e-12)
+
+
+_SQ2_VOLUME = (Instance(SQ2, -1.0, -SQ3, eta=0.3, eps=0.01, x=1e7, lambda0=0.5),
+               kernel_new(0.01, 16))
+
+
+def test_volume_j_additive():
+    inst, kern = _SQ2_VOLUME
+    whole = b_j_volume(inst, kern, (5e6, 1e7))
+    parts = b_j_volume(inst, kern, (5e6, 7.3e6)) + b_j_volume(inst, kern, (7.3e6, 1e7))
+    assert abs(parts - whole) <= 4 * math.ulp(whole)
+
+
+def test_volume_reflection_and_swap_bit_identical():
+    # θ is even and the corner sum is exact, so (λ, η) → (−λ, −η) and
+    # λ₁ ↔ λ₂ give the same rational, hence the same float
+    inst, kern = _SQ2_VOLUME
+    want = b_j_volume(inst, kern, (5e6, 1e7))
+    neg = Instance(-SQ2, 1.0, SQ3, eta=-0.3, eps=0.01, x=1e7, lambda0=0.5)
+    swap = Instance(-1.0, SQ2, -SQ3, eta=0.3, eps=0.01, x=1e7, lambda0=0.5)
+    assert b_j_volume(neg, kern, (5e6, 1e7)) == want
+    assert b_j_volume(swap, kern, (5e6, 1e7)) == want
+
+
+def test_volume_matches_frozen_quadrature():
+    # the nested adaptive quadrature this closed form replaced gave
+    # 829494728.6512498 on this instance (relative target 1e−6)
+    inst, kern = _SQ2_VOLUME
+    want = 829494728.6512498
+    assert abs(b_j_volume(inst, kern, (5e6, 1e7)) - want) <= 1e-9 * want
+
+
+def test_volume_plateau_exact_past_f64_cutoff():
+    # no float64 path to fall back on: the rational sum is exact for any k
+    inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=240.0, x=100.0, lambda0=0.3)
+    assert b_j_volume(inst, kernel_new(240.0, F64_MAX_K + 5), (30.0, 100.0)) == 343000.0
 
 
 # ------------------------------------------------------------- triple finder

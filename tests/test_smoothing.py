@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fourier_check import fourier_inverse_check
 from linniklab.errors import DomainError
 from linniklab.smoothing import (
     F64_MAX_K,
-    fourier_inverse_check,
     kernel_new,
     suggested_k,
     theta_antiderivative,
