@@ -347,7 +347,7 @@ def cmd_gamma(args) -> int:
         return 0
     j_lo = args.j_lo if args.j_lo is not None else inst.lambda0 * x
     j_hi = args.j_hi if args.j_hi is not None else x
-    val = gamma.b_j_volume(inst, kern, (j_lo, j_hi))
+    val = gamma.b_j_volume(inst, kern, (j_lo, j_hi), budget)
     _emit_json({"mode": "volume", "x": x, "eps": inst.eps, "k": k,
                 "j_lo": j_lo, "j_hi": j_hi, "b_j": val})
     return 0

@@ -533,8 +533,8 @@ def _ih_h(u: Fraction, k: int) -> Fraction:
     return Fraction(acc, d ** p * math.factorial(p))
 
 
-def b_j_volume(inst: Instance, kern: SmoothingKernel,
-               j: tuple[float, float]) -> float:
+def b_j_volume(inst: Instance, kern: SmoothingKernel, j: tuple[float, float],
+               work_budget: int = WORK_BUDGET) -> float:
     """∫_J ∫∫ θ(λ₁y₁ + λ₂y₂ + λ₃y₃ + η) dy₁ dy₂ dy₃ over the (λ₀X, X] box.
 
     θ(y) = G(u₊) − G(u₋) with u± = (y ± A)/δ + k/2 and G the Irwin–Hall
@@ -548,6 +548,10 @@ def b_j_volume(inst: Instance, kern: SmoothingKernel,
     A, δ, λ, η and the box ends are floats, hence exact rationals: the sum
     runs in `Fraction` and is rounded once, so the result is the correctly
     rounded volume of the float-defined θ.
+
+    A corner inside θ's support sums up to k truncated powers of degree k + 3
+    of O(k)-word integers (time grows about like k³), so each such corner is
+    charged (k+1)·(k+3)² against work_budget before any power is formed.
     """
     if kern.eps != inst.eps:
         raise DomainError("kernel eps does not match instance eps")
@@ -560,12 +564,22 @@ def b_j_volume(inst: Instance, kern: SmoothingKernel,
             for lo, hi in ((a_box, b_box), (a_box, b_box), (j_lo, j_hi))]
     k, half_k = kern.k, Fraction(kern.k, 2)
     fa, fd, eta = Fraction(kern.a), Fraction(kern.delta), Fraction(inst.eta)
-    total = Fraction(0)
+    corners = []
     for corner in itertools.product((0, 1), repeat=3):
         y = eta + sum(lam * e[c] for lam, e, c in zip(lams, ends, corner))
-        # Θ₃(y)/δ³, signed by the corner: each lower end flips the sign
-        t3 = _ih_h((y + fa) / fd + half_k, k) - _ih_h((y - fa) / fd + half_k, k)
-        total += (-1) ** corner.count(0) * t3
+        # each lower end flips the corner's sign
+        corners.append(((-1) ** corner.count(0),
+                        (y + fa) / fd + half_k, (y - fa) / fd + half_k))
+    live = sum(0 < u < k for _, up, um in corners for u in (up, um))
+    cost = live * (k + 1) * (k + 3) ** 2
+    if cost > work_budget:
+        raise ResourceError(
+            f"volume work {cost:.3e} ({live} of 8 corners inside θ's support, "
+            f"k={k}) exceeds the work budget {work_budget:.3e}; lower --k or "
+            "raise --work-budget"
+        )
+    # Θ₃(y)/δ³ = H(u₊) − H(u₋) per corner
+    total = sum(sign * (_ih_h(up, k) - _ih_h(um, k)) for sign, up, um in corners)
     return float(total * fd ** 3 / (lams[0] * lams[1] * lams[2]))
 
 

@@ -21,14 +21,20 @@ which obeys the three-way bound
 because |sin t| ≤ min(1, |t|) factor by factor, and 1/(πδ|x|) = 4k/(πε|x|)
 = k/(2π|x|ε/8) exactly for this δ.
 
-Numerics: the Irwin–Hall alternating sum Σ (−1)^j C(k,j)(x−j)₊^k /k! loses
-roughly k·log₂e bits to cancellation, so the float64 path is used only for
-k ≤ 25; beyond that every evaluation runs in exact rational arithmetic and
-rounds once at the end.
+Numerics: on the band, θ(y) = 1 − G(u) with u = (|y| − A)/δ + k/2 in [0, k].
+For k ≤ 25 it is read off a piecewise-polynomial table (de Boor's "pp"
+form): on each unit piece [j, j+1), 1 − G(j + t) is a degree-k polynomial in
+t whose coefficients are computed in exact rationals, rounded once, and all
+≤ 1 in magnitude, so Horner on t ∈ [0, 1) is accurate to a few ulps.  Past
+k = 25 each band value runs through the exact rational alternating sum
+Σ (−1)^j C(k,j)(u−j)₊^k /k!, rounded once at the end; evaluated in float
+that sum would lose roughly k·log₂e bits to cancellation.  The
+antiderivative T always takes the exact sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +43,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# float64 cancellation in the alternating sum is ~2^k/√k ulps; past this the
-# exact rational path takes over
+# largest k with a float piece table; its exact O(k³) build is what bounds
+# it, and past it each band value takes the exact rational path
 F64_MAX_K = 25
 
 
@@ -70,24 +76,8 @@ def suggested_k(x: float) -> int:
 
 # ---------------------------------------------------------------- Irwin–Hall
 
-def _ih_cdf_f64(x: np.ndarray, k: int) -> np.ndarray:
-    """CDF of the sum of k iid U[0,1] at x (vector), float64 alternating sum."""
-    out = np.zeros_like(x)
-    out[x >= k] = 1.0
-    inside = (x > 0) & (x < k)
-    if inside.any():
-        xi = x[inside]
-        acc = np.zeros_like(xi)
-        kfac = math.factorial(k)
-        for j in range(k + 1):
-            coeff = ((-1) ** j * math.comb(k, j)) / kfac
-            acc += coeff * np.maximum(xi - j, 0.0) ** k
-        out[inside] = np.clip(acc, 0.0, 1.0)
-    return out
-
-
 def _ih_cdf_exact(x: float, k: int) -> float:
-    """Same CDF through exact rationals; one rounding at the end."""
+    """CDF of the sum of k iid U[0,1] at x through exact rationals; one rounding."""
     if x <= 0:
         return 0.0
     if x >= k:
@@ -99,49 +89,71 @@ def _ih_cdf_exact(x: float, k: int) -> float:
     return float(acc / math.factorial(k))
 
 
-def _ih_cdf(x: np.ndarray, k: int) -> np.ndarray:
-    if k <= F64_MAX_K:
-        return _ih_cdf_f64(x, k)
-    flat = np.atleast_1d(x).astype(np.float64)
-    vals = np.array([_ih_cdf_exact(float(t), k) for t in flat.ravel()])
-    return vals.reshape(flat.shape)
+@functools.cache
+def _band_pieces(k: int) -> np.ndarray:
+    """(k+1, k) table: column j holds the Taylor coefficients at t = 0 of
+    1 − G(j + t), 0 ≤ t < 1, row e the coefficient of tᵉ.
+
+    G(j + t) = Σₑ cₑtᵉ with k!·cₑ = Σᵢ≤ⱼ (−1)ⁱC(k,i)C(k,e)(j−i)ᵏ⁻ᵉ, summed
+    in integers; the entry [e = 0] − cₑ is rounded once (int / int is
+    correctly rounded).  For e ≥ 1, cₑ = G⁽ᵉ⁾(j⁺)/e! is an (e−1)-fold
+    backward difference of a lower-order B-spline over e!, so
+    |cₑ| ≤ 2ᵉ⁻¹/e! ≤ 1.
+    """
+    kfac = math.factorial(k)
+    tab = np.empty((k + 1, k))
+    for j in range(k):
+        for e in range(k + 1):
+            num = sum((-1) ** i * math.comb(k, i) * (j - i) ** (k - e)
+                      for i in range(j + 1)) * math.comb(k, e)
+            tab[e, j] = ((kfac if e == 0 else 0) - num) / kfac
+    tab.flags.writeable = False     # shared by every caller through the cache
+    return tab
 
 
 def _ih_int_cdf(x: float, k: int) -> float:
-    """∫₀ˣ of the Irwin–Hall CDF: alternating sum with power k+1; x − k/2 past k."""
+    """∫₀ˣ of the Irwin–Hall CDF in exact rationals, rounded once; x − k/2 past k."""
     if x <= 0:
         return 0.0
     if x >= k:
         return x - 0.5 * k
-    if k <= F64_MAX_K:
-        kfac1 = math.factorial(k + 1)
-        acc = 0.0
-        for j in range(math.floor(x) + 1):
-            acc += ((-1) ** j * math.comb(k, j)) / kfac1 * (x - j) ** (k + 1)
-        return max(acc, 0.0)
     fx = Fraction(x)
-    acc_f = Fraction(0)
+    acc = Fraction(0)
     for j in range(math.floor(x) + 1):
-        acc_f += (-1) ** j * math.comb(k, j) * (fx - j) ** (k + 1)
-    return float(acc_f / math.factorial(k + 1))
+        acc += (-1) ** j * math.comb(k, j) * (fx - j) ** (k + 1)
+    return float(acc / math.factorial(k + 1))
 
 
 # ------------------------------------------------------------------- θ and Θ
 
 def theta_eval(kern: SmoothingKernel, y):
-    """θ(y) for a scalar or array; even by construction (evaluated at |y|)."""
+    """θ(y) for a scalar or array; even by construction (evaluated at |y|).
+
+    Plateau and support are pinned on |y| itself: 1 for |y| ≤ 3ε/4, 0 for
+    |y| ≥ ε.  On the band between, u₊ ≥ 7k so G(u₊) = 1 and θ = 1 − G(u)
+    with u = (|y| − A)/δ + k/2, read off the piece table at j = ⌊u⌋ and
+    t = u − j.  t is formed as w − (j − k/2) with w = (|y| − A)/δ; that
+    subtraction is exact, so t carries only the rounding of w.
+    """
     arr = np.asarray(y, dtype=np.float64)
-    ay = np.abs(arr)
-    x1 = (ay + kern.a) / kern.delta + 0.5 * kern.k
-    x2 = (ay - kern.a) / kern.delta + 0.5 * kern.k
-    val = _ih_cdf(np.atleast_1d(x1), kern.k) - _ih_cdf(np.atleast_1d(x2), kern.k)
-    val = np.clip(val, 0.0, 1.0)
-    # pin plateau/support membership on |y| itself: the transformed CDF
-    # arguments can land 1 ulp off k at the band edges (e.g. eps = 0.01),
-    # leaking ~2e-16 outside the support where the contract says exactly 0
-    ayf = np.atleast_1d(ay)
-    val[ayf >= kern.eps] = 0.0
-    val[ayf <= 0.75 * kern.eps] = 1.0
+    ay = np.abs(arr).ravel()
+    val = (ay <= 0.75 * kern.eps).astype(np.float64)
+    band = np.flatnonzero((ay > 0.75 * kern.eps) & (ay < kern.eps))
+    if band.size:
+        k = kern.k
+        w = (ay[band] - kern.a) / kern.delta
+        if k <= F64_MAX_K:
+            tab = _band_pieces(k)
+            j = np.clip(np.floor(w + 0.5 * k), 0, k - 1)
+            t = w - (j - 0.5 * k)
+            j = j.astype(np.intp)
+            acc = tab[k].take(j)
+            for e in range(k - 1, -1, -1):
+                acc *= t
+                acc += tab[e].take(j)
+            val[band] = np.clip(acc, 0.0, 1.0)
+        else:
+            val[band] = [1.0 - _ih_cdf_exact(float(u), k) for u in w + 0.5 * k]
     if arr.ndim == 0:
         return float(val[0])
     return val.reshape(arr.shape)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,23 @@ def test_gamma_volume_json(capsys):
     want = b_j_volume(inst, kernel_new(20.0, 4), (50.0, 100.0))
     assert doc["b_j"] == pytest.approx(want, rel=1e-14)
     assert (doc["j_lo"], doc["j_hi"]) == (50.0, 100.0)
+
+
+def test_gamma_volume_work_budget(capsys):
+    # a corner inside θ's support costs about k³ in exact rationals: k = 11
+    # and k = 400 run, k = 100000 is refused before any power is formed
+    argv = ("gamma", "--mode", "volume", "--x", "100", "--l1", "1", "--l2", "-1",
+            "--l3", "-1", "--eta", "0.45", "--eps", "0.5", "--lambda0", "0.5",
+            "--j-lo", "50", "--j-hi", "100")
+    for k in ("11", "400"):
+        rc, out, _ = run(capsys, *argv, "--k", k)
+        assert rc == 0 and json.loads(out)["b_j"] > 0.0
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv, "--k", "100000")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3 and out == "" and "work budget" in err and "Traceback" not in err
+    rc, out, err = run(capsys, *argv, "--k", "400", "--work-budget", "1000")
+    assert rc == 3 and out == ""
 
 
 def test_triples_golden_and_determinism(capsys):

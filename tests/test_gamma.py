@@ -162,6 +162,31 @@ def test_smoothed_plateau_equals_sharp(table4):
     assert abs(smooth - sharp) <= 1e-12 * sharp
 
 
+def test_smoothed_matches_exact_theta_at_k20(table4):
+    # dyadic λ, η make every residual exact in both routes, and ε = 2.5 with
+    # k = 20 makes A and δ = 1/32 exact, so float θ is the only approximation
+    inst = Instance(1.0, -1.0078125, -0.998046875, eta=0.3125, eps=2.5, x=300.0,
+                    lambda0=0.05)
+    k = 20
+    kern = kernel_new(2.5, k)
+    ps, w, res = _grid(inst, table4)
+    r2w = r2_bulk(ps - 1, table4) * w
+    a, delta, eps = Fraction(kern.a), Fraction(kern.delta), Fraction(inst.eps)
+    terms, band = [], 0
+    for i, j, m in zip(*np.nonzero(np.abs(res) < inst.eps)):
+        r = abs(Fraction(float(res[i, j, m])))
+        th = Fraction(1)
+        if r > 3 * eps / 4:
+            band += 1
+            u = (r - a) / delta + Fraction(k, 2)
+            th -= sum((-1) ** n * math.comb(k, n) * (u - n) ** k
+                      for n in range(math.floor(u) + 1)) / math.factorial(k)
+        terms.append(float(th) * w[i] * w[j] * r2w[m])
+    want = math.fsum(terms)
+    assert band > 100
+    assert abs(gamma_smoothed(inst, kern, table4) - want) <= 1e-13 * want
+
+
 def test_smoothed_kernel_mismatch(table4):
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=30.0, lambda0=0.05)
     with pytest.raises(DomainError):

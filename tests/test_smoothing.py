@@ -251,6 +251,46 @@ def test_fourier_integral_recovers_theta():
         assert rep["tail_bound"] <= 1e-7
 
 
+def _exact_kernel(k):
+    # ε = k/8 makes A = 7ε/8 and δ = ε/(4k) = 1/32 exact floats, so the
+    # kernel's θ is the rational oracle's θ
+    eps = k / 8
+    kern = kernel_new(eps, k)
+    assert Fraction(kern.a) == 7 * Fraction(eps) / 8
+    assert Fraction(kern.delta) == Fraction(eps) / (4 * k)
+    return eps, kern
+
+
+def test_theta_band_within_1e15_of_exact():
+    rng = random.Random(20261018)
+    for k in (1, 2, 4, 7, 11, 16, 20, 25):
+        eps, kern = _exact_kernel(k)
+        ys = [rng.uniform(0.75 * eps, eps) * rng.choice((-1.0, 1.0)) for _ in range(400)]
+        for j in range(k + 1):  # every knot u = j and its neighbours
+            y = kern.a + (j - k / 2) * kern.delta
+            ys += [math.nextafter(y, 0.0), y, math.nextafter(y, eps)]
+        got = theta_eval(kern, np.array(ys))
+        for y, v in zip(ys, got):
+            want = float(_theta_exact(Fraction(y), Fraction(eps), k))
+            assert abs(v - want) <= 1e-15, (k, y, v, want)
+
+
+def test_antiderivative_exact_on_band():
+    rng = random.Random(5)
+    for k in (4, 11, 25):
+        eps, kern = _exact_kernel(k)
+        a, delta, half = 7 * Fraction(eps) / 8, Fraction(eps) / (4 * k), Fraction(k, 2)
+        for _ in range(60):
+            y = rng.uniform(0.75 * eps, eps)
+            # ∫ over the left band of θ = G(u₊): δ·Σ (−1)ʲC(k,j)(u₊−j)₊ᵏ⁺¹/(k+1)!
+            x = (-Fraction(y) + a) / delta + half
+            left = delta * sum((-1) ** j * math.comb(k, j) * (x - j) ** (k + 1)
+                               for j in range(math.floor(x) + 1)) / math.factorial(k + 1)
+            tol = 2 * math.ulp(2 * kern.a)
+            assert abs(theta_antiderivative(kern, -y) - float(left)) <= tol, (k, y)
+            assert abs(theta_antiderivative(kern, y) - float(2 * a - left)) <= tol, (k, y)
+
+
 def test_exact_path_beyond_f64():
     # k just past the float64 cutoff: plateau/support still exact, band value
     # sane and within the f64-path neighborhood of the k−1 kernel
