@@ -21,6 +21,7 @@ other.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ MEMORY_BUDGET = 2**31
 # Default cap on inner-loop evaluations per call: (p1,p2) pairs in the pair
 # scans, Q·π(X) modulus-prime steps in the progression error scan.
 WORK_BUDGET = 2**31
+# Slots of spf sieved per segment: 2 MB of int32, about one L2 cache.
+_SEGMENT = 2**19
 
 
 @dataclass
@@ -89,11 +92,25 @@ class PrimeTable:
         return int(self.spf[n]) == n
 
 
-def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
-    """Build a PrimeTable up to ``limit`` with a smallest-prime-factor sieve.
+def small_primes(n: int) -> list[int]:
+    """Primes ≤ n, ascending, from a boolean sieve: the strides of the big sieves."""
+    is_p = np.ones(n + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p).tolist()
 
-    The sieve walks primes p ≤ √limit; a composite n is first touched by its
-    smallest prime factor because n ≥ spf(n)².
+
+def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
+    """Build a PrimeTable up to ``limit`` with a segmented smallest-prime-factor sieve.
+
+    Even n ≥ 4 get 2 in one strided write.  The rest of ``spf`` is walked in
+    segments of ``_SEGMENT`` slots, small enough to stay in cache; in each,
+    every odd prime p ≤ √limit with p² inside it writes p to its odd
+    multiples from max(p², segment start) on.  The primes write in
+    descending order, so the smallest prime factor of n, which has
+    spf(n)² ≤ n, is the last to write it and no write needs a mask.
     """
     if not limit >= 2:
         raise DomainError(f"limit must be ≥ 2, got {limit}")
@@ -102,10 +119,16 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
             f"sieve of {limit + 1} slots exceeds memory budget {memory_budget}"
         )
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
+    spf[4::2] = 2
+    odd = small_primes(math.isqrt(limit))[1:]
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        view = spf[lo:hi]
+        for p in reversed(odd[: bisect.bisect_left(odd, math.isqrt(hi - 1) + 1)]):
+            start = -(-max(p * p, lo) // p) * p
+            if start % 2 == 0:
+                start += p
+            view[start - lo :: 2 * p] = p
     # untouched n ≥ 2 are prime; give 0 and 1 harmless self-values
     rest = np.nonzero(spf == 0)[0]
     spf[rest] = rest

@@ -254,6 +254,14 @@ def cmd_kernel(args) -> int:
         for x, t, b in zip(xs, th, bd):
             sys.stdout.write(f"{_g(x)}\t{_g(t)}\t{_g(b)}\n")
         return 0
+    # each band point's exact antiderivative costs about (k+1)·(k+2)² steps
+    cost = n * (k + 1) * (k + 2) ** 2
+    if cost > args.work_budget:
+        raise ResourceError(
+            f"antiderivative work {cost:.3e} ({n} points, k={k}) exceeds the "
+            f"work budget {args.work_budget:.3e}; lower --grid or --k, or "
+            "raise --work-budget"
+        )
     ymax = args.ymax if args.ymax is not None else 1.25 * eps
     ys = _grid(-ymax, ymax, n)
     th = smoothing.theta_eval(kern, ys)

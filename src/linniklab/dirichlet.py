@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import MEMORY_BUDGET, PrimeTable, chi_vec, r2_bulk
+from .arith import MEMORY_BUDGET, PrimeTable, chi_vec, r2_bulk, small_primes
 from .errors import DomainError, ResourceError
 
 
@@ -87,10 +87,19 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
         checkpoints = [dmax]
     if any(not 1 <= c <= dmax for c in checkpoints):
         raise DomainError(f"checkpoints must lie in [1, {dmax}]")
+    # φ(d) = d·Π_{p|d}(1 − 1/p), one strided pass per prime p ≤ √dmax; each
+    # pass also strips p from the cofactor, which ends as 1 or d's one prime
+    # factor above √dmax
     phi = np.arange(dmax + 1, dtype=np.int64)
-    for p in range(2, dmax + 1):
-        if phi[p] == p:                      # p untouched so far ⇒ prime
-            phi[p::p] -= phi[p::p] // p
+    cof = phi.copy()
+    for p in small_primes(math.isqrt(dmax)):
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= dmax:
+            cof[q::q] //= p
+            q *= p
+    big = np.flatnonzero(cof > 1)
+    phi[big] -= phi[big] // cof[big]
     d = np.arange(dmax + 1, dtype=np.int64)
     terms = np.zeros(dmax + 1)
     odd = d[1:][d[1:] % 2 == 1]

@@ -17,6 +17,7 @@ from linniklab.arith import (
     r2_bulk,
     sieve_primes,
 )
+from linniklab import arith
 from linniklab.errors import DomainError, ResourceError
 
 
@@ -211,6 +212,46 @@ def test_spf_is_smallest_factor(table4):
         spf = int(table4.spf[n])
         assert n % spf == 0
         assert all(n % q for q in range(2, spf))
+
+
+def naive_spf(nmax: int) -> np.ndarray:
+    """Independent oracle: smallest factor of each n ≤ nmax by trial division (0, 1 ↦ 1)."""
+    out = [1, 1]
+    for n in range(2, nmax + 1):
+        out.append(next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n))
+    return np.array(out, dtype=np.int32)
+
+
+_NAIVE_SPF = naive_spf(25_000)
+
+
+def assert_sieve_matches_naive(limit: int):
+    table = sieve_primes(limit)
+    want = _NAIVE_SPF[: limit + 1]
+    assert table.spf.dtype == np.int32 and np.array_equal(table.spf, want), limit
+    n = np.arange(limit + 1)
+    primes = n[(n >= 2) & (want == n)]
+    assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes), limit
+
+
+@pytest.mark.parametrize("limit", range(2, 301))
+def test_sieve_matches_naive_small(limit):
+    assert_sieve_matches_naive(limit)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 97, 101, 149])
+def test_sieve_matches_naive_at_prime_squares(p):
+    for limit in (p * p - 1, p * p, p * p + 1):
+        if limit >= 2:
+            assert_sieve_matches_naive(limit)
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+def test_sieve_matches_naive_across_segments(monkeypatch, segment):
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    edges = [m * segment + d for m in (1, 2, 3, 7, 19) for d in (-1, 0, 1)]
+    for limit in [*edges, 19_999, 20_000, 20_001, 20_449, 24_999]:
+        assert_sieve_matches_naive(limit)
 
 
 def test_sieve_validation():

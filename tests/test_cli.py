@@ -122,6 +122,32 @@ def test_kernel_tsv_golden(capsys):
     ]
 
 
+def test_kernel_antiderivative_charged_against_work_budget(capsys):
+    # the README call costs grid·(k+1)·(k+2)² = 21·5·36 = 3780
+    argv = ("kernel", "--eps", "0.1", "--k", "4", "--grid", "21")
+    rc, want, _ = run(capsys, *argv)
+    assert rc == 0
+    lines = want.splitlines()
+    assert len(lines) == 22
+    assert lines[4] == "-0.0875\t0.500000000000002\t0.00145833333333334"
+    assert lines[18] == "0.0875\t0.499999999999999\t0.173541666666667"
+    rc, out, _ = run(capsys, *argv, "--work-budget", "3780")
+    assert rc == 0 and out == want
+    rc, out, err = run(capsys, *argv, "--work-budget", "3779")
+    assert rc == 3 and out == "" and "--work-budget" in err
+    # --fourier forms no antiderivative and is not charged
+    rc, out, _ = run(capsys, "kernel", "--eps", "0.1", "--k", "4", "--grid", "2001",
+                     "--fourier", "--work-budget", "1")
+    assert rc == 0 and len(out.splitlines()) == 2002
+
+
+def test_kernel_over_budget_exits_before_the_grid(capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "kernel", "--eps", "0.1", "--k", "200", "--grid", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3 and out == "" and "Traceback" not in err
+
+
 def test_kernel_fourier_golden(capsys):
     rc, out, _ = run(capsys, "kernel", "--eps", "1", "--k", "2", "--grid", "3",
                      "--fourier")
@@ -429,6 +455,8 @@ _ADVERSARIAL = [
     pytest.param(("kernel", "--eps", "1e308", "--fourier"), {}, 2, id="kernel--eps=1e308"),
     pytest.param(("kernel", "--eps", "5e-324", "--fourier"), {}, 2, id="kernel--eps=5e-324"),
     pytest.param(("kernel", "--eps", "0.1", "--ymax", "1e308"), {}, 2, id="kernel--ymax=1e308"),
+    pytest.param(("kernel", "--eps", "0.1", "--k", "200", "--grid", "100000"), {}, 3,
+                 id="kernel--k=200--grid=1e5"),
     pytest.param(("hooley", "--x", "100", "--stat", "fomega", "--omega", "1e300"), {}, 2,
                  id="hooley--omega=1e300"),
     pytest.param(("singular", "--pmax", "100", "--dmax", "1e300"), {}, 3,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linniklab.arith import r2, sieve_primes
+from linniklab.arith import chi, euler_phi, r2, sieve_primes
 from linniklab.dirichlet import (
     chi_phi_partial,
     f_zero,
@@ -74,6 +74,24 @@ def test_chi_phi_small_values(table4):
             phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
             direct += (1.0 if d % 4 == 1 else -1.0) / phi
         assert abs(seq[d - 1][1] - direct) < 1e-12
+
+
+def cumsum_chi_over_phi(dmax: int) -> np.ndarray:
+    """Reference partial sums: np.cumsum of χ(d)/euler_phi(d) for d ≤ dmax."""
+    table = sieve_primes(max(dmax, 2))
+    terms = np.zeros(dmax + 1)
+    for d in range(1, dmax + 1):
+        terms[d] = chi(d) / euler_phi(d, table)
+    return np.cumsum(terms)
+
+
+@pytest.mark.parametrize("dmax", [1, 2, 3, 4, 8, 9, 24, 25, 26, 2 * 10**4])
+def test_chi_phi_matches_euler_phi_bitwise(table4, dmax):
+    # dmax = 2·10⁴ lies past table4.limit: chi_phi_partial does not read the table
+    want = cumsum_chi_over_phi(dmax)
+    got = chi_phi_partial(dmax, table4, checkpoints=list(range(1, dmax + 1)))
+    assert [c for c, _ in got] == list(range(1, dmax + 1))
+    assert np.array_equal(np.array([v for _, v in got]), want[1:]), dmax
 
 
 def test_chi_phi_converges_to_f_zero(table6):
