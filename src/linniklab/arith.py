@@ -1,7 +1,9 @@
 """Prime tables and quadratic-character arithmetic.
 
 Everything downstream leans on one sieve pass: a smallest-prime-factor table
-over [0, limit] gives O(log n) factorisation, which in turn gives
+over [0, limit], built in cache-sized segments from descending writes of the
+odd primes to their odd multiples, gives O(log n) factorisation, which in
+turn gives
 
     χ(n)   the non-principal character mod 4 (+1, −1, 0 for n ≡ 1, 3, 0 mod 2),
     r₂(n)  = 4·Σ_{d|n} χ(d), the number of ways to write n = m₁² + m₂²
@@ -21,7 +23,6 @@ other.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -124,7 +125,7 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         view = spf[lo:hi]
-        for p in reversed(odd[: bisect.bisect_left(odd, math.isqrt(hi - 1) + 1)]):
+        for p in reversed([p for p in odd if p * p < hi]):
             start = -(-max(p * p, lo) // p) * p
             if start % 2 == 0:
                 start += p
