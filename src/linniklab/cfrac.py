@@ -221,29 +221,3 @@ def verify_eq1(x: CertifiedReal, c: Convergent) -> dict:
     rhs = Fraction(1, c.q * c.q)
     return {"lhs": float(lhs), "rhs": float(rhs), "ok": lhs < rhs}
 
-
-def x_for_q0(c: Convergent) -> float:
-    """The unique X > e²² with X/(ln X)²² = q², on the increasing branch.
-
-    In log-space the equation is L − 22·ln L = 2·ln q with L = ln X,
-    increasing for L > 22.  The fixed-point iteration L ← 22·ln L + target
-    contracts there (derivative 22/L < 1); two Newton steps polish the root.
-    """
-    if c.q < 2:
-        raise DomainError(f"need q ≥ 2, got {c.q}")
-    target = 2.0 * math.log(c.q)
-    if target <= 22.0 - 22.0 * math.log(22.0):
-        raise DomainError(f"no solution on the increasing branch for q={c.q}")
-    L = max(25.0, 22.0 * math.log(25.0) + target)
-    for _ in range(200):
-        nxt = 22.0 * math.log(L) + target
-        if abs(nxt - L) <= 1e-15 * L:
-            L = nxt
-            break
-        L = nxt
-    for _ in range(3):  # Newton on f(L) = L − 22 ln L − target
-        f = L - 22.0 * math.log(L) - target
-        L -= f / (1.0 - 22.0 / L)
-    if L > 709.0:
-        raise DomainError(f"solution X = e^{L:.3f} overflows double precision")
-    return math.exp(L)

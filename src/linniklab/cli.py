@@ -254,6 +254,7 @@ def cmd_kernel(args) -> int:
         for x, t, b in zip(xs, th, bd):
             sys.stdout.write(f"{_g(x)}\t{_g(t)}\t{_g(b)}\n")
         return 0
+    smoothing.check_table_budget(k, args.work_budget)
     # each band point's exact antiderivative costs about (k+1)·(k+2)² steps
     cost = n * (k + 1) * (k + 2) ** 2
     if cost > args.work_budget:

@@ -138,11 +138,12 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
     total = 0.0
     for q in range(1, q_max + 1):
         best = 0.0
+        phi = euler_phi(q, table)
+        res = np.mod(ps, q)
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            phi = euler_phi(q, table)
-            mask = np.mod(ps, q) == a % q if q > 1 else slice(None)
+            mask = res == a % q if q > 1 else slice(None)
             pr, wr = psf[mask], ws[mask]
             s = np.zeros(len(wr) + 1)
             np.cumsum(wr, out=s[1:])

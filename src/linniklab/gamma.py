@@ -50,7 +50,7 @@ import numpy as np
 from .arith import (WORK_BUDGET, PrimeTable, chi, chi_vec, divisor_sum, divisors,
                     linnik_witness, r2_bulk)
 from .errors import DomainError, NumericError, ResourceError
-from .smoothing import SmoothingKernel, theta_eval
+from .smoothing import SmoothingKernel, check_table_budget, theta_eval, trunc_power_sum
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
 _CHUNK = 2**16             # live pairs per chunk; independent of thread count
@@ -439,6 +439,7 @@ def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
         raise DomainError(
             f"kernel eps {kern.eps} does not match instance eps {inst.eps}"
         )
+    check_table_budget(kern.k, work_budget)
     eng = _Engine(inst, table)
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
     r = r2_bulk(eng.p3 - 1, table).astype(np.float64)
@@ -460,6 +461,7 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
             f"divisor split needs 1 < D < √X for the small/middle/large "
             f"partition; got D={d_split}, √X={math.sqrt(inst.x):.6g}"
         )
+    check_table_budget(kern.k, work_budget)
     eng = _Engine(inst, table)
     _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
 
@@ -527,10 +529,8 @@ def _ih_h(u: Fraction, k: int) -> Fraction:
     if u >= k:
         w = u - Fraction(k, 2)
         return w * (4 * w * w + k) / 24
-    n, d, p = u.numerator, u.denominator, k + 3
-    acc = sum((-1) ** j * math.comb(k, j) * (n - j * d) ** p
-              for j in range(math.ceil(u)))
-    return Fraction(acc, d ** p * math.factorial(p))
+    n, d = u.numerator, u.denominator
+    return Fraction(trunc_power_sum(n, d, k, k + 3), d ** (k + 3) * math.factorial(k + 3))
 
 
 def b_j_volume(inst: Instance, kern: SmoothingKernel, j: tuple[float, float],

@@ -21,15 +21,15 @@ which obeys the three-way bound
 because |sin t| ≤ min(1, |t|) factor by factor, and 1/(πδ|x|) = 4k/(πε|x|)
 = k/(2π|x|ε/8) exactly for this δ.
 
-Numerics: on the band, θ(y) = 1 − G(u) with u = (|y| − A)/δ + k/2 in [0, k].
-For k ≤ 25 it is read off a piecewise-polynomial table (de Boor's "pp"
-form): on each unit piece [j, j+1), 1 − G(j + t) is a degree-k polynomial in
-t whose coefficients are computed in exact rationals, rounded once, and all
-≤ 1 in magnitude, so Horner on t ∈ [0, 1) is accurate to a few ulps.  Past
-k = 25 each band value runs through the exact rational alternating sum
-Σ (−1)^j C(k,j)(u−j)₊^k /k!, rounded once at the end; evaluated in float
-that sum would lose roughly k·log₂e bits to cancellation.  The
-antiderivative T always takes the exact sum.
+Numerics: on the band, θ(y) = 1 − G(u) with u = (|y| − A)/δ + k/2 in [0, k],
+read off a piecewise-polynomial table for every k (de Boor's "pp" form): on
+each unit piece [j, j+1), 1 − G(j + t) is a degree-k polynomial in t whose
+coefficients are computed in exact integers, rounded once, and all ≤ 1 in
+magnitude, so Horner on t ∈ [0, 1) is accurate to a few ulps.  The table is
+built once per k in time about k⁴·log k; callers that hold a work budget
+charge it first (`check_table_budget`).  Every exact Irwin–Hall sum, the
+table's, the antiderivative T's and the slab volume's, is one call of
+`trunc_power_sum`; T is that sum rounded once.
 """
 
 from __future__ import annotations
@@ -41,11 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
-
-# largest k with a float piece table; its exact O(k³) build is what bounds
-# it, and past it each band value takes the exact rational path
-F64_MAX_K = 25
+from .errors import DomainError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -76,17 +72,31 @@ def suggested_k(x: float) -> int:
 
 # ---------------------------------------------------------------- Irwin–Hall
 
-def _ih_cdf_exact(x: float, k: int) -> float:
-    """CDF of the sum of k iid U[0,1] at x through exact rationals; one rounding."""
-    if x <= 0:
-        return 0.0
-    if x >= k:
-        return 1.0
-    fx = Fraction(x)
-    acc = Fraction(0)
-    for j in range(math.floor(x) + 1):
-        acc += (-1) ** j * math.comb(k, j) * (fx - j) ** k
-    return float(acc / math.factorial(k))
+def trunc_power_sum(num: int, den: int, k: int, p: int) -> int:
+    """Σⱼ (−1)ʲ C(k,j)·(num − j·den)₊ᵖ over 0 ≤ j ≤ min(k, ⌊num/den⌋), exactly.
+
+    With u = num/den (den > 0) this is denᵖ·Σ (−1)ʲ C(k,j)(u−j)₊ᵖ, the sum
+    behind every Irwin–Hall quantity here: k!·G(u) at p = k and (k+n)! times
+    G's n-th antiderivative at p = k + n.  The term at u = j is 0ᵖ, so 1 at
+    p = 0: the pieces are right-continuous.
+    """
+    return sum((-1) ** j * math.comb(k, j) * (num - j * den) ** p
+               for j in range(min(k, num // den) + 1))
+
+
+def check_table_budget(k: int, work_budget: int) -> None:
+    """Raise `ResourceError` if building `_band_pieces(k)` would exceed the budget.
+
+    The build sums about k³/2 truncated powers of degree ≤ k in integers of
+    O(k log k) bits, so its time grows like k⁴·log k; it is charged
+    k⁴·bit_length(k), roughly 1–2 ns of build per unit for k ≥ 40.
+    """
+    cost = k ** 4 * k.bit_length()
+    if cost > work_budget:
+        raise ResourceError(
+            f"θ piece table work {cost:.3e} (k={k}) exceeds the work budget "
+            f"{work_budget:.3e}; lower --k or raise --work-budget"
+        )
 
 
 @functools.cache
@@ -94,7 +104,7 @@ def _band_pieces(k: int) -> np.ndarray:
     """(k+1, k) table: column j holds the Taylor coefficients at t = 0 of
     1 − G(j + t), 0 ≤ t < 1, row e the coefficient of tᵉ.
 
-    G(j + t) = Σₑ cₑtᵉ with k!·cₑ = Σᵢ≤ⱼ (−1)ⁱC(k,i)C(k,e)(j−i)ᵏ⁻ᵉ, summed
+    G(j + t) = Σₑ cₑtᵉ with k!·cₑ = C(k,e)·Σᵢ≤ⱼ (−1)ⁱC(k,i)(j−i)ᵏ⁻ᵉ, summed
     in integers; the entry [e = 0] − cₑ is rounded once (int / int is
     correctly rounded).  For e ≥ 1, cₑ = G⁽ᵉ⁾(j⁺)/e! is an (e−1)-fold
     backward difference of a lower-order B-spline over e!, so
@@ -104,24 +114,10 @@ def _band_pieces(k: int) -> np.ndarray:
     tab = np.empty((k + 1, k))
     for j in range(k):
         for e in range(k + 1):
-            num = sum((-1) ** i * math.comb(k, i) * (j - i) ** (k - e)
-                      for i in range(j + 1)) * math.comb(k, e)
+            num = trunc_power_sum(j, 1, k, k - e) * math.comb(k, e)
             tab[e, j] = ((kfac if e == 0 else 0) - num) / kfac
     tab.flags.writeable = False     # shared by every caller through the cache
     return tab
-
-
-def _ih_int_cdf(x: float, k: int) -> float:
-    """∫₀ˣ of the Irwin–Hall CDF in exact rationals, rounded once; x − k/2 past k."""
-    if x <= 0:
-        return 0.0
-    if x >= k:
-        return x - 0.5 * k
-    fx = Fraction(x)
-    acc = Fraction(0)
-    for j in range(math.floor(x) + 1):
-        acc += (-1) ** j * math.comb(k, j) * (fx - j) ** (k + 1)
-    return float(acc / math.factorial(k + 1))
 
 
 # ------------------------------------------------------------------- θ and Θ
@@ -140,20 +136,16 @@ def theta_eval(kern: SmoothingKernel, y):
     val = (ay <= 0.75 * kern.eps).astype(np.float64)
     band = np.flatnonzero((ay > 0.75 * kern.eps) & (ay < kern.eps))
     if band.size:
-        k = kern.k
+        k, tab = kern.k, _band_pieces(kern.k)
         w = (ay[band] - kern.a) / kern.delta
-        if k <= F64_MAX_K:
-            tab = _band_pieces(k)
-            j = np.clip(np.floor(w + 0.5 * k), 0, k - 1)
-            t = w - (j - 0.5 * k)
-            j = j.astype(np.intp)
-            acc = tab[k].take(j)
-            for e in range(k - 1, -1, -1):
-                acc *= t
-                acc += tab[e].take(j)
-            val[band] = np.clip(acc, 0.0, 1.0)
-        else:
-            val[band] = [1.0 - _ih_cdf_exact(float(u), k) for u in w + 0.5 * k]
+        j = np.clip(np.floor(w + 0.5 * k), 0, k - 1)
+        t = w - (j - 0.5 * k)
+        j = j.astype(np.intp)
+        acc = tab[k].take(j)
+        for e in range(k - 1, -1, -1):
+            acc *= t
+            acc += tab[e].take(j)
+        val[band] = np.clip(acc, 0.0, 1.0)
     if arr.ndim == 0:
         return float(val[0])
     return val.reshape(arr.shape)
@@ -175,8 +167,10 @@ def theta_antiderivative(kern: SmoothingKernel, y: float) -> float:
     if -plateau <= y <= plateau:
         return a + y
     if y < 0:
-        x = (y + a) / delta + 0.5 * k
-        return delta * _ih_int_cdf(min(x, float(k)), k)
+        # δ·∫₀ˣ G; the sum is 0 for x ≤ 0 and exactly k/2 at x = k
+        n, d = min((y + a) / delta + 0.5 * k, float(k)).as_integer_ratio()
+        return delta * float(Fraction(trunc_power_sum(n, d, k, k + 1),
+                                      d ** (k + 1) * math.factorial(k + 1)))
     return 2.0 * a - theta_antiderivative(kern, -y)
 
 

@@ -12,7 +12,6 @@ from linniklab.cfrac import (
     convergents_from_terms,
     named_cf_terms,
     verify_eq1,
-    x_for_q0,
 )
 from linniklab.errors import DomainError, PrecisionError
 
@@ -136,17 +135,3 @@ def test_certified_real_validation():
         convergents(certified_named("sqrt2"), 0)
     with pytest.raises(DomainError):
         Convergent(a=4, q=2, index=0)   # not in lowest terms
-
-
-def test_x_for_q0_residual():
-    for q in (10, 10**6):
-        x = x_for_q0(Convergent(a=1, q=q, index=0))
-        lx = math.log(x)
-        # defining equation in log-space: ln X − 22 ln ln X = 2 ln q
-        assert abs(lx - 22.0 * math.log(lx) - 2.0 * math.log(q)) <= 1e-10
-        assert lx > 22.0  # increasing branch
-
-
-def test_x_for_q0_domain():
-    with pytest.raises(DomainError):
-        x_for_q0(Convergent(a=1, q=1, index=0))

@@ -148,6 +148,24 @@ def test_kernel_over_budget_exits_before_the_grid(capsys):
     assert rc == 3 and out == "" and "Traceback" not in err
 
 
+_GAMMA_X100 = ("--x", "100", "--l1", "1.4", "--l2", "-1", "--l3", "-1.7",
+               "--eta", "0", "--eps", "2", "--lambda0", "0.1", "--k", "40")
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--eps", "0.1", "--k", "40", "--grid", "3", "--ymax", "0.09"),
+    ("gamma", "--mode", "smoothed", *_GAMMA_X100),
+    ("gamma", "--mode", "split", *_GAMMA_X100, "--d", "5"),
+], ids=["kernel", "smoothed", "split"])
+def test_band_theta_table_charged_against_work_budget(capsys, argv):
+    # θ's piece table at k = 40 is charged k⁴·bit_length(k) = 40⁴·6 before it
+    # is built, on top of (not summed with) any other charge
+    rc, out, _ = run(capsys, *argv, "--work-budget", str(40**4 * 6))
+    assert rc == 0 and out
+    rc, out, err = run(capsys, *argv, "--work-budget", str(40**4 * 6 - 1))
+    assert rc == 3 and out == "" and "budget" in err and "Traceback" not in err
+
+
 def test_kernel_fourier_golden(capsys):
     rc, out, _ = run(capsys, "kernel", "--eps", "1", "--k", "2", "--grid", "3",
                      "--fourier")
@@ -457,6 +475,8 @@ _ADVERSARIAL = [
     pytest.param(("kernel", "--eps", "0.1", "--ymax", "1e308"), {}, 2, id="kernel--ymax=1e308"),
     pytest.param(("kernel", "--eps", "0.1", "--k", "200", "--grid", "100000"), {}, 3,
                  id="kernel--k=200--grid=1e5"),
+    pytest.param(("kernel", "--eps", "0.1", "--k", "200", "--grid", "2", "--ymax", "0.09"),
+                 {}, 3, id="kernel--k=200--grid=2"),
     pytest.param(("hooley", "--x", "100", "--stat", "fomega", "--omega", "1e300"), {}, 2,
                  id="hooley--omega=1e300"),
     pytest.param(("singular", "--pmax", "100", "--dmax", "1e300"), {}, 3,

@@ -22,7 +22,7 @@ from linniklab.gamma import (
     hooley_f_omega,
     hooley_sigma_prime,
 )
-from linniklab.smoothing import F64_MAX_K, kernel_new, theta_eval
+from linniklab.smoothing import kernel_new, theta_eval
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
 
@@ -694,9 +694,9 @@ def test_volume_matches_frozen_quadrature():
 
 
 def test_volume_plateau_exact_past_f64_cutoff():
-    # no float64 path to fall back on: the rational sum is exact for any k
+    # the rational sum is exact for any k, well past the θ table's k = 25
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=240.0, x=100.0, lambda0=0.3)
-    assert b_j_volume(inst, kernel_new(240.0, F64_MAX_K + 5), (30.0, 100.0)) == 343000.0
+    assert b_j_volume(inst, kernel_new(240.0, 30), (30.0, 100.0)) == 343000.0
 
 
 # ------------------------------------------------------------- triple finder

@@ -8,7 +8,6 @@ import pytest
 from fourier_check import fourier_inverse_check
 from linniklab.errors import DomainError
 from linniklab.smoothing import (
-    F64_MAX_K,
     kernel_new,
     suggested_k,
     theta_antiderivative,
@@ -263,7 +262,7 @@ def _exact_kernel(k):
 
 def test_theta_band_within_1e15_of_exact():
     rng = random.Random(20261018)
-    for k in (1, 2, 4, 7, 11, 16, 20, 25):
+    for k in (1, 2, 4, 7, 11, 16, 20, 25, 26, 40, 60, 100):
         eps, kern = _exact_kernel(k)
         ys = [rng.uniform(0.75 * eps, eps) * rng.choice((-1.0, 1.0)) for _ in range(400)]
         for j in range(k + 1):  # every knot u = j and its neighbours
@@ -292,9 +291,9 @@ def test_antiderivative_exact_on_band():
 
 
 def test_exact_path_beyond_f64():
-    # k just past the float64 cutoff: plateau/support still exact, band value
-    # sane and within the f64-path neighborhood of the k−1 kernel
-    k = F64_MAX_K + 1
+    # plateau/support still exact at k = 26, band value within 1e-12 of the
+    # rational oracle
+    k = 26
     kern = kernel_new(1.0, k)
     assert theta_eval(kern, 0.5) == 1.0
     assert theta_eval(kern, 1.0) == 0.0
