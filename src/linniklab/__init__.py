@@ -23,7 +23,6 @@ from .gamma import (
     TripleWitness,
     b_j_volume,
     find_triples,
-    gamma3_reflect,
     gamma_sharp,
     gamma_smoothed,
     gamma_split,
@@ -42,8 +41,7 @@ __all__ = [
     "DomainError", "NumericError", "PrecisionError", "ResourceError",
     "bv_aggregate", "e_term", "i_j", "major_arc_gap", "minor_arc_report", "s_ld",
     "GammaBreakdown", "Instance", "TripleWitness", "b_j_volume", "find_triples",
-    "gamma3_reflect", "gamma_sharp", "gamma_smoothed", "gamma_split",
-    "hooley_f_omega", "hooley_sigma_prime",
+    "gamma_sharp", "gamma_smoothed", "gamma_split", "hooley_f_omega", "hooley_sigma_prime",
     "Schedule", "desk_schedule", "eps_positivity_report", "paper_schedule",
     "SmoothingKernel", "kernel_new", "suggested_k", "theta_eval", "theta_fourier",
     "__version__",

@@ -8,11 +8,11 @@ turn gives
     χ(n)   the non-principal character mod 4 (+1, −1, 0 for n ≡ 1, 3, 0 mod 2),
     r₂(n)  = 4·Σ_{d|n} χ(d), the number of ways to write n = m₁² + m₂²
              counting signs and order,
-    φ(n)   Euler's totient,
+    φ(n)   Euler's totient.
 
-and divisor enumeration.  Statistics over the divisors of every p − 1 go
-through ``divisor_sum``, which sums a weight array over the divisors of all
-n ≤ N at once; a divisor window is a weight array that is zero outside it.
+Statistics over the divisors of every p − 1 go through ``divisor_sum``, which
+sums a weight array over the divisors of all n ≤ N at once; a divisor window
+is a weight array that is zero outside it.
 
 A prime p is called a *Linnik prime* here when p − 1 = x² + y² has a
 solution in integers; r₂(p−1) > 0 is the equivalent character-sum test, and
@@ -264,15 +264,6 @@ def linnik_witness(p: int, table: PrimeTable) -> tuple[int, int] | None:
     wx, wy = table.witnesses
     x = int(wx[p - 1])
     return None if x < 0 else (x, int(wy[p - 1]))
-
-
-def divisors(n: int, table: PrimeTable) -> list[int]:
-    """All divisors of n, ascending."""
-    ds = [1]
-    for p, e in factorize(n, table):
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    ds.sort()
-    return ds
 
 
 def divisor_sum(w: np.ndarray, n_max: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from .arith import WORK_BUDGET, PrimeTable, euler_phi
 from .errors import DomainError, ResourceError
 
 _SPLITTER = 134217729.0   # 2**27 + 1, Dekker's constant for binary64
+_INT64_MAX = 2**63 - 1     # moduli are reduced against int64 primes
 
 
 def _two_prod(a, b):
@@ -47,8 +48,8 @@ def phase_mod1(alpha: float, y):
 def s_ld(table: PrimeTable, l: int, d: int, j: tuple[float, float],
          alpha: float) -> complex:
     """Σ e(αp)·ln p over primes p in (lo, hi] with p ≡ l (mod d)."""
-    if d < 1:
-        raise DomainError(f"modulus must be ≥ 1, got {d}")
+    if not 1 <= d <= _INT64_MAX:
+        raise DomainError(f"modulus must lie in [1, 2⁶³ − 1], got {d}")
     if math.gcd(l, d) != 1:
         raise DomainError(f"need gcd(l,d)=1, got l={l}, d={d}")
     lo, hi = j
@@ -97,8 +98,8 @@ def i_j(j: tuple[float, float], alpha: float) -> complex:
 
 def e_term(table: PrimeTable, x: float, q: int, a: int) -> float:
     """E(x;q,a) = Σ_{p ≤ x, p ≡ a (q)} ln p − x/φ(q), the progression error."""
-    if q < 1:
-        raise DomainError(f"modulus must be ≥ 1, got {q}")
+    if not 1 <= q <= _INT64_MAX:
+        raise DomainError(f"modulus must lie in [1, 2⁶³ − 1], got {q}")
     if math.gcd(a, q) != 1:
         raise DomainError(f"need gcd(a,q)=1, got a={a}, q={q}")
     if x <= 0 or x > table.limit:

@@ -47,10 +47,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .arith import (WORK_BUDGET, PrimeTable, chi, chi_vec, divisor_sum, divisors,
-                    linnik_witness, r2_bulk)
+from .arith import (WORK_BUDGET, PrimeTable, chi_vec, divisor_sum, linnik_witness,
+                    r2_bulk)
 from .errors import DomainError, NumericError, ResourceError
-from .smoothing import SmoothingKernel, check_table_budget, theta_eval, trunc_power_sum
+from .smoothing import SmoothingKernel, check_table_budget, theta_eval
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
 _CHUNK = 2**16             # live pairs per chunk; independent of thread count
@@ -493,28 +493,6 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
                           d=d_split, triple_count=count)
 
 
-def gamma3_reflect(p3: int, d_split: float, x: float, table: PrimeTable) -> dict:
-    """Large-divisor character sum vs its reflection to small complements.
-
-    d ≥ X/D and m = (p₃−1)/d ≤ (p₃−1)·D/X are the same condition, compared
-    here in exact rational arithmetic so both loops classify identically.
-    """
-    if p3 > x:
-        raise DomainError(f"need p3 ≤ X, got p3={p3}, X={x}")
-    if x > table.limit:
-        raise DomainError(f"X={x} exceeds table limit")
-    if not table.is_prime(p3):
-        raise DomainError(f"p3={p3} is not prime")
-    if not 1.0 < d_split < math.sqrt(x):
-        raise DomainError(f"need 1 < D < √X, got D={d_split}")
-    n = p3 - 1
-    fd, fx = Fraction(d_split), Fraction(x)
-    ds = divisors(n, table)
-    lhs = sum(chi(dv) for dv in ds if Fraction(dv) * fd >= fx)
-    rhs = sum(chi(n // m) for m in ds if Fraction(m) * fx <= n * fd)
-    return {"lhs": lhs, "rhs": rhs}
-
-
 # ------------------------------------------------------------- volume B_J(X)
 
 def _ih_h(u: Fraction, k: int) -> Fraction:
@@ -529,8 +507,9 @@ def _ih_h(u: Fraction, k: int) -> Fraction:
     if u >= k:
         w = u - Fraction(k, 2)
         return w * (4 * w * w + k) / 24
-    n, d = u.numerator, u.denominator
-    return Fraction(trunc_power_sum(n, d, k, k + 3), d ** (k + 3) * math.factorial(k + 3))
+    n, d, p = u.numerator, u.denominator, k + 3
+    h = sum((-1) ** j * math.comb(k, j) * (n - j * d) ** p for j in range(n // d + 1))
+    return Fraction(h, d ** p * math.factorial(p))
 
 
 def b_j_volume(inst: Instance, kern: SmoothingKernel, j: tuple[float, float],

@@ -123,7 +123,7 @@ def test_kernel_tsv_golden(capsys):
 
 
 def test_kernel_antiderivative_charged_against_work_budget(capsys):
-    # the README call costs grid·(k+1)·(k+2)² = 21·5·36 = 3780
+    # the README call's only charge is θ's piece table, k⁴·bit_length(k) = 4⁴·3
     argv = ("kernel", "--eps", "0.1", "--k", "4", "--grid", "21")
     rc, want, _ = run(capsys, *argv)
     assert rc == 0
@@ -131,9 +131,9 @@ def test_kernel_antiderivative_charged_against_work_budget(capsys):
     assert len(lines) == 22
     assert lines[4] == "-0.0875\t0.500000000000002\t0.00145833333333334"
     assert lines[18] == "0.0875\t0.499999999999999\t0.173541666666667"
-    rc, out, _ = run(capsys, *argv, "--work-budget", "3780")
+    rc, out, _ = run(capsys, *argv, "--work-budget", "768")
     assert rc == 0 and out == want
-    rc, out, err = run(capsys, *argv, "--work-budget", "3779")
+    rc, out, err = run(capsys, *argv, "--work-budget", "767")
     assert rc == 3 and out == "" and "--work-budget" in err
     # --fourier forms no antiderivative and is not charged
     rc, out, _ = run(capsys, "kernel", "--eps", "0.1", "--k", "4", "--grid", "2001",
@@ -477,6 +477,14 @@ _ADVERSARIAL = [
                  id="kernel--k=200--grid=1e5"),
     pytest.param(("kernel", "--eps", "0.1", "--k", "200", "--grid", "2", "--ymax", "0.09"),
                  {}, 3, id="kernel--k=200--grid=2"),
+    pytest.param(("kernel", "--eps", "0.1", "--grid", "100000000000"), {}, 3,
+                 id="kernel--grid=1e11"),
+    pytest.param(("kernel", "--eps", "0.1", "--fourier", "--grid", "100000000000"), {}, 3,
+                 id="kernel--fourier--grid=1e11"),
+    pytest.param(("expsum", "--x", "1e4", "--alpha", "0.1",
+                  "--d", "100000000000000000000000"), {}, 2, id="expsum--d=1e23"),
+    pytest.param(("eterm", "--x", "1e4", "--q", "100000000000000000000000", "--a", "1"),
+                 {}, 2, id="eterm--q=1e23"),
     pytest.param(("hooley", "--x", "100", "--stat", "fomega", "--omega", "1e300"), {}, 2,
                  id="hooley--omega=1e300"),
     pytest.param(("singular", "--pmax", "100", "--dmax", "1e300"), {}, 3,

@@ -15,7 +15,6 @@ from linniklab.gamma import (
     Instance,
     b_j_volume,
     find_triples,
-    gamma3_reflect,
     gamma_sharp,
     gamma_smoothed,
     gamma_split,
@@ -551,37 +550,6 @@ def test_clamped_edges_count_only_window_triples(table4):
     wits = find_triples(inst, table4, require_linnik=frozenset(), max_results=10**6)
     assert brute == len(wits) == 100
     assert gamma_sharp(inst, table4)[1] == 100
-
-
-# ---------------------------------------------------------------- reflection
-
-def test_reflect_hand_cases(table4):
-    rep = gamma3_reflect(13, 3.0, 13.0, table4)
-    assert rep["lhs"] == rep["rhs"]
-    rep2 = gamma3_reflect(3, 3.0, 13.0, table4)
-    assert rep2["lhs"] == rep2["rhs"]
-    # a case where both sides are nonzero: odd divisor 63 of 1008 is ≥ X/D
-    rep3 = gamma3_reflect(1009, 40.0, 2000.0, table4)
-    assert rep3["lhs"] == rep3["rhs"] == -1
-
-
-def test_reflect_random(table4):
-    rng = random.Random(42)
-    ps = [int(p) for p in table4.primes]
-    for _ in range(1000):
-        p3 = rng.choice(ps)
-        d = rng.uniform(1.01, 99.0)
-        rep = gamma3_reflect(p3, d, 1e4, table4)
-        assert rep["lhs"] == rep["rhs"], (p3, d)
-
-
-def test_reflect_validation(table4):
-    with pytest.raises(DomainError):
-        gamma3_reflect(15, 3.0, 100.0, table4)       # composite
-    with pytest.raises(DomainError):
-        gamma3_reflect(101, 3.0, 100.0, table4)      # p3 > X
-    with pytest.raises(DomainError):
-        gamma3_reflect(13, 11.0, 100.0, table4)      # D ≥ √X
 
 
 # -------------------------------------------------------------------- volume

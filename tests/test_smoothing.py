@@ -8,6 +8,7 @@ import pytest
 from fourier_check import fourier_inverse_check
 from linniklab.errors import DomainError
 from linniklab.smoothing import (
+    _band_pieces,
     kernel_new,
     suggested_k,
     theta_antiderivative,
@@ -276,18 +277,40 @@ def test_theta_band_within_1e15_of_exact():
 
 def test_antiderivative_exact_on_band():
     rng = random.Random(5)
-    for k in (4, 11, 25):
+    for k in (1, 2, 4, 7, 11, 25, 40, 60, 100):
         eps, kern = _exact_kernel(k)
         a, delta, half = 7 * Fraction(eps) / 8, Fraction(eps) / (4 * k), Fraction(k, 2)
-        for _ in range(60):
-            y = rng.uniform(0.75 * eps, eps)
+        ys = [rng.uniform(0.75 * eps, eps) for _ in range(60)]
+        # the array call is the scalar call, entry for entry
+        both = theta_antiderivative(kern, np.array([[-y, y] for y in ys]))
+        for y, (lo, hi) in zip(ys, both):
+            assert (lo, hi) == (theta_antiderivative(kern, -y), theta_antiderivative(kern, y))
             # ∫ over the left band of θ = G(u₊): δ·Σ (−1)ʲC(k,j)(u₊−j)₊ᵏ⁺¹/(k+1)!
             x = (-Fraction(y) + a) / delta + half
             left = delta * sum((-1) ** j * math.comb(k, j) * (x - j) ** (k + 1)
                                for j in range(math.floor(x) + 1)) / math.factorial(k + 1)
             tol = 2 * math.ulp(2 * kern.a)
-            assert abs(theta_antiderivative(kern, -y) - float(left)) <= tol, (k, y)
-            assert abs(theta_antiderivative(kern, y) - float(2 * a - left)) <= tol, (k, y)
+            assert abs(lo - float(left)) <= tol, (k, y)
+            assert abs(hi - float(2 * a - left)) <= tol, (k, y)
+
+
+def test_band_pieces_are_the_rounded_defining_sums():
+    # the Taylor-shift build against each coefficient's own truncated-power
+    # sum: θ's C(k,e)·Σᵢ≤ⱼ(−1)ⁱC(k,i)(j−i)ᵏ⁻ᵉ/k! and T's with k+1 in place of k
+    for k in range(1, 31):
+        theta, anti = _band_pieces(k)
+        assert theta.shape == (k + 1, k) and anti.shape == (k + 2, k)
+        kfac = math.factorial(k)
+        for j in range(k):
+            def tps(p):
+                return sum((-1) ** i * math.comb(k, i) * (j - i) ** p for i in range(j + 1))
+
+            for e in range(k + 1):
+                c = Fraction(math.comb(k, e) * tps(k - e), kfac)
+                assert theta[e, j] == float((e == 0) - c), (k, j, e)
+            for e in range(k + 2):
+                c = Fraction(math.comb(k + 1, e) * tps(k + 1 - e), kfac * (k + 1))
+                assert anti[e, j] == float(c), (k, j, e)
 
 
 def test_exact_path_beyond_f64():
