@@ -15,16 +15,17 @@ against the whole interval before a convergent is emitted.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath
+from .errors import DomainError, PrecisionError, ResourceError
 
-from .errors import DomainError, PrecisionError
-
-DEFAULT_PREC_BITS = 256
+_BITS = 296        # significant bits of a named constant's value
+_ERR_BITS = 264    # its claimed error is (|value| + 1)/2^_ERR_BITS
 
 NAMED = {"sqrt2", "sqrt3", "phi", "e"}
 
@@ -60,55 +61,48 @@ class Convergent:
             raise DomainError(f"convergent {self.a}/{self.q} not in lowest terms")
 
 
-@dataclass
-class ConvergentRun:
-    """Emitted convergents plus how the extraction stopped."""
+class ConvergentRun(list):
+    """Emitted convergents, in order, plus how the extraction stopped."""
 
-    convergents: list[Convergent]
-    terminated_rational: bool = False   # interval was one exact rational, fully expanded
-    precision_exhausted: bool = False   # interval stopped determining the next term
-
-    def __iter__(self) -> Iterator[Convergent]:
-        return iter(self.convergents)
-
-    def __len__(self) -> int:
-        return len(self.convergents)
-
-    def __getitem__(self, i):
-        return self.convergents[i]
+    terminated_rational = False   # interval was one exact rational, fully expanded
+    precision_exhausted = False   # interval stopped determining the next term
 
 
-def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    # int() everywhere: with a gmpy2-backed mpmath the mantissa/exponent are
-    # gmpy2.mpz, and Fractions holding mpz break Fraction-Fraction arithmetic
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)
-    if man == 0:
-        return Fraction(0)
-    f = Fraction(man) * (Fraction(2) ** exp)
-    return -f if sign else f
+def _digit_limit() -> int:
+    """Most decimal digits an int may have for int↔str conversion."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
-def certified_named(name: str, prec_bits: int = DEFAULT_PREC_BITS) -> CertifiedReal:
-    """√2, √3, the golden ratio, or e as a certified interval at prec_bits."""
+def _check_digits(idx: int, h: int, k: int, bound: int) -> None:
+    """Raise ResourceError once convergent idx = h/k reaches bound = 10^limit."""
+    if abs(h) >= bound or k >= bound:
+        raise ResourceError(
+            f"convergent {idx} has more than {_digit_limit()} digits; lower --count"
+        )
+
+
+def certified_named(name: str) -> CertifiedReal:
+    """√2, √3, the golden ratio, or e (optionally signed) as a certified
+    interval about its value rounded to nearest at _BITS significant bits."""
     key = name.lstrip("+-")
     if key not in NAMED:
         raise DomainError(f"unknown named constant {name!r}; known: {sorted(NAMED)}")
-    negative = name.startswith("-")
-    with mpmath.workprec(prec_bits + 40):
-        if key == "sqrt2":
-            v = mpmath.sqrt(2)
-        elif key == "sqrt3":
-            v = mpmath.sqrt(3)
-        elif key == "phi":
-            v = (1 + mpmath.sqrt(5)) / 2
-        else:
-            v = mpmath.e + 0
-    val = _mpf_to_fraction(v)
-    if negative:
+    f = _BITS - 1                       # fraction bits of a value in [1, 2)
+    if key == "e":                      # e ∈ [2, 4): Σ 1/k!, 64 guard bits
+        term, total, k = 1 << f - 1 + 64, 0, 0
+        while term:
+            total, k = total + term, k + 1
+            term //= k
+        val = Fraction((total + (1 << 63)) >> 64, 1 << f - 1)
+    else:                               # round(√n·2^m) = ⌊(⌊√(4n·4^m)⌋ + 1)/2⌋
+        n, m = {"sqrt2": (2, f), "sqrt3": (3, f), "phi": (5, f - 1)}[key]
+        val = Fraction((math.isqrt(n << 2 * m + 2) + 1) >> 1, 1 << m)
+        if key == "phi":                # √5 ∈ [2, 4); 1 + √5 < 4 loses no bit
+            val = (1 + val) / 2
+    if name.startswith("-"):
         val = -val
-    # computed to prec_bits+40 with ≤ 2 roundings; claim a far cruder bound
-    err = (abs(val) + 1) * Fraction(1, 2 ** (prec_bits + 8))
+    # rounded once at _BITS bits; claim a far cruder bound
+    err = (abs(val) + 1) * Fraction(1, 2 ** _ERR_BITS)
     return CertifiedReal(value=val, abs_error=err)
 
 
@@ -120,6 +114,16 @@ def certified_decimal(text: str) -> CertifiedReal:
         v, e = text.split("+-", 1)
     else:
         v, e = text, "0"
+    limit = _digit_limit()
+    for part in (v, e):
+        # an exponent of 10⁹ would have Fraction build 10^(10⁹)
+        _, sep, exp = part.lower().rpartition("e")
+        try:
+            too_big = bool(sep) and abs(int(exp)) > limit
+        except ValueError:      # not an exponent; Fraction rejects or reads it
+            continue
+        if too_big:
+            raise DomainError(f"exponent of {part.strip()!r} exceeds {limit} in magnitude")
     try:
         return CertifiedReal(value=Fraction(v.strip()), abs_error=Fraction(e.strip()))
     except (ValueError, ZeroDivisionError) as exc:
@@ -153,17 +157,21 @@ def named_cf_terms(name: str) -> Iterator[int]:
 
 
 def convergents_from_terms(terms: Iterator[int], count: int) -> list[Convergent]:
-    """Fold partial quotients through the standard recurrence h_k = a_k h_{k−1} + h_{k−2}."""
+    """Fold partial quotients through the standard recurrence h_k = a_k h_{k−1} + h_{k−2}.
+
+    Raises ResourceError once a numerator or denominator has more decimal
+    digits than int→str conversion allows, before any Convergent is built.
+    """
+    bound = 10 ** _digit_limit()
     h1, h2 = 1, 0
     k1, k2 = 0, 1
-    out: list[Convergent] = []
-    for idx, a in enumerate(terms):
-        if idx >= count:
-            break
+    fracs: list[tuple[int, int]] = []
+    for idx, a in enumerate(itertools.islice(terms, count)):
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
-        out.append(Convergent(a=h1, q=k1, index=idx))
-    return out
+        _check_digits(idx, h1, k1, bound)
+        fracs.append((h1, k1))
+    return [Convergent(a=h, q=k, index=i) for i, (h, k) in enumerate(fracs)]
 
 
 def convergents(x: CertifiedReal, max_count: int) -> ConvergentRun:
@@ -172,15 +180,17 @@ def convergents(x: CertifiedReal, max_count: int) -> ConvergentRun:
     Stops with terminated_rational when the interval is a single rational that
     has been fully expanded, and with precision_exhausted when the interval no
     longer pins down the next partial quotient.  Raises PrecisionError only
-    when even the first quotient is ambiguous.
+    when even the first quotient is ambiguous, and ResourceError as
+    convergents_from_terms does.
     """
     if max_count < 1:
         raise DomainError(f"max_count must be ≥ 1, got {max_count}")
     lo, hi = x.lo, x.hi
     exact = x.abs_error == 0
+    bound = 10 ** _digit_limit()
     h1, h2 = 1, 0
     k1, k2 = 0, 1
-    run = ConvergentRun(convergents=[])
+    run = ConvergentRun()
     for idx in range(max_count):
         a_lo = math.floor(lo)
         if a_lo != math.floor(hi):
@@ -193,13 +203,14 @@ def convergents(x: CertifiedReal, max_count: int) -> ConvergentRun:
         a = a_lo
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
+        _check_digits(idx, h1, k1, bound)
         conv = Fraction(h1, k1)
         sup = max(abs(x.lo - conv), abs(x.hi - conv))
         if not sup < Fraction(1, k1 * k1):
             # cannot certify |x − a/q| < 1/q² for the whole interval
             run.precision_exhausted = True
             return run
-        run.convergents.append(Convergent(a=h1, q=k1, index=idx))
+        run.append(Convergent(a=h1, q=k1, index=idx))
         flo, fhi = lo - a, hi - a
         if exact and flo == 0:
             run.terminated_rational = True

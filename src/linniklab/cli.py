@@ -9,7 +9,8 @@ runs and thread counts.  Exit codes: 0 success, 2 domain/usage error,
 Coefficients (--l1/--l2/--l3/--eta) accept plain decimals (`-1`, `0.25`),
 decimals with an explicit uncertainty (`1.4142135±1e-7`), or the named
 constants sqrt2, sqrt3, phi, e (optionally signed), which are resolved to
-certified 256-bit values.
+certified rationals.  Each is held as an exact rational and as its nearest
+float; the triple finder re-checks its candidates with the exact values.
 
 `_build_parser` declares each flag's type and default once; a `--config`
 file and LINNIKLAB_WORK_BUDGET only replace defaults of the subcommand,
@@ -24,7 +25,6 @@ import math
 import os
 import sys
 
-import mpmath
 import numpy as np
 
 from . import arith, cfrac, dirichlet, expsums, gamma, schedule, smoothing
@@ -62,23 +62,15 @@ def _emit_json(obj: dict):
 
 
 class _Coeff:
-    """A parsed coefficient: float working value + 256-bit certified value."""
+    """A parsed coefficient: float working value + exact certified value."""
 
     def __init__(self, text: str):
         s = text.strip()
         key = s.lstrip("+-")
         self.name = key if key in cfrac.NAMED else None
-        if self.name:
-            cert = cfrac.certified_named(s if not s.startswith("+") else key)
-        else:
-            cert = cfrac.certified_decimal(s)
+        cert = cfrac.certified_named(s) if self.name else cfrac.certified_decimal(s)
         self.value = float(cert.value)
-        if self.value == 0.0 and cert.value == 0:
-            self.hp = mpmath.mpf(0)
-        else:
-            with mpmath.workprec(256):
-                self.hp = (mpmath.mpf(cert.value.numerator)
-                           / cert.value.denominator)
+        self.hp = cert.value
 
 
 def _ratio_irrational(c1: _Coeff, c2: _Coeff, forced: bool) -> bool:
@@ -227,24 +219,25 @@ def cmd_cfrac(args) -> int:
         raise DomainError("exactly one of --name / --value is required")
     if count < 1:
         raise DomainError(f"--count must be ≥ 1, got {count}")
-    if args.pattern:
-        if name is None:
-            raise DomainError("--pattern needs --name (classical expansions only)")
-        convs = cfrac.convergents_from_terms(cfrac.named_cf_terms(name), count)
-    else:
-        cert = cfrac.certified_named(name) if name else cfrac.certified_decimal(value)
-        convs = list(cfrac.convergents(cert, count))
-    cert_v = None
-    if verify:
-        cert_v = cfrac.certified_named(name) if name else cfrac.certified_decimal(value)
-    hdr = "# index\ta\tq" + ("\tq2_err" if verify else "")
-    sys.stdout.write(hdr + "\n")
+    if args.pattern and name is None:
+        raise DomainError("--pattern needs --name (classical expansions only)")
+    cert = cfrac.certified_named(name) if name else cfrac.certified_decimal(value)
+    convs = (cfrac.convergents_from_terms(cfrac.named_cf_terms(name), count)
+             if args.pattern else cfrac.convergents(cert, count))
+    rows = ["# index\ta\tq" + ("\tq2_err" if verify else "")]
     for c in convs:
         row = f"{c.index}\t{c.a}\t{c.q}"
         if verify:
-            chk = cfrac.verify_eq1(cert_v, c)
-            row += "\t" + _g(chk["lhs"] * c.q * c.q)
-        sys.stdout.write(row + "\n")
+            try:
+                err = cfrac.verify_eq1(cert, c)["lhs"] * c.q * c.q
+            except OverflowError:       # q itself is past the float range
+                err = math.inf
+            if not math.isfinite(err):
+                raise PrecisionError(f"q²·|x - a/q| of convergent {c.index} is not "
+                                     f"a finite float; lower --count")
+            row += "\t" + _g(err)
+        rows.append(row)
+    sys.stdout.write("\n".join(rows) + "\n")
     return 0
 
 
@@ -578,7 +571,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="explicit solution triples with witnesses",
         description="Prime triples satisfying the inequality, each with the "
                     "two-squares witness for the constrained position(s); "
-                    "residuals re-verified at 256-bit precision.")
+                    "residuals re-verified exactly.")
     sp.add_argument("--require-linnik", dest="require_linnik", type=_int_list,
                     default="3",
                     help="comma list of positions that must be Linnik primes "

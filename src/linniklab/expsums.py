@@ -140,12 +140,16 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
     for q in range(1, q_max + 1):
         best = 0.0
         phi = euler_phi(q, table)
+        # each residue class is a slice of one stable sort, in prime order
         res = np.mod(ps, q)
+        order = np.argsort(res, kind="stable")
+        cuts = np.searchsorted(res[order], np.arange(q + 1)).tolist()
+        pq, wq = psf[order], ws[order]
         for a in range(1, q + 1):
             if math.gcd(a, q) != 1:
                 continue
-            mask = res == a % q if q > 1 else slice(None)
-            pr, wr = psf[mask], ws[mask]
+            lo, hi = cuts[a % q], cuts[a % q + 1]
+            pr, wr = pq[lo:hi], wq[lo:hi]
             s = np.zeros(len(wr) + 1)
             np.cumsum(wr, out=s[1:])
             cand = abs(s[-1] - x / phi)

@@ -41,10 +41,9 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .arith import (WORK_BUDGET, PrimeTable, chi_vec, divisor_sum, linnik_witness,
@@ -68,7 +67,7 @@ class Instance:
     x: float
     lambda0: float = 0.5
     ratio_irrational: bool = False   # caller's pledge that λ₁/λ₂ is irrational
-    hp_coeffs: tuple | None = None   # optional 256-bit (λ₁, λ₂, λ₃, η)
+    hp_coeffs: tuple | None = None   # exact (λ₁, λ₂, λ₃, η); default the floats
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "eta", "eps", "x", "lambda0"):
@@ -82,6 +81,12 @@ class Instance:
             raise DomainError(f"lambda0 must lie in (0,1), got {self.lambda0}")
         if self.x <= 0:
             raise DomainError(f"X must be positive, got {self.x}")
+        hp = self.hp_coeffs or (self.lambda1, self.lambda2, self.lambda3, self.eta)
+        try:
+            l1, l2, l3, eta = map(Fraction, hp)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"hp_coeffs must be 4 finite rationals: {exc}") from None
+        object.__setattr__(self, "hp_coeffs", (l1, l2, l3, eta))
 
     @property
     def theorem_mode(self) -> bool:
@@ -100,15 +105,7 @@ class GammaBreakdown:
     triple_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "gamma0": self.gamma0,
-            "g1": self.g1,
-            "g2": self.g2,
-            "g3": self.g3,
-            "d": self.d,
-            "triple_count": self.triple_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -571,9 +568,9 @@ def find_triples(inst: Instance, table: PrimeTable,
     """Concrete triples with |λ₁p₁+λ₂p₂+λ₃p₃+η| < ε, p₃ (optionally p₁,p₂)
     a Linnik prime; sorted by |residual|, ties by (p1,p2,p3).
 
-    Every candidate surviving the float scan is re-verified at 256-bit
-    precision before being returned; its stored residual comes from that
-    recomputation.
+    Every candidate surviving the float scan is re-verified exactly, in
+    integers over the common denominator of hp_coeffs and ε; its stored
+    residual is the exact one, correctly rounded.
     """
     if not require_linnik <= {1, 2, 3}:
         raise DomainError(f"require_linnik must be ⊆ {{1,2,3}}, got {require_linnik}")
@@ -602,34 +599,28 @@ def find_triples(inst: Instance, table: PrimeTable,
     p3h = eng.p3_sorted[inner]
     order = np.lexsort((p3h, p2h, p1h, np.abs(res)))
 
+    exact = (*inst.hp_coeffs, Fraction(inst.eps))
+    den = math.lcm(*(v.denominator for v in exact))
+    n1, n2, n3, n_eta, n_eps = (v.numerator * (den // v.denominator) for v in exact)
     out: list[TripleWitness] = []
-    with mpmath.workprec(256):
-        if inst.hp_coeffs is not None:
-            lam = [mpmath.mpf(v) for v in inst.hp_coeffs[:3]]
-            eta = mpmath.mpf(inst.hp_coeffs[3])
-        else:
-            lam = [mpmath.mpf(inst.lambda1), mpmath.mpf(inst.lambda2),
-                   mpmath.mpf(inst.lambda3)]
-            eta = mpmath.mpf(inst.eta)
-        eps = mpmath.mpf(inst.eps)
-        for idx in order:
-            if len(out) >= max_results:
-                break
-            q1, q2, q3 = int(p1h[idx]), int(p2h[idx]), int(p3h[idx])
-            r_hp = lam[0] * q1 + lam[1] * q2 + lam[2] * q3 + eta
-            if not abs(r_hp) < eps:
-                continue
-            wit3 = linnik_witness(q3, table)
-            if wit3 is None:
-                if 3 in require_linnik:
-                    raise NumericError(f"mask said p3={q3} is Linnik but no witness")
-                wit3 = (-1, -1)
-            out.append(TripleWitness(
-                p1=q1, p2=q2, p3=q3, x=wit3[0], y=wit3[1],
-                residual=float(r_hp),
-                witness1=linnik_witness(q1, table) if 1 in require_linnik else None,
-                witness2=linnik_witness(q2, table) if 2 in require_linnik else None,
-            ))
+    for idx in order:
+        if len(out) >= max_results:
+            break
+        q1, q2, q3 = int(p1h[idx]), int(p2h[idx]), int(p3h[idx])
+        r = n1 * q1 + n2 * q2 + n3 * q3 + n_eta
+        if not abs(r) < n_eps:
+            continue
+        wit3 = linnik_witness(q3, table)
+        if wit3 is None:
+            if 3 in require_linnik:
+                raise NumericError(f"mask said p3={q3} is Linnik but no witness")
+            wit3 = (-1, -1)
+        out.append(TripleWitness(
+            p1=q1, p2=q2, p3=q3, x=wit3[0], y=wit3[1],
+            residual=r / den,     # int true division rounds correctly
+            witness1=linnik_witness(q1, table) if 1 in require_linnik else None,
+            witness2=linnik_witness(q2, table) if 2 in require_linnik else None,
+        ))
     return out
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from fourier_check import fourier_inverse_check
 from linniklab.arith import r2_bulk, sieve_primes
+from linniklab.cfrac import certified_named
 from linniklab.dirichlet import chi_phi_partial, f_zero, linnik_constant, \
     linnik_empirical, n_s
 from linniklab.expsums import major_arc_gap, minor_arc_report, s_ld
@@ -315,8 +316,7 @@ def test_criterion_09_divisor_statistics(table4, table6, capsys):
 
 
 def _hp_coeffs():
-    with mpmath.workprec(256):
-        return (mpmath.sqrt(2), mpmath.mpf(-1), -mpmath.sqrt(3), mpmath.mpf(0))
+    return (certified_named("sqrt2").value, -1, certified_named("-sqrt3").value, 0)
 
 
 def _reverify_256(wits, eps):

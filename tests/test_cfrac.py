@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from linniklab.cfrac import (
@@ -13,7 +15,7 @@ from linniklab.cfrac import (
     named_cf_terms,
     verify_eq1,
 )
-from linniklab.errors import DomainError, PrecisionError
+from linniklab.errors import DomainError, PrecisionError, ResourceError
 
 
 def test_interval_extraction_matches_cf_patterns():
@@ -116,8 +118,49 @@ def test_determinism():
     assert [(c.a, c.q) for c in a] == [(c.a, c.q) for c in b]
 
 
+def test_certified_named_is_mpmath_rounding_at_296_bits():
+    # oracle: mpmath's round-to-nearest values at 296 bits, read exactly
+    def exact(v):
+        man, exp = v.man_exp
+        return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+    with mpmath.workprec(296):
+        oracle = {"sqrt2": mpmath.sqrt(2), "sqrt3": mpmath.sqrt(3),
+                  "phi": (1 + mpmath.sqrt(5)) / 2, "e": mpmath.e + 0}
+    for key, v in oracle.items():
+        for sign, name in ((1, key), (-1, "-" + key)):
+            got = certified_named(name)
+            assert got.value == sign * exact(v), name
+            assert got.abs_error == (abs(got.value) + 1) / 2 ** 264
+
+
+def test_decimal_exponent_bounded_before_the_fraction_is_built():
+    assert certified_decimal("1e-4300").value == Fraction(1, 10 ** 4300)
+    assert certified_decimal("2.5E+3±1e-2").value == 2500
+    for text in ("1e4301", "1e-1000000000", "1±1e-5000", "1E+1_0000"):
+        with pytest.raises(DomainError, match="exponent"):
+            certified_decimal(text)
+
+
+def test_pattern_convergents_stop_before_unprintable_digits():
+    # √2's numerators 1, 3, 7, 17, …: index n is the first past 640 digits
+    h, h_prev, n = 1, 1, 0
+    while h < 10 ** 640:
+        h, h_prev, n = 2 * h + h_prev, h, n + 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        convs = convergents_from_terms(named_cf_terms("sqrt2"), n)
+        assert len(str(convs[-1].a)) == 640
+        for count in (n + 1, 10 ** 9):
+            with pytest.raises(ResourceError, match=f"convergent {n} "):
+                convergents_from_terms(named_cf_terms("sqrt2"), count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_certified_value_types_plain_int():
-    # regression: a gmpy2-backed mpmath must not leak mpz into the Fractions
+    # the value holds plain ints, so Fraction-Fraction arithmetic works
     x = certified_named("sqrt2")
     assert type(x.value.numerator) is int
     assert type(x.value.denominator) is int

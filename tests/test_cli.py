@@ -282,6 +282,22 @@ def test_triples_golden_and_determinism(capsys):
     assert out2 == out1
 
 
+def test_triples_exact_zero_residual_prints_zero(capsys):
+    # 1.4·p1 − p2 − 1.7·p3 + 0.3 = (14·p1 − 10·p2 − 17·p3 + 3)/10: the exact
+    # re-check prints 0 on exactly the rows where the numerator vanishes
+    with pytest.warns(UserWarning):
+        rc, out, _ = run(capsys, "triples", "--l1", "1.4", "--l2", "-1", "--l3", "-1.7",
+                         "--eta", "0.3", "--eps", "0.5", "--x", "3000", "--lambda0", "0.1",
+                         "--require-linnik=", "--max-results", "100000")
+    assert rc == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert ["601", "313", "311", "-1", "-1", "0"] in rows
+    zero = [(14 * int(p1) - 10 * int(p2) - 17 * int(p3) + 3 == 0, res == "0")
+            for p1, p2, p3, _, _, res in rows]
+    assert all(a == b for a, b in zero)
+    assert sum(a for a, _ in zero) == 821
+
+
 def test_triples_named_coefficients_no_warning(capsys, recwarn):
     rc, out, _ = run(capsys, "triples", "--l1", "sqrt2", "--l2", "-1",
                      "--l3=-sqrt3", "--eta", "0", "--eps", "0.01",
@@ -396,19 +412,30 @@ def test_config_file(capsys, tmp_path):
     assert json.loads(out)["eps"] == 0.5
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.integrate alone costs most of a CLI call's start-up; the library
-    # must not import scipy at all
+def _modules_after_cli_import(pkg: str) -> str:
+    """The modules of pkg that `import linniklab.cli` loads, from a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, linniklab.cli, linniklab; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            f"if m == {pkg!r} or m.startswith({pkg + '.'!r})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.integrate alone costs most of a CLI call's start-up; the library
+    # must not import scipy at all
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_mpmath():
+    # every certified value is a Fraction or an int; numpy is the only
+    # runtime dependency
+    assert _modules_after_cli_import("mpmath") == "[]"
 
 
 def test_subprocess_smoke():
@@ -489,6 +516,19 @@ _ADVERSARIAL = [
                  id="hooley--omega=1e300"),
     pytest.param(("singular", "--pmax", "100", "--dmax", "1e300"), {}, 3,
                  id="singular--dmax=1e300"),
+    # convergents past the float range or past int→str's digit limit
+    pytest.param(("cfrac", "--name", "sqrt2", "--pattern", "--count", "1000", "--verify"),
+                 {}, 2, id="cfrac--pattern--count=1000--verify"),
+    pytest.param(("cfrac", "--name", "sqrt2", "--pattern", "--count", "12000"), {}, 3,
+                 id="cfrac--pattern--count=12000"),
+    pytest.param(("cfrac", "--name", "sqrt2", "--pattern", "--count", "1000000000"), {}, 3,
+                 id="cfrac--pattern--count=1e9"),
+    # decimal exponents that would build 10^(10⁷) or more
+    pytest.param(("gamma", "--mode", "sharp", "--x", "100", "--l1", "1e-10000000",
+                  "--l2", "-1", "--l3", "-1", "--eps", "1"), {}, 2, id="gamma--l1=1e-10000000"),
+    pytest.param(("gamma", "--mode", "sharp", *_INSTANCE, "--x", "100", "--eta", "1e10000000"),
+                 {}, 2, id="gamma--eta=1e10000000"),
+    pytest.param(("cfrac", "--value", "1e-1000000000"), {}, 2, id="cfrac--value=1e-1000000000"),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from linniklab import gamma as gamma_mod
 from linniklab.arith import r2_bulk, sieve_primes
+from linniklab.cfrac import certified_named
 from linniklab.errors import DomainError, NumericError, ResourceError
 from linniklab.gamma import (
     Instance,
@@ -701,8 +702,9 @@ def test_find_triples_all_positions_linnik(table4):
 def test_find_triples_sorted_by_residual(table4):
     with mpmath.workprec(256):
         hp = (mpmath.sqrt(2), mpmath.mpf(-1), -mpmath.sqrt(3), mpmath.mpf(0))
+    exact = (certified_named("sqrt2").value, -1, certified_named("-sqrt3").value, 0)
     inst = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e4, lambda0=0.5,
-                    ratio_irrational=True, hp_coeffs=hp)
+                    ratio_irrational=True, hp_coeffs=exact)
     wits = find_triples(inst, table4, max_results=50)
     assert len(wits) >= 1
     resid = [abs(w.residual) for w in wits]
@@ -827,6 +829,19 @@ def test_instance_validation(table4):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="finite"):
                 Instance(**{**good, key: bad})
+
+
+def test_instance_hp_coeffs_exact_rationals():
+    good = dict(lambda1=1.0, lambda2=-1.0, lambda3=-1.0, eta=0.0, eps=0.5, x=30.0)
+    inst = Instance(**good, hp_coeffs=("1.0000000000000000001", -1, 0.5, Fraction(1, 3)))
+    assert inst.hp_coeffs == (Fraction(10 ** 19 + 1, 10 ** 19), -1, Fraction(1, 2),
+                              Fraction(1, 3))
+    assert all(type(v) is Fraction for v in inst.hp_coeffs)
+    assert Instance(**{**good, "eta": 0.1}).hp_coeffs == (1, -1, -1, Fraction(0.1))
+    for bad in ((mpmath.mpf(1), -1, -1, 0), (1, -1, -1, math.nan),
+                (1, -1, -1, math.inf), (1, -1, -1), (1, -1, -1, 0, 0), (1, -1, -1, "abc")):
+        with pytest.raises(DomainError, match="hp_coeffs"):
+            Instance(**good, hp_coeffs=bad)
 
 
 def test_theorem_mode_flag():
