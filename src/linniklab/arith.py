@@ -73,14 +73,16 @@ class PrimeTable:
 
     def prime_count(self, x: float) -> int:
         """π(x) for x ≤ limit."""
-        return int(np.searchsorted(self.primes, x, side="right"))
+        return self.prime_slice(0, x).stop
 
     def chebyshev_theta(self, x: float) -> float:
         """θ(x) = Σ_{p ≤ x} ln p."""
         return float(self.log_cumsum[self.prime_count(x)])
 
     def prime_slice(self, lo: float, hi: float) -> slice:
-        """Index slice of primes in the half-open interval (lo, hi]."""
+        """Index slice of primes in the half-open interval (lo, hi], hi ≤ limit."""
+        if hi > self.limit:
+            raise DomainError(f"{hi} exceeds the table limit {self.limit}")
         i = int(np.searchsorted(self.primes, lo, side="right"))
         j = int(np.searchsorted(self.primes, hi, side="right"))
         return slice(i, j)

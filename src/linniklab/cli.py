@@ -12,9 +12,10 @@ constants sqrt2, sqrt3, phi, e (optionally signed), which are resolved to
 certified rationals.  Each is held as an exact rational and as its nearest
 float; the triple finder re-checks its candidates with the exact values.
 
-`_build_parser` declares each flag's type and default once; a `--config`
-file and LINNIKLAB_WORK_BUDGET only replace defaults of the subcommand,
-so argparse checks their values exactly as it checks flags.
+`_build_parser` declares each flag's type and default once, on the
+subcommands that read it; a `--config` file and LINNIKLAB_WORK_BUDGET only
+replace defaults of flags the subcommand has, so argparse checks their
+values exactly as it checks flags.
 """
 
 from __future__ import annotations
@@ -159,14 +160,14 @@ def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; precedence of a value is flag > environment > config > built-in."""
     parser, subs = _build_parser()
     args = parser.parse_args(argv)
-    sp = subs[args.cmd]
-    defaults = _config_defaults(sp, _load_config(args.config)) if args.config else {}
+    cfg = _load_config(args.config) if args.config else {}
     env = os.environ.get(ENV_WORK_BUDGET)
     if env is not None:
-        defaults["work_budget"] = env
+        cfg["work_budget"] = env
+    defaults = _config_defaults(subs[args.cmd], cfg)
     if not defaults:
         return args
-    sp.set_defaults(**defaults)
+    subs[args.cmd].set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -440,12 +441,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     num = _finite_float
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying flag defaults")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for pair scans (default 1)")
-    common.add_argument("--work-budget", dest="work_budget", type=_positive_int,
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the pair scan (default 1)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--work-budget", dest="work_budget", type=_positive_int,
                         default=arith.WORK_BUDGET,
-                        help=f"max pair evaluations (default {arith.WORK_BUDGET}; "
-                             f"env {ENV_WORK_BUDGET})")
+                        help=f"cap on work: pair evaluations, the build of θ's "
+                             f"table (kernel, gamma), Q·π(X) (bvsum) (default "
+                             f"{arith.WORK_BUDGET}; env {ENV_WORK_BUDGET})")
 
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--x", type=num)
@@ -498,7 +502,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="append q²·|x - a/q| per row")
 
     sp = sub.add_parser(
-        "kernel", parents=[common],
+        "kernel", parents=[common, budget],
         help="smoothed window function tables",
         description="Tabulate the C^k smoothed window θ (plateau on "
                     "[-3ε/4, 3ε/4], support (-ε, ε)) or, with --fourier, its "
@@ -534,7 +538,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--a", type=int)
 
     sp = sub.add_parser(
-        "bvsum", parents=[common],
+        "bvsum", parents=[common, budget],
         help="aggregated worst-case progression error",
         description="Σ_{q≤Q} max over residues and y ≤ X of |E(y;q,a)|, "
                     "the quantity the large-sieve machinery controls on "
@@ -553,7 +557,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--alpha", type=num, help="defaults to a/q")
 
     sp = sub.add_parser(
-        "gamma", parents=[common, instance],
+        "gamma", parents=[common, threads, budget, instance],
         help="weighted triple counts",
         description="Weighted counts over prime triples with "
                     "|λ₁p₁+λ₂p₂+λ₃p₃+η| small: sharp window, smoothed "
@@ -567,7 +571,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--j-hi", dest="j_hi", type=num, help="default X")
 
     sp = sub.add_parser(
-        "triples", parents=[common, instance],
+        "triples", parents=[common, threads, budget, instance],
         help="explicit solution triples with witnesses",
         description="Prime triples satisfying the inequality, each with the "
                     "two-squares witness for the constrained position(s); "

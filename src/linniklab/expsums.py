@@ -55,8 +55,6 @@ def s_ld(table: PrimeTable, l: int, d: int, j: tuple[float, float],
     lo, hi = j
     if not lo < hi:
         raise DomainError(f"empty range J=({lo}, {hi}]")
-    if hi > table.limit:
-        raise DomainError(f"range end {hi} exceeds table limit {table.limit}")
     if not math.isfinite(alpha):
         raise DomainError(f"α must be finite, got {alpha}")
     sl = table.prime_slice(lo, hi)
@@ -98,12 +96,13 @@ def i_j(j: tuple[float, float], alpha: float) -> complex:
 
 def e_term(table: PrimeTable, x: float, q: int, a: int) -> float:
     """E(x;q,a) = Σ_{p ≤ x, p ≡ a (q)} ln p − x/φ(q), the progression error."""
-    if not 1 <= q <= _INT64_MAX:
-        raise DomainError(f"modulus must lie in [1, 2⁶³ − 1], got {q}")
+    if not 1 <= q <= table.limit:
+        raise DomainError(f"modulus q={q} must lie in [1, {table.limit}]: φ(q) "
+                          f"is read off the sieve")
     if math.gcd(a, q) != 1:
         raise DomainError(f"need gcd(a,q)=1, got a={a}, q={q}")
-    if x <= 0 or x > table.limit:
-        raise DomainError(f"x must lie in (0, {table.limit}], got {x}")
+    if x <= 0:
+        raise DomainError(f"x must be positive, got {x}")
     n = table.prime_count(x)
     ps = table.primes[:n]
     if q > 1:
@@ -121,13 +120,14 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
     inner sup is attained at a prime (approached from either side) or at
     y = X; those O(π(X)) candidates are scanned in full.
     """
-    if q_max < 0:
-        raise DomainError(f"Q must be ≥ 0, got {q_max}")
-    if x <= 0 or x > table.limit:
-        raise DomainError(f"X must lie in (0, {table.limit}], got {x}")
+    if not 0 <= q_max <= table.limit:
+        raise DomainError(f"modulus bound Q={q_max} must lie in [0, {table.limit}]: "
+                          f"φ(q) is read off the sieve")
+    if x <= 0:
+        raise DomainError(f"X must be positive, got {x}")
+    n = table.prime_count(x)
     if q_max == 0:
         return 0.0
-    n = table.prime_count(x)
     if q_max * n > work_budget:
         raise ResourceError(
             f"Q·π(X) = {q_max * n:.3e} exceeds the work budget "
@@ -170,8 +170,8 @@ def major_arc_gap(table: PrimeTable, x: float, alpha: float,
     delta, when given, is the major-arc radius of the active schedule; the
     report flags |α| > delta but never raises for it.
     """
-    if x <= 0 or x > table.limit:
-        raise DomainError(f"X must lie in (0, {table.limit}], got {x}")
+    if x <= 0:
+        raise DomainError(f"X must be positive, got {x}")
     if not 0.0 < lambda0 < 1.0:
         raise DomainError("lambda0 must lie in (0,1)")
     j = (lambda0 * x, x)
@@ -199,8 +199,8 @@ def minor_arc_report(table: PrimeTable, x: float, a: int, q: int,
         raise DomainError("a must be a nonzero integer (α near 0 is major-arc)")
     if math.gcd(abs(a), q) != 1:
         raise DomainError(f"need gcd(a,q)=1, got a={a}, q={q}")
-    if x <= 1 or x > table.limit:
-        raise DomainError(f"X must lie in (1, {table.limit}], got {x}")
+    if x <= 1:
+        raise DomainError(f"X must exceed 1, got {x}")
     if abs(alpha - a / q) > 1.0 / (q * q):
         raise DomainError(
             f"α={alpha!r} is not within 1/q² of a/q = {a}/{q}"

@@ -123,8 +123,6 @@ class TripleWitness:
 # ------------------------------------------------------------------ plumbing
 
 def _range_primes(inst: Instance, table: PrimeTable) -> np.ndarray:
-    if inst.x > table.limit:
-        raise DomainError(f"X={inst.x} exceeds table limit {table.limit}")
     sl = table.prime_slice(inst.lambda0 * inst.x, inst.x)
     return table.primes[sl]
 
@@ -629,8 +627,6 @@ def find_triples(inst: Instance, table: PrimeTable,
 def hooley_sigma_prime(table: PrimeTable, x: float, d_split: float,
                        lambda0: float = 0.0) -> int:
     """Σ over λ₀X < p ≤ X of (Σ_{d|p−1, D<d<X/D} χ(d))² — exact integer."""
-    if x > table.limit:
-        raise DomainError(f"X={x} exceeds table limit")
     if not 1.0 < d_split < math.sqrt(x):
         raise DomainError(f"need 1 < D < √X, got D={d_split}")
     if not 0.0 <= lambda0 < 1.0:
@@ -649,8 +645,6 @@ def hooley_f_omega(table: PrimeTable, x: float, omega: float) -> int:
     """Count primes p ≤ X whose p−1 has a divisor in (√X·ln⁻ᵂX, √X·lnᵂX)."""
     if not 0 < omega < math.inf:
         raise DomainError(f"omega must be positive and finite, got {omega}")
-    if x > table.limit:
-        raise DomainError(f"X={x} exceeds table limit")
     lx = math.log(x)
     try:
         lo = math.sqrt(x) * lx ** (-omega)

@@ -9,17 +9,17 @@ The asymptotic schedule is
     ε   = (ln ln X)⁷/(ln X)^{θ₀}
     H   = (ln X)²/ε         Fourier truncation height
 
-Every field is computed in log-space and stored both ways, so X up to 10³⁰⁰
-stays representable.  The punchline the report has to make visible: ε(X) > 1
-for every X a computer will ever touch (ln ε = 7·ln ln ln X − θ₀·ln ln X is
-concave in ln ln X and positive at both ends of [100, 10³⁰⁰]), so inequality
-experiments need desk-mode overrides with a small ε.
+Each paper-mode field is computed in log-space and exponentiated once, so
+X up to 10³⁰⁰ stays representable.  The punchline the report has to make visible:
+ε(X) > 1 for every X a computer will ever touch (ln ε = 7·ln ln ln X −
+θ₀·ln ln X is concave in ln ln X and positive at both ends of [100, 10³⁰⁰]),
+so inequality experiments need desk mode with a small ε.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 
@@ -37,25 +37,9 @@ class Schedule:
     eps: float
     h: float
     mode: str                      # "paper" | "desk"
-    log_x: float
-    log_q0_sq: float
-    log_d: float
-    log_delta: float
-    log_eps: float
-    log_h: float
-    overrides: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "q0_sq": self.q0_sq,
-            "d": self.d,
-            "delta": self.delta,
-            "theta0": self.theta0,
-            "eps": self.eps,
-            "h": self.h,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def paper_schedule(x: float) -> Schedule:
@@ -64,26 +48,16 @@ def paper_schedule(x: float) -> Schedule:
         raise DomainError(f"paper schedule needs finite X > e^e ≈ 15.154, got {x}")
     lx = math.log(x)
     llx = math.log(lx)
-    log_q0_sq = lx - 22.0 * llx
-    log_d = 0.5 * lx - 52.0 * llx
-    log_delta = 23.0 * llx - lx
     log_eps = 7.0 * math.log(llx) - THETA0 * llx
-    log_h = 2.0 * llx - log_eps
     return Schedule(
         x=x,
-        q0_sq=math.exp(log_q0_sq),
-        d=math.exp(log_d),
-        delta=math.exp(log_delta),
+        q0_sq=math.exp(lx - 22.0 * llx),
+        d=math.exp(0.5 * lx - 52.0 * llx),
+        delta=math.exp(23.0 * llx - lx),
         theta0=THETA0,
         eps=math.exp(log_eps),
-        h=math.exp(log_h),
+        h=math.exp(2.0 * llx - log_eps),
         mode="paper",
-        log_x=lx,
-        log_q0_sq=log_q0_sq,
-        log_d=log_d,
-        log_delta=log_delta,
-        log_eps=log_eps,
-        log_h=log_h,
     )
 
 
@@ -113,15 +87,10 @@ def desk_schedule(
             f"got D={d} with √X={sqrt_x:.6g}"
         )
     lx = math.log(x)
-    overrides = {"d": d, "eps": eps}
     if h is None:
         h = lx * lx / eps
-    else:
-        overrides["h"] = h
     if delta is None:
         delta = min(lx**23 / x, 1.0)
-    else:
-        overrides["delta"] = delta
     if h <= 0 or delta <= 0:
         raise DomainError("H and Delta must be positive")
     return Schedule(
@@ -133,13 +102,6 @@ def desk_schedule(
         eps=eps,
         h=h,
         mode="desk",
-        log_x=lx,
-        log_q0_sq=lx - 22.0 * math.log(lx),
-        log_d=math.log(d),
-        log_delta=math.log(delta),
-        log_eps=math.log(eps),
-        log_h=math.log(h),
-        overrides=overrides,
     )
 
 

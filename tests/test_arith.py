@@ -197,6 +197,11 @@ def test_prime_table_basics(table4):
     assert list(table4.primes[sl]) == [11, 13]
     sl = table4.prime_slice(6.9, 13.0)
     assert list(table4.primes[sl]) == [7, 11, 13]
+    # past the sieve's reach a count would silently stop at π(limit)
+    for reach in (lambda: table4.prime_slice(0.0, 10**4 + 0.5),
+                  lambda: table4.prime_count(10**4 + 1)):
+        with pytest.raises(DomainError, match="table limit 10000"):
+            reach()
 
 
 def test_chebyshev_theta(table4):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from linniklab.cli import main
+from linniklab.cli import _build_parser, main
 
 SCHEDULE_DESK_GOLDEN = (
     '{"x": 100000.0, "q0_sq": 4.50728223331559e-19, "d": 100.0, "delta": 1.0, '
@@ -382,7 +383,12 @@ def test_hooley_non_finite_x_exits_2(capsys):
     (("singular", "--pmax", "1e4", "--dmax", "abc"), "--dmax"),
     (("kernel", "--eps", "nan"), "finite"),
     (("kernel", "--eps", "0.1", "--ymax", "nan"), "--ymax"),
-], ids=["missing-config", "dmax-not-a-number", "eps-nan", "ymax-nan"])
+    # φ(q) is read off the sieve of X, so a larger modulus is refused up front
+    (("bvsum", "--x", "7", "--q-max", "12"), "modulus bound Q=12 must lie in [0, 7]"),
+    (("eterm", "--x", "100", "--q", "1000", "--a", "1"),
+     "modulus q=1000 must lie in [1, 100]"),
+], ids=["missing-config", "dmax-not-a-number", "eps-nan", "ymax-nan",
+        "bvsum-modulus-over-limit", "eterm-modulus-over-limit"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, needle):
     argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]
     rc, out, err = run(capsys, *argv)
@@ -400,6 +406,16 @@ def test_exit_code_resource_errors(capsys, monkeypatch):
     # explicit flag outranks the environment
     rc, out, _ = run(capsys, *argv, "--work-budget", "100000000")
     assert rc == 0 and json.loads(out)["triple_count"] >= 0
+
+
+def test_work_budget_env_ignored_without_the_flag(capsys, monkeypatch):
+    want = run(capsys, "schedule", "--x", "1e12")
+    monkeypatch.setenv("LINNIKLAB_WORK_BUDGET", "nan")
+    assert want[0] == 0 and run(capsys, "schedule", "--x", "1e12") == want
+    # the scan flags are not accepted where nothing would read them
+    for flag in ("--threads", "--work-budget"):
+        rc, out, _ = run(capsys, "schedule", "--x", "1e12", flag, "2")
+        assert rc == 2 and out == ""
 
 
 def test_config_file(capsys, tmp_path):
@@ -538,6 +554,61 @@ def test_adversarial_input_exits_cleanly(capsys, monkeypatch, argv, env, want):
         monkeypatch.setenv(k, v)
     rc, out, err = run(capsys, *argv)
     assert rc == want and out == "" and "Traceback" not in err
+
+
+# valid argvs that together take every mode of each subcommand
+_MODES = {
+    "schedule": (("--x", "1e12"),
+                 ("--x", "1e5", "--mode", "desk", "--d", "100", "--eps", "0.01",
+                  "--h", "5", "--delta", "0.5"),
+                 ("--eps-report", "--x-lo", "1e3", "--x-hi", "1e10")),
+    "cfrac": (("--name", "sqrt2", "--pattern", "--count", "5"),
+              ("--value", "1.5", "--verify")),
+    "kernel": (("--eps", "0.1", "--k", "2", "--grid", "5", "--ymax", "0.2"),
+               ("--eps", "0.1", "--grid", "5", "--fourier", "--xmax", "10")),
+    "expsum": (("--x", "1000", "--alpha", "0.1", "--delta", "0.01"),
+               ("--x", "1000", "--alpha", "0.1", "--lo", "10", "--hi", "500",
+                "--l", "1", "--d", "4")),
+    "eterm": (("--x", "100", "--q", "4", "--a", "1"),),
+    "bvsum": (("--x", "100", "--q-max", "3"),),
+    "minorarc": (("--x", "1000", "--a", "1", "--q", "5"),
+                 ("--x", "1000", "--a", "1", "--q", "5", "--alpha", "0.2")),
+    "gamma": tuple(("--mode", mode, "--x", "100", *_INSTANCE, *extra) for mode, extra in (
+        ("sharp", ("--threads", "2")), ("smoothed", ("--k", "2")),
+        ("split", ("--d", "3")), ("volume", ("--j-lo", "60", "--j-hi", "90")))),
+    "triples": (("--x", "30", *_INSTANCE, "--ratio-irrational",
+                 "--require-linnik", "1,3", "--max-results", "5"),),
+    "hooley": (("--x", "100", "--d", "5", "--lambda0", "0.5"),
+               ("--x", "100", "--stat", "fomega", "--omega", "10")),
+    "singular": (("--pmax", "100", "--s", "1", "--dmax", "50", "--checkpoints", "10,50"),),
+    "linnik": (("--x", "100"), ("--x", "100", "--empirical")),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_MODES))
+def test_every_declared_flag_is_read(capsys, monkeypatch, cmd):
+    reads = set()
+
+    class Spy(argparse.Namespace):
+        # logs the attributes read once parsing has finished
+        def __getattribute__(self, name):
+            if object.__getattribute__(self, "__dict__").get("_parsed"):
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    parse = argparse.ArgumentParser.parse_args
+
+    def spy_parse(self, args=None, namespace=None):
+        ns = parse(self, args, Spy())
+        ns._parsed = True
+        return ns
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy_parse)
+    for argv in _MODES[cmd]:
+        rc, _, err = run(capsys, cmd, *argv)
+        assert rc == 0, (argv, err)
+    declared = {a.dest for a in _build_parser()[1][cmd]._actions if a.dest != "help"}
+    assert declared - reads == set()
 
 
 def test_non_finite_report_exits_3(capsys, monkeypatch):

@@ -23,20 +23,24 @@ def test_theta0_value():
 
 
 def test_paper_schedule_defining_equations():
-    # each field satisfies its defining formula to 1e-12 relative, in log space
+    # each printed field satisfies its defining formula to 1e-12 relative, in
+    # log space
     for x in (1e3, 1e6, 1e12, 1e100):
         s = paper_schedule(x)
+        assert s.mode == "paper"
         lx = math.log(x)
         llx = math.log(lx)
-        assert abs(s.log_q0_sq - (lx - 22 * llx)) <= 1e-12 * max(1, abs(s.log_q0_sq))
-        assert abs(s.log_d - (lx / 2 - 52 * llx)) <= 1e-12 * max(1, abs(s.log_d))
-        assert abs(s.log_delta - (23 * llx - lx)) <= 1e-12 * max(1, abs(s.log_delta))
+        log_q0_sq, log_d, log_delta, log_eps, log_h = (
+            math.log(v) for v in (s.q0_sq, s.d, s.delta, s.eps, s.h))
+        assert abs(log_q0_sq - (lx - 22 * llx)) <= 1e-12 * max(1, abs(log_q0_sq))
+        assert abs(log_d - (lx / 2 - 52 * llx)) <= 1e-12 * max(1, abs(log_d))
+        assert abs(log_delta - (23 * llx - lx)) <= 1e-12 * max(1, abs(log_delta))
         want_eps = 7 * math.log(llx) - THETA0 * llx
-        assert abs(s.log_eps - want_eps) <= 1e-12 * max(1, abs(want_eps))
+        assert abs(log_eps - want_eps) <= 1e-12 * max(1, abs(want_eps))
         # Delta * X / (ln X)^23 == 1, as a log-space identity
-        assert abs(s.log_delta + lx - 23 * llx) <= 1e-9
+        assert abs(log_delta + lx - 23 * llx) <= 1e-9
         # H = (ln X)^2 / eps
-        assert abs(s.log_h - (2 * llx - s.log_eps)) <= 1e-12 * max(1, abs(s.log_h))
+        assert abs(log_h - (2 * llx - log_eps)) <= 1e-12 * max(1, abs(log_h))
 
 
 def test_paper_eps_against_mpmath_oracle():
@@ -51,19 +55,10 @@ def test_paper_eps_against_mpmath_oracle():
     assert s.eps > 1  # far above 1 at desk scale
 
 
-def test_paper_schedule_float_fields_consistent():
-    s = paper_schedule(1e6)
-    assert s.mode == "paper"
-    for name in ("q0_sq", "d", "delta", "eps", "h"):
-        logv = getattr(s, "log_" + name)
-        v = getattr(s, name)
-        assert abs(v - math.exp(logv)) <= 1e-12 * v
-
-
 def test_paper_schedule_huge_x_no_overflow():
     s = paper_schedule(1e300)
-    assert math.isfinite(s.log_q0_sq) and math.isfinite(s.log_d)
-    assert s.log_q0_sq > 0 and s.log_d > 0
+    assert math.isfinite(s.q0_sq) and math.isfinite(s.d)
+    assert s.q0_sq > 1 and s.d > 1
     assert s.eps > 1
 
 
@@ -79,22 +74,22 @@ def test_monotonicity_in_x():
     prev = paper_schedule(xs[0])
     for x in xs[1:]:
         cur = paper_schedule(x)
-        assert cur.log_q0_sq > prev.log_q0_sq
+        assert cur.q0_sq > prev.q0_sq
         if prev.x >= 1e46:
-            assert cur.log_d > prev.log_d
+            assert cur.d > prev.d
         prev = cur
 
 
 def test_schedule_turning_points():
     # below the stationary points both fields still *decrease* in X
-    assert paper_schedule(1e7).log_q0_sq < paper_schedule(1e6).log_q0_sq
-    assert paper_schedule(1e12).log_d < paper_schedule(1e6).log_d
+    assert paper_schedule(1e7).q0_sq < paper_schedule(1e6).q0_sq
+    assert paper_schedule(1e12).d < paper_schedule(1e6).d
     # stationary points bracketed: q0_sq at ln X = 22, D at ln X = 104
-    assert paper_schedule(3.6e9).log_q0_sq < min(
-        paper_schedule(1e9).log_q0_sq, paper_schedule(1e10).log_q0_sq
+    assert paper_schedule(3.6e9).q0_sq < min(
+        paper_schedule(1e9).q0_sq, paper_schedule(1e10).q0_sq
     )
-    assert paper_schedule(1.5e45).log_d < min(
-        paper_schedule(1e44).log_d, paper_schedule(1e46).log_d
+    assert paper_schedule(1.5e45).d < min(
+        paper_schedule(1e44).d, paper_schedule(1e46).d
     )
 
 
@@ -104,8 +99,11 @@ def test_desk_schedule_defaults_and_overrides():
     assert abs(s.h - math.log(1e5) ** 2 / 0.01) <= 1e-12 * s.h
     assert s.delta == min(math.log(1e5) ** 23 / 1e5, 1.0)
     s2 = desk_schedule(1e4, 50.0, 0.1, h=123.0, delta=0.25)
+    assert s2.d == 50.0 and s2.eps == 0.1
     assert s2.h == 123.0 and s2.delta == 0.25
-    assert "h" in s2.overrides and "delta" in s2.overrides
+    # the given H and Delta replace the asymptotic defaults
+    assert s2.h != math.log(1e4) ** 2 / 0.1
+    assert s2.delta != min(math.log(1e4) ** 23 / 1e4, 1.0)
 
 
 def test_desk_schedule_validation():

@@ -19,17 +19,16 @@ from linniklab.smoothing import (
 
 
 def _uniform_sum_cdf(x: Fraction, k: int) -> Fraction:
-    # CDF of a sum of k iid U[0,1]: (1/k!) Σ_j (−1)^j C(k,j) (x−j)₊^k
+    # CDF of a sum of k iid U[0,1]: (1/k!) Σ_j (−1)^j C(k,j) (x−j)₊^k; with
+    # x = n/d that is Σ_{j ≤ n/d} (−1)^j C(k,j) (n − j·d)^k / (k!·d^k), summed
+    # in integers and divided once
     if x <= 0:
         return Fraction(0)
     if x >= k:
         return Fraction(1)
-    acc = Fraction(0)
-    j = 0
-    while j <= x:
-        acc += (-1) ** j * math.comb(k, j) * (x - j) ** k
-        j += 1
-    return acc / math.factorial(k)
+    n, d = x.numerator, x.denominator
+    acc = sum((-1) ** j * math.comb(k, j) * (n - j * d) ** k for j in range(n // d + 1))
+    return Fraction(acc, math.factorial(k) * d**k)
 
 
 def _theta_exact(y: Fraction, eps: Fraction, k: int) -> Fraction:
