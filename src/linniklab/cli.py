@@ -442,7 +442,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying flag defaults")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1,
+    threads.add_argument("--threads", type=_positive_int, default=1,
                          help="worker threads for the pair scan (default 1)")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--work-budget", dest="work_budget", type=_positive_int,

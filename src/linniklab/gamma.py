@@ -15,22 +15,30 @@ cutting the divisor range at D and X/D:
 The identity is exact term by term, so it survives any floating threshold
 choice; checking it to 1e−9 relative is the engine's primary self-test.
 
-Algorithm: sort {λ₃p₃} once with prefix sums of the p₃ weights; a
-(p₁,p₂) pair then reduces to two lookups of its window edges in that sorted
-column.  A lookup reads a bucket table over the λ₃p₃ range, built once per
-engine in O(P₃), and settles the entries of the key's own bucket with a
-few exact compares.  A pair can have a triple in its window only if
-−(λ₁p₁ + λ₂p₂ + η) lies within ε of the λ₃p₃ range; λ₂p₂ is monotone, so
-for each p₁ these p₂ form one run, found for all p₁ by two vectorised
-searches.  Only the L pairs of these runs are looked up,
-O(P log P + P₃ + L) in all for P = π(X) − π(λ₀X).  Each Γ call, and the
-triple finder, makes one sweep over the live pairs: the window bounds of a
-chunk feed the sharp prefix-sum total, the triple count, the θ-weighted
-columns and the collected hits together.  The live pairs, row after row,
-are cut into chunks of a fixed count, independent of the thread count;
-their partial sums are combined in chunk order with exact compensated
-summation, so results are bit-identical for any thread count.  Each worker
-bounds its chunks into scratch arrays it keeps from chunk to chunk.
+Algorithm: the three primes play alike in the window, so the engine may
+sort any one slot's λᵢpᵢ and pair up the other two; it sorts the slot whose
+scan has the fewest live pairs (below), ties going to p₃, then p₂, and
+takes weights and returns hits in the caller's slots.  Say it sorts
+{λ₃p₃}, with prefix sums of the p₃ weights; a (p₁,p₂) pair then reduces
+to two lookups of its window edges in that sorted column.  A lookup reads
+a bucket table over the λ₃p₃ range, built once per engine in O(P₃), and
+settles the entries of the key's own bucket with a few exact compares.  A
+pair can have a triple in its window only if −(λ₁p₁ + λ₂p₂ + η) lies
+within ε of the λ₃p₃ range; λ₂p₂ is monotone, so for each p₁ these p₂
+form one run, found for all p₁ by two vectorised searches.  Only the L
+pairs of these runs are looked up, O(P log P + P₃ + L) in all for
+P = π(X) − π(λ₀X).  A Linnik mask shortens its slot: the finder at
+X = 1e6 with only p₃ masked has L = 4.45e6 sorting λ₃p₃ and 4.4e5 sorting
+λ₂p₂, with p₃ on a pair slot.  Each Γ call, and the triple finder, makes
+one sweep over the live pairs: the window bounds of a chunk feed the sharp
+prefix-sum total, the triple count, the θ-weighted columns and the
+collected hits together.  A hit's residual is formed in the caller's
+association whichever slot is sorted, so θ and the finder's order see the
+same floats.  The live pairs, row after row, are cut into chunks of a
+fixed count, independent of the thread count; their partial sums are
+combined in chunk order with exact compensated summation, so results are
+bit-identical for any thread count.  Each worker bounds its chunks into
+scratch arrays it keeps from chunk to chunk.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +61,7 @@ from .smoothing import SmoothingKernel, check_table_budget, theta_eval
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
 _CHUNK = 2**16             # live pairs per chunk; independent of thread count
+_HIT_BLOCK = 2**13         # window hits per block of a chunk's hit arrays (64 KiB)
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,101 @@ def _range_primes(inst: Instance, table: PrimeTable) -> np.ndarray:
     return table.primes[sl]
 
 
+def _slot_primes(inst: Instance, table: PrimeTable, masks) -> list[np.ndarray]:
+    """The primes of (λ₀X, X] of each slot, each through its mask if any."""
+    base = _range_primes(inst, table)
+    if base.size == 0:
+        raise DomainError(
+            f"no primes in ({inst.lambda0 * inst.x:.6g}, {inst.x:.6g}]"
+        )
+    return [base if m is None else base[m] for m in masks]
+
+
+def _scan_keys(inst: Instance, p1, p2, p3):
+    """λ₁p₁, −(λ₁p₁ + η), λ₂p₂ and λ₃p₃ as the scan forms them, and mag.
+
+    Every float the scan forms lies within mag of 0.
+    """
+    l1p1 = inst.lambda1 * p1.astype(np.float64)
+    na = -(l1p1 + inst.eta)
+    l2p2 = inst.lambda2 * p2.astype(np.float64)
+    z = inst.lambda3 * p3.astype(np.float64)
+    mag = (float(np.max(np.abs(na), initial=0.0)) + float(np.max(np.abs(l2p2), initial=0.0))
+           + inst.eps + float(np.max(np.abs(z), initial=0.0)))
+    return l1p1, na, l2p2, z, mag
+
+
+def _run_ends(inst: Instance, na, l2p2, z_lo: float, z_hi: float, mag: float):
+    """Ends [a, b) of the live run of p₂ columns of every p₁ row.
+
+    A pair can have a λ₃p₃ in its window only if z_lo < −c + ε and
+    −c − ε < z_hi, that is  na − z_hi − ε < λ₂p₂ < na − z_lo + ε  with
+    na = −(λ₁p₁+η); λ₂p₂ is monotone in p₂, so these p₂ are one run.  Every
+    float step of the scan and of the two thresholds rounds by at most an
+    ulp of mag, and a clamped edge moves by at most two, so widening the
+    thresholds by 1024 ulps of mag leaves lo == hi for every pair outside
+    the run.  When 4·mag overflows no margin is provable: whole rows.
+    """
+    if not math.isfinite(4.0 * mag):
+        return np.zeros(len(na), np.intp), np.full(len(na), len(l2p2), np.intp)
+    eps, delta = inst.eps, 1024.0 * float(np.spacing(mag))
+    sgn = 1.0 if inst.lambda2 > 0 else -1.0
+    t_lo = sgn * (na - z_hi - eps - delta)
+    t_hi = sgn * (na - z_lo + eps + delta)
+    key = sgn * l2p2                           # ascending in p₂
+    return (key.searchsorted(np.minimum(t_lo, t_hi), side="left"),
+            key.searchsorted(np.maximum(t_lo, t_hi), side="right"))
+
+
+def _sorting(s: int) -> tuple[int, int, int]:
+    """The slot order that sorts the caller's slot s: s and slot 3 exchanged."""
+    perm = [0, 1, 2]
+    perm[s], perm[2] = 2, s
+    return tuple(perm)
+
+
+def _pick_slot(inst: Instance, ps) -> int:
+    """The caller's slot (0-based) to sort: the one with the fewest live pairs.
+
+    The three primes play alike in |λ₁p₁ + λ₂p₂ + λ₃p₃ + η| < ε, so any
+    slot s may be the sorted one: exchanging λₛ with λ₃ (and the masks
+    with them) gives an instance with the same triples.  For each s the
+    live count is that of `_run_ends` over the other two slots' keys ps;
+    the least wins, ties going to p₃, then p₂.  The choice reads only the
+    instance and the masked primes, never the thread count.
+    """
+    live = {}
+    for s in (2, 1, 0):
+        perm = _sorting(s)
+        swapped = _permuted(inst, perm)
+        _, na, l2p2, z, mag = _scan_keys(swapped, *(ps[i] for i in perm))
+        a, b = _run_ends(swapped, na, l2p2, float(z.min()), float(z.max()), mag)
+        live[s] = int((b - a).sum())
+    return min((2, 1, 0), key=live.__getitem__)
+
+
+def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None),
+                     work_budget: int = WORK_BUDGET) -> _Engine:
+    """The engine that sorts the slot `_pick_slot` names.
+
+    The engine's slot k holds the caller's slot perm[k]; its scan takes
+    weights and returns hits in the caller's slots.  The pair budget is
+    charged against the caller's P₁·P₂, before any slot is sorted.
+    """
+    ps = _slot_primes(inst, table, masks)
+    _check_pair_budget(len(ps[0]), len(ps[1]), work_budget)
+    perm = _sorting(_pick_slot(inst, ps))
+    return _Engine(_permuted(inst, perm), table, *(masks[i] for i in perm), perm=perm)
+
+
+def _permuted(inst: Instance, perm) -> Instance:
+    """inst with its slot k taken from the caller's slot perm[k]."""
+    lams = (inst.lambda1, inst.lambda2, inst.lambda3)
+    hp = inst.hp_coeffs
+    return replace(inst, lambda1=lams[perm[0]], lambda2=lams[perm[1]],
+                   lambda3=lams[perm[2]], hp_coeffs=(*(hp[i] for i in perm), hp[3]))
+
+
 def _check_pair_budget(n1: int, n2: int, work_budget: int):
     if n1 * n2 > work_budget:
         raise ResourceError(
@@ -174,39 +278,30 @@ class _Scratch:
 
 
 class _Engine:
-    """Shared state for one pair scan: sorted λ₃p₃ and aligned p₃ columns."""
+    """Shared state for one pair scan: sorted λ₃p₃ and aligned p₃ columns.
+
+    inst may be a caller's instance with two slots exchanged; perm[k] names
+    the caller's slot that the engine's slot k holds (see _oriented_engine).
+    """
 
     def __init__(self, inst: Instance, table: PrimeTable,
-                 p1_mask=None, p2_mask=None, p3_mask=None):
-        base = _range_primes(inst, table)
-        if base.size == 0:
-            raise DomainError(
-                f"no primes in ({inst.lambda0 * inst.x:.6g}, {inst.x:.6g}]"
-            )
+                 p1_mask=None, p2_mask=None, p3_mask=None, *, perm=(0, 1, 2)):
         self.inst = inst
-        self.p1 = base if p1_mask is None else base[p1_mask]
-        self.p2 = base if p2_mask is None else base[p2_mask]
-        self.p3 = base if p3_mask is None else base[p3_mask]
-        self.w1 = np.log(self.p1.astype(np.float64))
-        self.w2 = np.log(self.p2.astype(np.float64))
-        z = inst.lambda3 * self.p3.astype(np.float64)
+        self.perm = perm       # the caller's slot of each of p1, p2, p3
+        self.p1, self.p2, self.p3 = _slot_primes(inst, table, (p1_mask, p2_mask, p3_mask))
+        self.l1p1, self.na, self.l2p2, z, self.mag = _scan_keys(
+            inst, self.p1, self.p2, self.p3)
         order = np.argsort(z, kind="stable")
         self.zs = z[order]
         self.p3_sorted = self.p3[order]
         self.order = order
-        self.na = -(inst.lambda1 * self.p1.astype(np.float64) + inst.eta)
-        self.l2p2 = inst.lambda2 * self.p2.astype(np.float64)
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
         c_mag = (abs(inst.lambda1) * float(np.max(self.p1, initial=0))
                  + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
         self.clamp = inst.eps <= 2.0 * float(np.spacing(c_mag))
-        # every float the scan forms lies within mag of 0; when 4·mag
-        # overflows, keys may be ±inf or NaN: runs() keeps whole rows and
-        # _bounds falls back to searchsorted
-        self.mag = (float(np.max(np.abs(self.na), initial=0.0))
-                    + float(np.max(np.abs(self.l2p2), initial=0.0))
-                    + inst.eps + float(np.max(np.abs(self.zs), initial=0.0)))
+        # when 4·mag overflows, keys may be ±inf or NaN: runs() keeps whole
+        # rows and _bounds falls back to searchsorted
         self.finite = math.isfinite(4.0 * self.mag)
         self.tab = None
         if self.finite:
@@ -278,26 +373,9 @@ class _Engine:
 
         Row i's run holds the cum[i+1] − cum[i] columns off[i] + k for
         cum[i] ≤ k < cum[i+1]; k numbers the live pairs row after row.
-        A pair can have lo < hi only if zs[0] < −c + ε and −c − ε < zs[−1],
-        that is  na − zs[−1] − ε < λ₂p₂ < na − zs[0] + ε  with na = −(λ₁p₁+η);
-        λ₂p₂ is monotone in p₂, so these p₂ are one run.  Every float step of
-        the scan and of the two thresholds rounds by at most an ulp of mag,
-        and a clamped edge moves by at most two, so widening the thresholds
-        by 1024 ulps of mag leaves lo == hi for every pair outside the run.
         """
-        n1, n2 = len(self.na), len(self.l2p2)
-        zs, eps = self.zs, self.inst.eps
-        if self.finite:
-            delta = 1024.0 * float(np.spacing(self.mag))
-            sgn = 1.0 if self.inst.lambda2 > 0 else -1.0
-            t_lo = sgn * (self.na - zs[-1] - eps - delta)
-            t_hi = sgn * (self.na - zs[0] + eps + delta)
-            key = sgn * self.l2p2                  # ascending in p₂
-            a = key.searchsorted(np.minimum(t_lo, t_hi), side="left")
-            b = key.searchsorted(np.maximum(t_lo, t_hi), side="right")
-        else:   # a magnitude overflows: no margin is provable, keep whole rows
-            a, b = np.zeros(n1, np.intp), np.full(n1, n2, np.intp)
-        cum = np.zeros(n1 + 1, np.int64)
+        a, b = _run_ends(self.inst, self.na, self.l2p2, self.zs[0], self.zs[-1], self.mag)
+        cum = np.zeros(len(a) + 1, np.int64)
         np.cumsum(b - a, out=cum[1:])
         return a - cum[:-1], cum
 
@@ -333,41 +411,60 @@ class _Engine:
         if self.clamp:
             np.maximum(edge, np.nextafter(nc, np.inf), out=edge)
         self._search(edge, "left", hi, buf)
+        if not self.finite:
+            # both edges +inf (or −inf) against an infinite zs entry give
+            # hi < lo; such a window is empty
+            np.maximum(hi, lo, out=hi)
         return rows, cols, nc, lo, hi
 
-    def scan(self, pref: np.ndarray | None = None, cols=(),
-             kern: SmoothingKernel | None = None, threads: int = 1,
-             collect: bool = False):
+    def scan(self, sharp=None, cols=None, kern: SmoothingKernel | None = None,
+             threads: int = 1, collect: bool = False):
         """One sweep over the live (p₁,p₂) pairs, each chunk bounded once.
 
-        Returns (prefix_total, triple_count, col_totals, hits):
-        prefix_total is Σ pairweight·(pref[hi] − pref[lo]) (None without
-        pref); col_totals holds one θ-weighted Σ over the in-window triples
-        per column of cols (kern required); hits, with collect=True, are
-        the flat arrays (p1, p2, inner-sorted-index, residual) in (p₁, p₂)
-        order.  Hits are enumerated only for cols or collect, and only then
-        count against HITS_BUDGET: each chunk's, and with collect the
-        running total of those kept.
+        Weights and hits are in the caller's slots (see perm).  sharp is a
+        weight triple (w₁, w₂, w₃); cols is one too, except that one of its
+        slots holds a list of vectors, one per θ-weighted column.  Returns
+        (sharp_total, triple_count, col_totals, hits): sharp_total is
+        Σ w₁·w₂·w₃ over the in-window triples, read off the prefix sums of
+        the sorted slot's weights (None without sharp); col_totals holds
+        Σ θ(residual)·w₁·w₂·w₃ per column of cols (kern required); hits,
+        with collect=True, are the flat arrays (p1, p2, p3, residual) in
+        the engine's (p₁, p₂) order.  A hit's residual is
+        fl(λ₃p₃) − (fl(−(fl(λ₁p₁) + η)) − fl(λ₂p₂)) in the caller's slots,
+        the same floats whichever slot is sorted.  Hits are enumerated only
+        for cols or collect, and only then count against HITS_BUDGET: each
+        chunk's, and with collect the running total of those kept.
         """
-        enumerate_hits = bool(cols) or collect
+        perm, eta = self.perm, self.inst.eta
+        n_cols = 0
+        if cols is not None:
+            cols = [cols[i] for i in perm]
+            many = next(k for k, w in enumerate(cols) if isinstance(w, list))
+            n_cols = len(cols[many])
+            z = ([self.sorted_col(w) for w in cols[2]] if many == 2
+                 else self.sorted_col(cols[2]))
+        enumerate_hits = n_cols > 0 or collect
         off, cum = self.runs()
         lock, kept = threading.Lock(), [0]
+        if sharp is not None:
+            w1, w2, w3 = (sharp[i] for i in perm)
+            pref = self.prefix(self.sorted_col(w3))
 
         def do(k0, k1, buf):
             rows, i2, nc, lo, hi = self._bounds(off, cum, k0, k1, buf)
             val = None
-            if pref is not None:
+            if sharp is not None:
                 pw, win = buf.pw[:k1 - k0], buf.win[:k1 - k0]
                 np.take(pref, hi, out=win, mode="clip")
                 np.subtract(win, np.take(pref, lo, out=pw, mode="clip"), out=win)
-                np.take(self.w1, rows, out=pw, mode="clip")
-                np.multiply(pw, np.take(self.w2, i2, out=buf.edge[:k1 - k0], mode="clip"),
+                np.take(w1, rows, out=pw, mode="clip")
+                np.multiply(pw, np.take(w2, i2, out=buf.edge[:k1 - k0], mode="clip"),
                             out=pw)
                 val = float(np.sum(np.multiply(pw, win, out=win)))
             cnt = np.subtract(hi, lo, out=hi)
             tot = int(cnt.sum())
             if not enumerate_hits or tot == 0:
-                return val, tot, [0.0] * len(cols), None
+                return val, tot, [0.0] * n_cols, None
             if tot > HITS_BUDGET:
                 raise ResourceError(
                     f"{tot:.2e} window hits in one chunk exceeds the hits budget"
@@ -382,26 +479,56 @@ class _Engine:
                     )
             nz = np.flatnonzero(cnt)
             reps = cnt[nz]
-            starts = np.cumsum(reps) - reps
-            inner = np.repeat(lo[nz] - starts, reps) + np.arange(tot, dtype=np.int64)
-            res = self.zs[inner] - np.repeat(nc[nz], reps)
-            i1, i2 = rows[nz], i2[nz]
-            sums = []
-            if cols:
-                base = theta_eval(kern, res) * np.repeat(self.w1[i1] * self.w2[i2], reps)
-                sums = [float(np.sum(base * col[inner])) for col in cols]
+            # whole pairs in blocks of about _HIT_BLOCK hits: the temporaries
+            # of all 25k hits of a chunk at split-1e5 at once were each
+            # served from fresh pages, 1.2e5 minor faults per call
+            ends = np.cumsum(reps)
+            cuts = [0, *ends.searchsorted(np.arange(_HIT_BLOCK, tot, _HIT_BLOCK),
+                                          side="right").tolist(), len(nz)]
+            blocks = [hit_block(nz[a:b], reps[a:b], rows, i2, lo)
+                      for a, b in zip(cuts, cuts[1:]) if a < b]
+            sums = [math.fsum(b[0][i] for b in blocks) for i in range(n_cols)]
             hits = None
             if collect:
-                hits = (np.repeat(self.p1[i1], reps), np.repeat(self.p2[i2], reps),
-                        inner, res)
+                hits = tuple(np.concatenate([b[1][i] for b in blocks]) for i in range(4))
             return val, tot, sums, hits
+
+        def hit_block(nz, reps, rows, i2, lo):
+            starts = np.cumsum(reps) - reps
+            inner = np.repeat(lo[nz] - starts, reps) + np.arange(int(reps.sum()))
+            i1, i2 = rows[nz], i2[nz]
+            v = [None] * 3
+            v[perm[0]] = np.repeat(self.l1p1[i1], reps)
+            v[perm[1]] = np.repeat(self.l2p2[i2], reps)
+            v[perm[2]] = self.zs[inner]
+            res = v[2] - (-(v[0] + eta) - v[1])
+            sums = []
+            if n_cols:
+                # the slots that all columns share are multiplied once
+                th = theta_eval(kern, res)
+                if many == 2:
+                    fixed = th * np.repeat(cols[0][i1] * cols[1][i2], reps)
+                    sums = [float(np.sum(fixed * w[inner])) for w in z]
+                else:
+                    shared, own = (i1, i2)[1 - many], (i1, i2)[many]
+                    fixed = th * np.repeat(cols[1 - many][shared], reps) * z[inner]
+                    ih = np.repeat(own, reps)
+                    sums = [float(np.sum(fixed * w[ih])) for w in cols[many]]
+            hits = None
+            if collect:
+                ps = [None] * 3
+                ps[perm[0]] = np.repeat(self.p1[i1], reps)
+                ps[perm[1]] = np.repeat(self.p2[i2], reps)
+                ps[perm[2]] = self.p3_sorted[inner]
+                hits = (*ps, res)
+            return sums, hits
 
         n_live = int(cum[-1])
         spans = [(k, min(k + _CHUNK, n_live)) for k in range(0, n_live, _CHUNK)]
         parts = _run_chunks(do, spans, threads)
-        total = math.fsum(p[0] for p in parts) if pref is not None else None
+        total = math.fsum(p[0] for p in parts) if sharp is not None else None
         count = sum(p[1] for p in parts)
-        totals = [math.fsum(p[2][i] for p in parts) for i in range(len(cols))]
+        totals = [math.fsum(p[2][i] for p in parts) for i in range(n_cols)]
         if not collect:
             return total, count, totals, None
         hits = [p[3] for p in parts if p[3] is not None]
@@ -414,16 +541,19 @@ class _Engine:
 
 # -------------------------------------------------------------- the Γ family
 
+def _weights(ps: np.ndarray, table: PrimeTable):
+    """The weights (ln p₁, ln p₂, r(p₃−1)·ln p₃) of Γ on the primes ps."""
+    logs = np.log(ps.astype(np.float64))
+    return logs, logs, r2_bulk(ps - 1, table).astype(np.float64) * logs
+
+
 def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
                 work_budget: int = WORK_BUDGET) -> tuple[float, int]:
     """Sharp-window weighted count Γ and the number of contributing triples."""
     if inst.eps == 0:
         return 0.0, 0
-    eng = _Engine(inst, table)
-    _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
-    r = r2_bulk(eng.p3 - 1, table).astype(np.float64)
-    w3 = r * np.log(eng.p3.astype(np.float64))
-    gamma, count, _, _ = eng.scan(pref=eng.prefix(eng.sorted_col(w3)), threads=threads)
+    eng = _oriented_engine(inst, table, work_budget=work_budget)
+    gamma, count, _, _ = eng.scan(sharp=_weights(eng.p1, table), threads=threads)
     return gamma, count
 
 
@@ -435,11 +565,9 @@ def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
             f"kernel eps {kern.eps} does not match instance eps {inst.eps}"
         )
     check_table_budget(kern.k, work_budget)
-    eng = _Engine(inst, table)
-    _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
-    r = r2_bulk(eng.p3 - 1, table).astype(np.float64)
-    w3 = eng.sorted_col(r * np.log(eng.p3.astype(np.float64)))
-    _, _, (total,), _ = eng.scan(cols=[w3], kern=kern, threads=threads)
+    eng = _oriented_engine(inst, table, work_budget=work_budget)
+    w1, w2, w3 = _weights(eng.p1, table)
+    _, _, (total,), _ = eng.scan(cols=(w1, w2, [w3]), kern=kern, threads=threads)
     return total
 
 
@@ -457,10 +585,10 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
             f"partition; got D={d_split}, √X={math.sqrt(inst.x):.6g}"
         )
     check_table_budget(kern.k, work_budget)
-    eng = _Engine(inst, table)
-    _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
+    eng = _oriented_engine(inst, table, work_budget=work_budget)
 
-    n3m1 = eng.p3 - 1
+    ps = eng.p1          # no slot is masked: every slot holds the same primes
+    n3m1 = ps - 1
     n_max = int(n3m1.max())
     d = np.arange(n_max + 1)
     chi_d = chi_vec(d)
@@ -470,13 +598,12 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
     rvals = r2_bulk(n3m1, table)
     lost = np.flatnonzero(4 * (a1 + a2 + a3) != rvals)
     if lost.size:
-        raise NumericError(f"divisor split lost mass at p3={eng.p3[lost[0]]}")
+        raise NumericError(f"divisor split lost mass at p3={ps[lost[0]]}")
 
-    logs3 = np.log(eng.p3.astype(np.float64))
-    cols = [eng.sorted_col(a1 * logs3), eng.sorted_col(a2 * logs3),
-            eng.sorted_col(a3 * logs3), eng.sorted_col(rvals * logs3)]
+    logs = np.log(ps.astype(np.float64))
+    w3 = [a * logs for a in (a1, a2, a3, rvals)]
     gamma, count, (g1, g2, g3, gamma0), _ = eng.scan(
-        pref=eng.prefix(cols[3]), cols=cols, kern=kern, threads=threads)
+        sharp=(logs, logs, w3[3]), cols=(logs, logs, w3), kern=kern, threads=threads)
 
     ident = 4.0 * (g1 + g2 + g3)
     tol = 1e-9 * max(1.0, abs(gamma0))
@@ -588,13 +715,11 @@ def find_triples(inst: Instance, table: PrimeTable,
     linnik_mask = r2_bulk(base - 1, table) > 0
     if require_linnik and not linnik_mask.any():
         return []
-    masks = {i: (linnik_mask if i in require_linnik else None) for i in (1, 2, 3)}
-    eng = _Engine(inst, table, p1_mask=masks[1], p2_mask=masks[2], p3_mask=masks[3])
-    _check_pair_budget(len(eng.p1), len(eng.p2), work_budget)
-    _, _, _, (p1h, p2h, inner, res) = eng.scan(threads=threads, collect=True)
+    masks = tuple(linnik_mask if i in require_linnik else None for i in (1, 2, 3))
+    eng = _oriented_engine(inst, table, masks, work_budget)
+    _, _, _, (p1h, p2h, p3h, res) = eng.scan(threads=threads, collect=True)
     if len(res) == 0:
         return []
-    p3h = eng.p3_sorted[inner]
     order = np.lexsort((p3h, p2h, p1h, np.abs(res)))
 
     exact = (*inst.hp_coeffs, Fraction(inst.eps))

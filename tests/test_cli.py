@@ -387,8 +387,13 @@ def test_hooley_non_finite_x_exits_2(capsys):
     (("bvsum", "--x", "7", "--q-max", "12"), "modulus bound Q=12 must lie in [0, 7]"),
     (("eterm", "--x", "100", "--q", "1000", "--a", "1"),
      "modulus q=1000 must lie in [1, 100]"),
+    (("triples", "--x", "100", "--l1", "1", "--l2", "-1", "--l3", "-1", "--eps", "1",
+      "--threads", "-3"), "--threads"),
+    (("gamma", "--mode", "sharp", "--x", "100", "--l1", "1", "--l2", "-1", "--l3", "-1",
+      "--eps", "1", "--threads", "0"), "--threads"),
 ], ids=["missing-config", "dmax-not-a-number", "eps-nan", "ymax-nan",
-        "bvsum-modulus-over-limit", "eterm-modulus-over-limit"])
+        "bvsum-modulus-over-limit", "eterm-modulus-over-limit", "triples-threads-negative",
+        "gamma-threads-zero"])
 def test_bad_input_exits_2(capsys, tmp_path, argv, needle):
     argv = [a.format(missing=tmp_path / "missing.cfg") for a in argv]
     rc, out, err = run(capsys, *argv)

@@ -283,10 +283,10 @@ def test_thread_determinism(table4):
         assert getattr(runs[0], field) == getattr(runs[1], field)
 
 
-def _box_scan(eng, pref):
+def _box_scan(eng, weights):
     # lo and hi for every pair of the box, with the scan's float expressions;
-    # returns the sharp Γ, the count, the hits (p1, p2, inner, residual) in
-    # (p₁, p₂) order, the lo < hi mask and the two window edges
+    # returns the sharp Γ of the weight triple, the count, the hits (p1, p2,
+    # p3, residual) in (p₁, p₂) order, the lo < hi mask and the two window edges
     inst = eng.inst
     l2p2 = inst.lambda2 * eng.p2.astype(np.float64)
     nc = (-(inst.lambda1 * eng.p1.astype(np.float64) + inst.eta))[:, None] - l2p2
@@ -301,9 +301,12 @@ def _box_scan(eng, pref):
     hits = ([], [], [], [])
     for i, j in zip(*np.nonzero(hi > lo)):
         for k in range(lo[i, j], hi[i, j]):
-            for col, v in zip(hits, (eng.p1[i], eng.p2[j], k, eng.zs[k] - nc[i, j])):
+            for col, v in zip(hits, (eng.p1[i], eng.p2[j], eng.p3_sorted[k],
+                                     eng.zs[k] - nc[i, j])):
                 col.append(v)
-    val = float(np.sum(eng.w1[:, None] * eng.w2[None, :] * (pref[hi] - pref[lo])))
+    w1, w2, w3 = weights
+    pref = np.concatenate([[0.0], np.cumsum(w3[eng.order])])
+    val = float(np.sum(w1[:, None] * w2[None, :] * (pref[hi] - pref[lo])))
     return val, int((hi - lo).sum()), hits, hi > lo, (lo_edge, hi_edge)
 
 
@@ -348,11 +351,11 @@ def test_live_strip_matches_full_box(table4):
         elif kind == "one-p2":
             masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
         eng = gamma_mod._Engine(inst, table4, **masks)
-        w3 = r2_bulk(eng.p3 - 1, table4) * np.log(eng.p3.astype(np.float64))
-        pref = eng.prefix(eng.sorted_col(w3))
+        weights = (np.log(eng.p1.astype(np.float64)), np.log(eng.p2.astype(np.float64)),
+                   r2_bulk(eng.p3 - 1, table4) * np.log(eng.p3.astype(np.float64)))
         with np.errstate(over="ignore"):
-            want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, pref)
-            got, cnt, _, hits = eng.scan(pref=pref, collect=True)
+            want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
+            got, cnt, _, hits = eng.scan(sharp=weights, collect=True)
         if kind == "ends":
             assert (hi_edge == eng.zs[0]).any() and (lo_edge == eng.zs[-1]).any()
         assert cnt == wcnt > 0, (inst, kind)
@@ -383,7 +386,7 @@ def test_split_bounds_each_chunk_once(table4, monkeypatch):
 
     monkeypatch.setattr(gamma_mod._Engine, "_bounds", spy)
     gamma_split(inst, kernel_new(2.0, 4), table4, d_split=11.0)
-    pairs = _run_pairs(gamma_mod._Engine(inst, table4))
+    pairs = _run_pairs(gamma_mod._oriented_engine(inst, table4))
     spans = [(k0, k1) for k0, k1, _ in sorted(calls)]
     assert len(spans) == len(set(spans)) >= 3
     assert spans == [(k, min(k + 1000, len(pairs))) for k in range(0, len(pairs), 1000)]
@@ -408,7 +411,7 @@ def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
             return map(fn, items)
 
     inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=1e4, lambda0=0.1)
-    _, cum = gamma_mod._Engine(inst, table4).runs()
+    _, cum = gamma_mod._oriented_engine(inst, table4).runs()
     chunks = -(-int(cum[-1]) // gamma_mod._CHUNK)
     assert 4 <= chunks < 64
     want = gamma_sharp(inst, table4)
@@ -537,11 +540,11 @@ def test_bucket_lookup_matches_searchsorted(table4, monkeypatch):
     assert gamma_sharp(inst, table4)[1] == 21 ** 2
 
 
-@pytest.mark.xfail(strict=True, reason="the clamped window edges over-count "
-                   "(ROADMAP open item 1, certified window membership)")
 def test_clamped_edges_count_only_window_triples(table4):
-    # λ₂p₂ and ε both lie below half an ulp of −c, so the clamped edges admit
-    # every p₂ of a row; exactly the 4·25 triples p₃ = p₁, p₂ ≤ 7 are in window
+    # λ₂p₂ and ε both lie below half an ulp of −c, so clamped edges around
+    # a sorted λ₃p₃ would admit every p₂ of a row; the scan sorts the λ₂p₂
+    # column instead (25 live pairs, not 625), and exactly the 4·25 triples
+    # p₃ = p₁, p₂ ≤ 7 are in window
     inst = Instance(1.0, 1e-17, -1.0, eta=0.0, eps=1e-16, x=100.0, lambda0=0.01,
                     ratio_irrational=True)
     ps = [int(p) for p in table4.primes[table4.prime_slice(1.0, 100.0)]]
@@ -551,6 +554,85 @@ def test_clamped_edges_count_only_window_triples(table4):
     wits = find_triples(inst, table4, require_linnik=frozenset(), max_results=10**6)
     assert brute == len(wits) == 100
     assert gamma_sharp(inst, table4)[1] == 100
+
+
+# --------------------------------------------------------- sorted-slot choice
+
+def _live_when_sorting(inst, table, s, masks=(None, None, None)):
+    # live pairs of the scan that sorts the caller's slot s (0-based)
+    perm = gamma_mod._sorting(s)
+    eng = gamma_mod._Engine(gamma_mod._permuted(inst, perm), table,
+                            *(masks[i] for i in perm), perm=perm)
+    return int(eng.runs()[1][-1])
+
+
+@pytest.mark.parametrize("lam, eta, eps, linnik", [
+    ((SQ2, -1.0, -SQ3), 0.3, 2.0, frozenset()),
+    ((SQ2, -1.0, -SQ3), -0.4, 2.0, frozenset({3})),
+    ((SQ2, -1.0, -SQ3), 0.1, 3.0, frozenset({1, 2, 3})),
+    ((SQ2, 0.7, -SQ3), 0.2, 1.5, frozenset({3})),
+    ((-SQ2, -1.3, SQ3), -0.6, 1.5, frozenset()),
+], ids=["no-masks", "linnik-p3", "linnik-all", "lambda2-positive", "lambda3-positive"])
+def test_every_sorted_slot_gives_the_same_results(table4, monkeypatch, lam, eta, eps,
+                                                  linnik):
+    inst = Instance(*lam, eta=eta, eps=eps, x=1000.0, lambda0=0.3, ratio_irrational=True)
+    # no residual lies within 1e-9 of ±ε, so no orientation's rounding can
+    # move a triple across the window edge
+    _, _, res = _grid(inst, table4)
+    assert float(np.min(np.abs(np.abs(res) - inst.eps))) > 1e-9
+    kern = kernel_new(inst.eps, 4)
+    base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
+    lin = r2_bulk(base - 1, table4) > 0
+    masks = tuple(lin if i in linnik else None for i in (1, 2, 3))
+    runs = {}
+    for s in (2, 1, 0):
+        monkeypatch.setattr(gamma_mod, "_pick_slot", lambda inst, ps, s=s: s)
+        rows = [(w.p1, w.p2, w.p3, w.x, w.y, w.residual)
+                for w in find_triples(inst, table4, require_linnik=linnik,
+                                      max_results=10**6)]
+        # the scan's hits, float residuals included, in a fixed order
+        hits = gamma_mod._oriented_engine(inst, table4, masks).scan(collect=True)[3]
+        hits = sorted(zip(*(h.tolist() for h in hits)))
+        runs[s] = (gamma_sharp(inst, table4), gamma_split(inst, kern, table4, d_split=7.0),
+                   rows, hits)
+    (sharp, split, rows, hits) = runs[2]
+    assert sharp[1] == split.triple_count > 0 and rows
+    for s in (1, 0):
+        sharp_s, split_s, rows_s, hits_s = runs[s]
+        assert rows_s == rows and hits_s == hits
+        assert sharp_s[1] == sharp[1] and split_s.triple_count == split.triple_count
+        assert abs(sharp_s[0] - sharp[0]) <= 1e-12 * sharp[0]
+        for f in ("gamma", "gamma0", "g1", "g2", "g3"):
+            a, b = getattr(split_s, f), getattr(split, f)
+            assert abs(a - b) <= 1e-12 * abs(b), (s, f)
+
+
+def test_picker_sorts_the_slot_with_fewest_live_pairs(table4):
+    # the argmin of the three live counts, ties to p₃ and then p₂
+    ties = set()
+    for inst in (Instance(SQ2, -1.0, -SQ3, eta=0.3, eps=0.5, x=3000.0, lambda0=0.3),
+                 Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e4, lambda0=0.5),
+                 Instance(1.0, 1e-17, -1.0, eta=0.0, eps=1e-16, x=100.0, lambda0=0.01),
+                 Instance(-3.0, 1.0, 0.2, eta=0.5, eps=0.5, x=1000.0, lambda0=0.1),
+                 # λ₂ = λ₃ (p₂, p₃ tie) and λ₁ = λ₂ (p₁, p₂ tie below a larger L₃)
+                 Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=1000.0, lambda0=0.1),
+                 Instance(-1.0, -1.0, 3.0, eta=0.0, eps=0.5, x=1000.0, lambda0=0.1)):
+        ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
+        live = {s: _live_when_sorting(inst, table4, s) for s in (2, 1, 0)}
+        want = min(live.values())
+        assert gamma_mod._pick_slot(inst, ps) == next(s for s in (2, 1, 0) if live[s] == want)
+        ties |= {tuple(s for s in (2, 1, 0) if live[s] == want)}
+    assert {(2, 1), (1, 0)} <= ties
+
+
+def test_linnik_finder_scans_a_third_of_the_pairs(table4):
+    # only p₃ is masked to Linnik primes, so a pair slot holding it is short
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e4, lambda0=0.5,
+                    ratio_irrational=True)
+    base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
+    masks = (None, None, r2_bulk(base - 1, table4) > 0)
+    chosen = int(gamma_mod._oriented_engine(inst, table4, masks).runs()[1][-1])
+    assert 0 < 3 * chosen < _live_when_sorting(inst, table4, 2, masks)
 
 
 # -------------------------------------------------------------------- volume
