@@ -47,17 +47,7 @@ class PrimeTable:
     primes: np.ndarray            # int64, ascending
     log_weights: np.ndarray       # float64, log_weights[i] = ln(primes[i])
     spf: np.ndarray               # int32, spf[n] = smallest prime factor of n (spf[1] = 1)
-    _log_cumsum: np.ndarray | None = field(default=None, repr=False)
     _witnesses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    @property
-    def log_cumsum(self) -> np.ndarray:
-        """Prefix sums of log_weights; log_cumsum[i] = Σ_{j<i} ln p_j."""
-        if self._log_cumsum is None:
-            cs = np.zeros(len(self.primes) + 1)
-            np.cumsum(self.log_weights, out=cs[1:])
-            self._log_cumsum = cs
-        return self._log_cumsum
 
     @property
     def witnesses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -74,10 +64,6 @@ class PrimeTable:
     def prime_count(self, x: float) -> int:
         """π(x) for x ≤ limit."""
         return self.prime_slice(0, x).stop
-
-    def chebyshev_theta(self, x: float) -> float:
-        """θ(x) = Σ_{p ≤ x} ln p."""
-        return float(self.log_cumsum[self.prime_count(x)])
 
     def prime_slice(self, lo: float, hi: float) -> slice:
         """Index slice of primes in the half-open interval (lo, hi], hi ≤ limit."""

@@ -37,8 +37,7 @@ association whichever slot is sorted, so θ and the finder's order see the
 same floats.  The live pairs, row after row, are cut into chunks of a
 fixed count, independent of the thread count; their partial sums are
 combined in chunk order with exact compensated summation, so results are
-bit-identical for any thread count.  Each worker bounds its chunks into
-scratch arrays it keeps from chunk to chunk.
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -60,8 +59,12 @@ from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, check_table_budget, theta_eval
 
 HITS_BUDGET = 2**26        # max materialized in-window triples per call
-_CHUNK = 2**16             # live pairs per chunk; independent of thread count
-_HIT_BLOCK = 2**13         # window hits per block of a chunk's hit arrays (64 KiB)
+# live pairs per chunk; independent of thread count.  The numpy temporaries
+# of a 2¹⁴-pair chunk reuse the pages the last chunk freed: the chunks of a
+# second gamma_split at X = 1e5 take under 100 minor page faults in all, at
+# 2¹⁵ about 450k (fresh pages for every temporary, 1.5× the time), and 2¹³
+# is slower by its per-chunk overhead
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,8 @@ def _run_ends(inst: Instance, na, l2p2, z_lo: float, z_hi: float, mag: float):
     float step of the scan and of the two thresholds rounds by at most an
     ulp of mag, and a clamped edge moves by at most two, so widening the
     thresholds by 1024 ulps of mag leaves lo == hi for every pair outside
-    the run.  When 4·mag overflows no margin is provable: whole rows.
+    the run.  _pick_slot rejects the instances where 4·mag overflows.
     """
-    if not math.isfinite(4.0 * mag):
-        return np.zeros(len(na), np.intp), np.full(len(na), len(l2p2), np.intp)
     eps, delta = inst.eps, 1024.0 * float(np.spacing(mag))
     sgn = 1.0 if inst.lambda2 > 0 else -1.0
     t_lo = sgn * (na - z_hi - eps - delta)
@@ -197,13 +198,19 @@ def _pick_slot(inst: Instance, ps) -> int:
     with them) gives an instance with the same triples.  For each s the
     live count is that of `_run_ends` over the other two slots' keys ps;
     the least wins, ties going to p₃, then p₂.  The choice reads only the
-    instance and the masked primes, never the thread count.
+    instance and the masked primes, never the thread count.  Where 4·mag
+    overflows for any s, no rounding margin is provable: DomainError.
     """
     live = {}
     for s in (2, 1, 0):
         perm = _sorting(s)
         swapped = _permuted(inst, perm)
-        _, na, l2p2, z, mag = _scan_keys(swapped, *(ps[i] for i in perm))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, na, l2p2, z, mag = _scan_keys(swapped, *(ps[i] for i in perm))
+        if not math.isfinite(4.0 * mag):
+            raise DomainError(
+                f"the pair scan's floats reach {mag:.3e}, too near the float "
+                "range to bound their rounding")
         a, b = _run_ends(swapped, na, l2p2, float(z.min()), float(z.max()), mag)
         live[s] = int((b - a).sum())
     return min((2, 1, 0), key=live.__getitem__)
@@ -240,41 +247,12 @@ def _check_pair_budget(n1: int, n2: int, work_budget: int):
 
 
 def _run_chunks(fn, spans: list[tuple[int, int]], threads: int) -> list:
-    """fn(k0, k1, scratch) for every span, results in span order.
-
-    With w workers, worker k takes spans k, k + w, k + 2w, … and reuses one
-    _Scratch for all of them.
-    """
+    """fn(k0, k1) for every span, results in span order, on up to threads workers."""
     workers = max(1, min(threads, len(spans), os.cpu_count() or 1))
-
-    def work(k):
-        buf = _Scratch()
-        return [fn(k0, k1, buf) for k0, k1 in spans[k::workers]]
-
     if workers == 1:
-        return work(0)
+        return [fn(k0, k1) for k0, k1 in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, range(workers)))
-    out = [None] * len(spans)
-    for k, part in enumerate(parts):
-        out[k::workers] = part
-    return out
-
-
-class _Scratch:
-    """One worker's arrays for a chunk of live pairs, reused chunk after chunk.
-
-    A fresh chunk-sized temporary lands on new pages: with fresh arrays,
-    gamma_split at X = 1e5 took about 680k minor page faults and a quarter
-    of its time faulting them in.  The window lookup uses bkt and below,
-    and win as its float temporary.
-    """
-
-    def __init__(self):
-        self.rows, self.cols, self.lo, self.hi, self.bkt = (
-            np.empty(_CHUNK, np.intp) for _ in range(5))
-        self.nc, self.edge, self.pw, self.win = (np.empty(_CHUNK) for _ in range(4))
-        self.below = np.empty(_CHUNK, bool)
+        return list(pool.map(lambda span: fn(*span), spans))
 
 
 class _Engine:
@@ -300,12 +278,8 @@ class _Engine:
         c_mag = (abs(inst.lambda1) * float(np.max(self.p1, initial=0))
                  + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
         self.clamp = inst.eps <= 2.0 * float(np.spacing(c_mag))
-        # when 4·mag overflows, keys may be ±inf or NaN: runs() keeps whole
-        # rows and _bounds falls back to searchsorted
-        self.finite = math.isfinite(4.0 * self.mag)
         self.tab = None
-        if self.finite:
-            self._build_buckets()
+        self._build_buckets()
 
     def _build_buckets(self):
         """Build the lookup's bucket table; tab stays None if b cannot map zs.
@@ -326,39 +300,31 @@ class _Engine:
         if not math.isfinite(self.binv):     # a span of subnormal width
             return
         self.top = nb + 1
-        bz = np.empty(n3, np.intp)
-        self._bucket(zs, np.empty(n3), bz)
-        per = np.bincount(bz, minlength=self.top + 1)
+        per = np.bincount(self._bucket(zs), minlength=self.top + 1)
         self.depth = int(per.max())
         self.tab = np.zeros(self.top + 1, np.intp)
         np.cumsum(per[:-1], out=self.tab[1:])
         # NaN compares false on both sides, so a key of +inf stops at P₃
         self.zpad = np.append(zs, np.nan)
 
-    def _bucket(self, v, t, out):
-        np.subtract(v, self.zs[0], out=t)
+    def _bucket(self, v):
         with np.errstate(over="ignore"):    # +inf clips to the top bucket
-            np.multiply(t, self.binv, out=t)
-        np.clip(t, 0.0, self.top, out=t)
-        np.copyto(out, t, casting="unsafe")
+            t = (v - self.zs[0]) * self.binv
+        return np.clip(t, 0.0, self.top).astype(np.intp)
 
-    def _search(self, key, side, out, buf: _Scratch):
-        """out[:] = zs.searchsorted(key, side), through the bucket table.
+    def _search(self, key, side):
+        """zs.searchsorted(key, side), through the bucket table.
 
-        The table exists only for a finite engine, whose keys are never NaN,
-        so every index it yields lies in range.
+        The scan's keys are never NaN (_pick_slot rejects the instances
+        whose magnitudes overflow), so every index lies in range.
         """
         if self.tab is None:
-            out[:] = self.zs.searchsorted(key, side=side)
-            return
-        m = len(key)
-        t, bkt, below = buf.win[:m], buf.bkt[:m], buf.below[:m]
-        self._bucket(key, t, bkt)
-        np.take(self.tab, bkt, out=out, mode="clip")
+            return self.zs.searchsorted(key, side=side)
+        idx = self.tab[self._bucket(key)]
         cmp = np.less if side == "left" else np.less_equal
         for _ in range(self.depth):
-            np.take(self.zpad, out, out=t, mode="clip")
-            out += cmp(t, key, out=below)
+            idx += cmp(self.zpad[idx], key)
+        return idx
 
     def sorted_col(self, col: np.ndarray) -> np.ndarray:
         return np.asarray(col, dtype=np.float64)[self.order]
@@ -379,43 +345,27 @@ class _Engine:
         np.cumsum(b - a, out=cum[1:])
         return a - cum[:-1], cum
 
-    def _bounds(self, off: np.ndarray, cum: np.ndarray, k0: int, k1: int,
-                buf: _Scratch):
-        """Row, column, −c and window [lo, hi) into zs of live pairs k0:k1.
+    def _bounds(self, off: np.ndarray, cum: np.ndarray, k0: int, k1: int):
+        """Row, column and window [lo, hi) into zs of live pairs k0:k1.
 
         c = λ₁p₁ + λ₂p₂ + η is built negated; negation is exact, so
         nc == −c bit for bit.  When ε is near the float resolution of −c,
         an edge −c ∓ ε can round onto −c itself and drop the entries equal
         to −c (residual 0 < ε); with self.clamp the edges are pushed to at
         least the neighbouring floats, so fl(−c−ε) < −c < fl(−c+ε) and
-        hi ≥ lo.  Returns views into buf.
+        hi ≥ lo.
         """
-        eps, m = self.inst.eps, k1 - k0
-        rows, cols, nc, edge, lo, hi = (
-            a[:m] for a in (buf.rows, buf.cols, buf.nc, buf.edge, buf.lo, buf.hi))
+        eps = self.inst.eps
         r0 = int(cum.searchsorted(k0, side="right")) - 1
         r1 = int(cum.searchsorted(k1, side="left"))
-        rows.fill(0)
-        np.add.at(rows, cum[r0 + 1:r1] - k0, 1)     # +1 where each later row starts
-        np.cumsum(rows, out=rows)
-        rows += r0
-        np.take(off, rows, out=cols, mode="clip")
-        cols += np.arange(k0, k1)
-        np.take(self.na, rows, out=nc, mode="clip")
-        np.subtract(nc, np.take(self.l2p2, cols, out=edge, mode="clip"), out=nc)
-        np.subtract(nc, eps, out=edge)
+        rows = np.repeat(np.arange(r0, r1), np.diff(np.clip(cum[r0:r1 + 1], k0, k1)))
+        cols = off[rows] + np.arange(k0, k1)
+        nc = self.na[rows] - self.l2p2[cols]
+        lo_edge, hi_edge = nc - eps, nc + eps
         if self.clamp:
-            np.minimum(edge, np.nextafter(nc, -np.inf), out=edge)
-        self._search(edge, "right", lo, buf)
-        np.add(nc, eps, out=edge)
-        if self.clamp:
-            np.maximum(edge, np.nextafter(nc, np.inf), out=edge)
-        self._search(edge, "left", hi, buf)
-        if not self.finite:
-            # both edges +inf (or −inf) against an infinite zs entry give
-            # hi < lo; such a window is empty
-            np.maximum(hi, lo, out=hi)
-        return rows, cols, nc, lo, hi
+            lo_edge = np.minimum(lo_edge, np.nextafter(nc, -np.inf))
+            hi_edge = np.maximum(hi_edge, np.nextafter(nc, np.inf))
+        return rows, cols, self._search(lo_edge, "right"), self._search(hi_edge, "left")
 
     def scan(self, sharp=None, cols=None, kern: SmoothingKernel | None = None,
              threads: int = 1, collect: bool = False):
@@ -450,18 +400,12 @@ class _Engine:
             w1, w2, w3 = (sharp[i] for i in perm)
             pref = self.prefix(self.sorted_col(w3))
 
-        def do(k0, k1, buf):
-            rows, i2, nc, lo, hi = self._bounds(off, cum, k0, k1, buf)
+        def do(k0, k1):
+            rows, i2, lo, hi = self._bounds(off, cum, k0, k1)
             val = None
             if sharp is not None:
-                pw, win = buf.pw[:k1 - k0], buf.win[:k1 - k0]
-                np.take(pref, hi, out=win, mode="clip")
-                np.subtract(win, np.take(pref, lo, out=pw, mode="clip"), out=win)
-                np.take(w1, rows, out=pw, mode="clip")
-                np.multiply(pw, np.take(w2, i2, out=buf.edge[:k1 - k0], mode="clip"),
-                            out=pw)
-                val = float(np.sum(np.multiply(pw, win, out=win)))
-            cnt = np.subtract(hi, lo, out=hi)
+                val = float(np.sum(w1[rows] * w2[i2] * (pref[hi] - pref[lo])))
+            cnt = hi - lo
             tot = int(cnt.sum())
             if not enumerate_hits or tot == 0:
                 return val, tot, [0.0] * n_cols, None
@@ -479,23 +423,8 @@ class _Engine:
                     )
             nz = np.flatnonzero(cnt)
             reps = cnt[nz]
-            # whole pairs in blocks of about _HIT_BLOCK hits: the temporaries
-            # of all 25k hits of a chunk at split-1e5 at once were each
-            # served from fresh pages, 1.2e5 minor faults per call
-            ends = np.cumsum(reps)
-            cuts = [0, *ends.searchsorted(np.arange(_HIT_BLOCK, tot, _HIT_BLOCK),
-                                          side="right").tolist(), len(nz)]
-            blocks = [hit_block(nz[a:b], reps[a:b], rows, i2, lo)
-                      for a, b in zip(cuts, cuts[1:]) if a < b]
-            sums = [math.fsum(b[0][i] for b in blocks) for i in range(n_cols)]
-            hits = None
-            if collect:
-                hits = tuple(np.concatenate([b[1][i] for b in blocks]) for i in range(4))
-            return val, tot, sums, hits
-
-        def hit_block(nz, reps, rows, i2, lo):
             starts = np.cumsum(reps) - reps
-            inner = np.repeat(lo[nz] - starts, reps) + np.arange(int(reps.sum()))
+            inner = np.repeat(lo[nz] - starts, reps) + np.arange(tot)
             i1, i2 = rows[nz], i2[nz]
             v = [None] * 3
             v[perm[0]] = np.repeat(self.l1p1[i1], reps)
@@ -521,7 +450,7 @@ class _Engine:
                 ps[perm[1]] = np.repeat(self.p2[i2], reps)
                 ps[perm[2]] = self.p3_sorted[inner]
                 hits = (*ps, res)
-            return sums, hits
+            return val, tot, sums, hits
 
         n_live = int(cum[-1])
         spans = [(k, min(k + _CHUNK, n_live)) for k in range(0, n_live, _CHUNK)]

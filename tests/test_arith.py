@@ -204,12 +204,6 @@ def test_prime_table_basics(table4):
             reach()
 
 
-def test_chebyshev_theta(table4):
-    direct = math.fsum(math.log(p) for p in [2, 3, 5, 7])
-    assert abs(table4.chebyshev_theta(10.0) - direct) < 1e-12
-    assert table4.chebyshev_theta(1.9) == 0.0
-
-
 def test_spf_is_smallest_factor(table4):
     rng = random.Random(5)
     for _ in range(500):

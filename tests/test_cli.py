@@ -512,6 +512,14 @@ _ADVERSARIAL = [
                  id="triples--work-budget=0"),
     pytest.param(("gamma", *_INSTANCE, "--x", "100", "--l1", "1e400"), {}, 2,
                  id="gamma--l1=1e400"),
+    # λ₁p₁ and λ₂p₂ overflow: the pair scan cannot bound its rounding
+    pytest.param(("gamma", "--mode", "sharp", "--x", "100", "--l1", "1e308",
+                  "--l2=-1e308", "--l3=-1", "--eps", "100", "--lambda0", "0.1"), {}, 2,
+                 id="gamma--l1=1e308"),
+    pytest.param(("triples", "--x", "100", "--l1", "1e308", "--l2=-1e308", "--l3=-1",
+                  "--eps", "100", "--lambda0", "0.1", "--ratio-irrational",
+                  "--require-linnik="), {}, 2,
+                 id="triples--l1=1e308"),
     pytest.param(("singular", "--pmax", "100", "--s=-inf"), {}, 2, id="singular--s=-inf"),
     pytest.param(("schedule", "--x", "1e5", "--mode", "bogus"), {}, 2,
                  id="schedule--mode=bogus"),

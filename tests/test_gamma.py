@@ -338,8 +338,6 @@ def test_live_strip_matches_full_box(table4):
         (Instance(1.0, -1e-18, -1.0, eta=0.0, eps=1e-17, x=100.0, lambda0=0.01), None),
         (Instance(s, -s, -s, eta=0.0, eps=5e-8, x=30.0, lambda0=0.05), None),
         (Instance(s, -s, -s, eta=0.0, eps=1.5e-7, x=30.0, lambda0=0.05), None),
-        # −c − ε overflows: no margin is provable and whole rows are scanned
-        (Instance(1.0, -1.0, -1.0, eta=1e308, eps=1e308, x=100.0, lambda0=0.1), None),
     ]
     trimmed = 0
     for inst, kind in cases:
@@ -353,9 +351,8 @@ def test_live_strip_matches_full_box(table4):
         eng = gamma_mod._Engine(inst, table4, **masks)
         weights = (np.log(eng.p1.astype(np.float64)), np.log(eng.p2.astype(np.float64)),
                    r2_bulk(eng.p3 - 1, table4) * np.log(eng.p3.astype(np.float64)))
-        with np.errstate(over="ignore"):
-            want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
-            got, cnt, _, hits = eng.scan(sharp=weights, collect=True)
+        want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
+        got, cnt, _, hits = eng.scan(sharp=weights, collect=True)
         if kind == "ends":
             assert (hi_edge == eng.zs[0]).any() and (lo_edge == eng.zs[-1]).any()
         assert cnt == wcnt > 0, (inst, kind)
@@ -369,6 +366,13 @@ def test_live_strip_matches_full_box(table4):
         assert not (live & ~in_run).any()
         trimmed += int((~in_run).sum())
     assert trimmed > 0
+    # −c − ε overflows: no rounding margin is provable, so the scan refuses
+    inst = Instance(1.0, -1.0, -1.0, eta=1e308, eps=1e308, x=100.0, lambda0=0.1)
+    with pytest.raises(DomainError):
+        gamma_sharp(inst, table4)
+    with warnings.catch_warnings(), pytest.raises(DomainError):
+        warnings.simplefilter("ignore")     # not in theorem mode
+        find_triples(inst, table4, require_linnik=frozenset())
 
 
 def test_split_bounds_each_chunk_once(table4, monkeypatch):
@@ -379,8 +383,8 @@ def test_split_bounds_each_chunk_once(table4, monkeypatch):
     calls = []
     bounds = gamma_mod._Engine._bounds
 
-    def spy(self, off, cum, k0, k1, *buffers):
-        rows, cols, *rest = bounds(self, off, cum, k0, k1, *buffers)
+    def spy(self, off, cum, k0, k1):
+        rows, cols, *rest = bounds(self, off, cum, k0, k1)
         calls.append((k0, k1, list(zip(rows.tolist(), cols.tolist()))))
         return (rows, cols, *rest)
 
@@ -468,7 +472,7 @@ def test_sharp_keeps_exact_hits_below_float_resolution(table4):
              (13, 2, 11, 0.0), (13, 11, 2, 0.0), (19, 2, 17, 0.0), (19, 17, 2, 0.0)]
 
 
-def test_bucket_lookup_matches_searchsorted(table4, monkeypatch):
+def test_bucket_lookup_matches_searchsorted(table4):
     # the window lookup equals searchsorted on both sides for keys on, next to
     # and between the zs entries, on every bucket edge, past both ends and at ±inf
     s = 2.0 ** 30
@@ -487,14 +491,12 @@ def test_bucket_lookup_matches_searchsorted(table4, monkeypatch):
         (Instance(1.0, -1e-18, -1.0, eta=0.0, eps=1e-17, x=100.0, lambda0=0.01), None),
         (Instance(s, -s, -s, eta=0.0, eps=5e-8, x=30.0, lambda0=0.05), None),
         (Instance(s, -s, -s, eta=0.0, eps=1.5e-7, x=30.0, lambda0=0.05), None),
-        (Instance(1.0, -1.0, -1.0, eta=1e308, eps=1e308, x=100.0, lambda0=0.1), None),
         # λ₃ > 0; one prime, 29, so zs spans 0; p₃ ranges holding both 2 and 3
         (Instance(SQ2, -1.0, SQ3, eta=0.1, eps=0.5, x=3000.0, lambda0=0.1), None),
         (Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=30.0, lambda0=0.95), None),
         (Instance(1.0, -1.0, -SQ3, eta=0.0, eps=0.5, x=3.0, lambda0=0.5), None),
         (Instance(1.0, -1.0, -SQ3, eta=0.0, eps=0.5, x=50.0, lambda0=0.01), None),
     ]
-    looked_up = 0
     for inst, kind in cases:
         base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
         masks = {}
@@ -503,37 +505,25 @@ def test_bucket_lookup_matches_searchsorted(table4, monkeypatch):
             masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
         elif kind == "one-p2":
             masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
-        with np.errstate(over="ignore"):
-            eng = gamma_mod._Engine(inst, table4, **masks)
+        eng = gamma_mod._Engine(inst, table4, **masks)
         zs = eng.zs
-        if eng.tab is None:     # only −c − ε overflows: searchsorted decides
-            continue
-        looked_up += 1
         edges = zs[0] + np.arange(eng.top + 2) / eng.binv
         keys = np.concatenate([
             zs, edges, [zs[0] - 1.0, zs[-1] + 1.0, -1e300, 1e300, -np.inf, np.inf]])
         keys = np.concatenate([keys, np.nextafter(keys, -np.inf), np.nextafter(keys, np.inf)])
-        monkeypatch.setattr(gamma_mod, "_CHUNK", len(keys))
-        out = np.empty(len(keys), np.intp)
         for side in ("left", "right"):
-            eng._search(keys, side, out, gamma_mod._Scratch())
-            assert np.array_equal(out, zs.searchsorted(keys, side=side)), (inst, side)
-    assert looked_up == len(cases) - 1
-    # λ₁p₁ and λ₂p₂ overflow to ∓inf, so every one of the 21² pair keys is NaN,
-    # which no bucket map may index with
-    inst = Instance(1e308, -1e308, -1.0, eta=0.0, eps=1.0, x=100.0, lambda0=0.1)
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        eng = gamma_mod._Engine(inst, table4)
-        off, cum = eng.runs()
-        nc = eng.na[:, None] - eng.l2p2[None, :]
-        assert int(cum[-1]) == 441 and np.isnan(nc).all()
-        assert gamma_sharp(inst, table4) == (0.0, 0)
-        assert find_triples(inst, table4) == []
-        # λ₃p₃ overflows to +inf from p₃ = 19 on, so zs spans no finite range
-        inst = Instance(1.0, -1.0, 1e307, eta=0.0, eps=1.0, x=100.0, lambda0=0.1)
-        assert np.isinf(gamma_mod._Engine(inst, table4).zs[3:]).all()
-        assert gamma_sharp(inst, table4) == (0.0, 0)
+            got = eng._search(keys, side)
+            assert np.array_equal(got, zs.searchsorted(keys, side=side)), (inst, side)
+    # −c − ε overflows; λ₁p₁ and λ₂p₂ overflow to ∓inf, so every pair key
+    # would be NaN; λ₃p₃ overflows to +inf from p₃ = 19 on: each is refused
+    for inst in (Instance(1.0, -1.0, -1.0, eta=1e308, eps=1e308, x=100.0, lambda0=0.1),
+                 Instance(1e308, -1e308, -1.0, eta=0.0, eps=1.0, x=100.0, lambda0=0.1),
+                 Instance(1.0, -1.0, 1e307, eta=0.0, eps=1.0, x=100.0, lambda0=0.1)):
+        with pytest.raises(DomainError):
+            gamma_sharp(inst, table4)
+        with warnings.catch_warnings(), pytest.raises(DomainError):
+            warnings.simplefilter("ignore")     # not in theorem mode
+            find_triples(inst, table4)
     # a subnormal λ₃p₃ span, narrower than any bucket a float can map: only
     # the 21 pairs p₁ = p₂ are in window, each with all 21 p₃
     inst = Instance(1.0, -1.0, 1e-320, eta=0.5, eps=1.0, x=100.0, lambda0=0.1)
@@ -848,8 +838,10 @@ def test_work_budget(table4):
         gamma_sharp(inst, table4, work_budget=1000)
 
 
-def test_hits_budget(table4):
-    # 2¹⁶·n3 window hits in one chunk of live pairs with an everything-in-window eps
+def test_hits_budget(table4, monkeypatch):
+    # 2¹⁴·n3 ≈ 1.7e7 window hits in one chunk of live pairs with an
+    # everything-in-window eps, over a budget of 2²⁴
+    monkeypatch.setattr(gamma_mod, "HITS_BUDGET", 2**24)
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=1e9, x=1e4, lambda0=0.1)
     with pytest.raises(ResourceError):
         gamma_smoothed(inst, kernel_new(1e9, 2), table4)
