@@ -140,9 +140,10 @@ def chi(n: int) -> int:
 
 
 def chi_vec(n: np.ndarray) -> np.ndarray:
-    """Vector χ for positive integer arrays."""
+    """Vector χ for positive integer arrays, as int64 (the type of np.where
+    on Python ints)."""
     r = np.asarray(n) & 3
-    return np.where(r == 1, 1, np.where(r == 3, -1, 0)).astype(np.int64)
+    return np.where(r == 1, 1, np.where(r == 3, -1, 0))
 
 
 def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:

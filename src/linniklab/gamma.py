@@ -38,6 +38,20 @@ same floats.  The live pairs, row after row, are cut into chunks of a
 fixed count, independent of the thread count; their partial sums are
 combined in chunk order with exact compensated summation, so results are
 bit-identical for any thread count.
+
+The Γ family has a second path, the lattice (`_Lattice`), for instances
+whose λᵢ are small rationals, such as typed decimals.  Over the common
+denominator of `Instance.lattice`, n₁p₁ + n₂p₂ is an integer, so the
+(p₁,p₂) sum is a convolution: split into residue classes (p₁ mod |m₂|, p₂
+mod |m₁| with mᵢ = nᵢ/gcd(n₁,n₂)), each class pair is one short
+`numpy.fft.rfft` convolution of the ln p weights and one of the 0/1
+indicators, the latter rounded to exact pair counts under an a priori
+bound.  Each p₃ gathers the entries at the integer shifts of the window,
+decided exactly in integers, with θ at the correctly rounded residuals.
+So the lattice computes Γ of the rationals, not of their floats, and
+counts boundary triples exactly.  It runs on one thread, and only where
+its estimated time is below the scan's for the live pairs that
+`_pick_slot` counts; the finder always scans.
 """
 
 from __future__ import annotations
@@ -99,6 +113,15 @@ class Instance:
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"hp_coeffs must be 4 finite rationals: {exc}") from None
         object.__setattr__(self, "hp_coeffs", (l1, l2, l3, eta))
+
+    @property
+    def lattice(self) -> tuple[int, int, int, int, int, int]:
+        """(den, n₁, n₂, n₃, n_η, n_ε): hp_coeffs and ε over their common
+        denominator den, so that a triple is in the window exactly when
+        |n₁p₁ + n₂p₂ + n₃p₃ + n_η| < n_ε, and its residual is that integer / den."""
+        exact = (*self.hp_coeffs, Fraction(self.eps))
+        den = math.lcm(*(v.denominator for v in exact))
+        return (den, *(v.numerator * (den // v.denominator) for v in exact))
 
     @property
     def theorem_mode(self) -> bool:
@@ -190,8 +213,9 @@ def _sorting(s: int) -> tuple[int, int, int]:
     return tuple(perm)
 
 
-def _pick_slot(inst: Instance, ps) -> int:
-    """The caller's slot (0-based) to sort: the one with the fewest live pairs.
+def _pick_slot(inst: Instance, ps) -> tuple[int, int]:
+    """The caller's slot (0-based) to sort, the one with the fewest live
+    pairs, and that scan's live pair count.
 
     The three primes play alike in |λ₁p₁ + λ₂p₂ + λ₃p₃ + η| < ε, so any
     slot s may be the sorted one: exchanging λₛ with λ₃ (and the masks
@@ -213,12 +237,14 @@ def _pick_slot(inst: Instance, ps) -> int:
                 "range to bound their rounding")
         a, b = _run_ends(swapped, na, l2p2, float(z.min()), float(z.max()), mag)
         live[s] = int((b - a).sum())
-    return min((2, 1, 0), key=live.__getitem__)
+    slot = min((2, 1, 0), key=live.__getitem__)
+    return slot, live[slot]
 
 
 def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None),
-                     work_budget: int = WORK_BUDGET) -> _Engine:
-    """The engine that sorts the slot `_pick_slot` names.
+                     work_budget: int = WORK_BUDGET, lattice: bool = False):
+    """The engine that sorts the slot `_pick_slot` names, or with lattice the
+    `_Lattice` where its cost is below that scan's.
 
     The engine's slot k holds the caller's slot perm[k]; its scan takes
     weights and returns hits in the caller's slots.  The pair budget is
@@ -226,7 +252,12 @@ def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None)
     """
     ps = _slot_primes(inst, table, masks)
     _check_pair_budget(len(ps[0]), len(ps[1]), work_budget)
-    perm = _sorting(_pick_slot(inst, ps))
+    slot, live = _pick_slot(inst, ps)
+    if lattice:
+        lat = _Lattice(inst, ps)
+        if lat.cost < _NS_PER_LIVE_PAIR * live:
+            return lat
+    perm = _sorting(slot)
     return _Engine(_permuted(inst, perm), table, *(masks[i] for i in perm), perm=perm)
 
 
@@ -468,6 +499,153 @@ class _Engine:
         return total, count, totals, merged
 
 
+# ------------------------------------------------------------ lattice engine
+
+# Percival's bound on every entry of an FFT convolution of x and y on N = 2ⁿ
+# points, ‖x‖₂‖y‖₂·((1+u)³ⁿ(1+√5·u)³ⁿ⁺¹(1+β)³ⁿ − 1) with twiddle error
+# β ≤ 2u, is below _FFT_C·u·n·‖x‖₂‖y‖₂ for every n < 64.  numpy's FFT is not
+# the radix-2 FFT of that proof, so each rounded count is checked against it
+_FFT_C = 18.0
+# the lattice's time, estimated in ns per FFT point per level, per p₃ looked
+# up, per class pair and per σ of θ's table, against _NS_PER_LIVE_PAIR per
+# live pair of the pair scan; the lattice runs where its estimate is the
+# lower.  The first three were fitted on 17 instances, X = 30 to 1e5, one
+# to 6,840 class pairs (2-vCPU x86-64, Python 3.11, numpy 2.4), within a
+# factor 1.6 but 2.5× under at X ≤ 300; θ's table took 200–410 ns per σ;
+# the scan, 37–44 ns per live pair on sparse windows and 80–120 on dense ones
+# (instances of over 2e5 live pairs)
+_NS_PER_FFT_UNIT = 1.2
+_NS_PER_LOOKUP = 7.0
+_NS_PER_CLASS_PAIR = 60_000.0
+_NS_PER_SIGMA = 300.0
+_NS_PER_LIVE_PAIR = 40.0
+
+
+class _Lattice:
+    """The Γ sums of an instance whose λᵢ are small rationals, by convolution.
+
+    With (den, n₁, n₂, n₃, n_η, n_ε) = inst.lattice and nᵢ' = nᵢ/f,
+    f = gcd(n₁, n₂, n₃), a triple has the integer σ = Σ nᵢ'pᵢ and is in the
+    window exactly when |fσ + n_η| < n_ε, i.e. lo ≤ σ ≤ hi; its residual is
+    (fσ + n_η)/den, correctly rounded.  Let g = gcd(n₁', n₂'), mᵢ = nᵢ'/g,
+    M = |m₁m₂| and t = m₁p₁ + m₂p₂, so σ = g·t + n₃'p₃.  Split p₁ by its
+    residue mod |m₂| and p₂ by its residue mod |m₁|: a member p = q + mod·i
+    of a class with least member q sits at place i (at span − 1 − i on p₂'s
+    side when m₂ has the other sign), and then t = off + sgn(m₁)·M·k over a
+    pair of classes, k the sum of the two places.  So each class pair's
+    weights per t are one convolution in k, and by CRT t mod M fixes both
+    residues, so each t lies in one class pair.  Per class pair two
+    `numpy.fft.rfft` convolutions give the w₁·w₂ weights and the pair counts,
+    the latter rounded to integers under Percival's bound (`_FFT_C`); each
+    p₃ then gathers the entries whose σ ≡ n₃'p₃ + g·off (mod gM) lies in
+    [lo, hi], with θ read off a table over [lo, hi].
+    """
+
+    def __init__(self, inst: Instance, ps):
+        den, n1, n2, n3, n_eta, n_eps = inst.lattice
+        f = math.gcd(n1, n2, n3)
+        n1, n2, self.n3 = n1 // f, n2 // f, n3 // f
+        self.p1, p2, self.p3 = ps
+        self.g = math.gcd(n1, n2)
+        m1, m2 = n1 // self.g, n2 // self.g
+        top = sum(abs(n) * int(p[-1]) for n, p in zip((n1, n2, self.n3), ps))
+        self.cost = math.inf
+        if top >= 2**52 or self.g * abs(m1 * m2) >= 2**52:
+            return      # σ and its classes must stay exact in int64 and float
+        self.modulus = self.g * abs(m1 * m2)    # of σ ≡ n₃'p₃ + g·off in a class pair
+        self.sgn = 1 if m1 > 0 else -1                  # t = off + sgn·M·k
+        # the window in σ, cut to the σ the primes can form
+        self.lo = max((-n_eps - n_eta) // f + 1, -top)
+        self.hi = min(-((n_eta - n_eps) // f) - 1, top)
+        self.resid = (f, n_eta, den)        # σ's residual is (fσ + n_η)/den
+        self.sides = ((self.p1, abs(m2), m1, False),
+                      (p2, abs(m1), m2, (m1 > 0) != (m2 > 0)))
+        # per side, p's positions by residue class and where each class starts
+        self.classes, spans, sizes, counts = [], [], [], []
+        for p, mod, _, _ in self.sides:
+            res = p % mod
+            order = np.argsort(res, kind="stable")
+            starts = np.flatnonzero(np.diff(res[order], prepend=-1))
+            ends = np.append(starts[1:], len(p))
+            self.classes.append((order, starts[1:]))
+            spans.append(int(((p[order[ends - 1]] - p[order[starts]]) // mod).max()) + 1)
+            sizes.append(len(starts))
+            counts.append(int((ends - starts).max()))
+        self.n_fft = 1 << (spans[0] + spans[1] - 2).bit_length()
+        self.held = 0 if sizes[0] < sizes[1] else 1   # the side whose spectra are kept
+        levels = max(1, self.n_fft.bit_length() - 1)
+        # a priori bound on the rounding of every pair count
+        self.round_bound = (_FFT_C * 2.0 ** -53 * levels
+                            * math.sqrt(counts[0]) * math.sqrt(counts[1]))
+        # the σ of one p₃ in one class pair lie modulus apart: at most steps
+        # of them in [lo, hi]
+        width = max(0, self.hi - self.lo + 1)
+        self.steps = -(-width // self.modulus)
+        pairs = sizes[0] * sizes[1]
+        self.cost = (_NS_PER_FFT_UNIT * 2 * (pairs + sizes[0] + sizes[1]) * self.n_fft * levels
+                     + _NS_PER_LOOKUP * pairs * len(self.p3) * self.steps
+                     + _NS_PER_CLASS_PAIR * pairs + _NS_PER_SIGMA * width) if width else 0.0
+
+    def _classes(self, side: int, w: np.ndarray):
+        """Per residue class of one side: the spectra of its weights w and of
+        its 0/1 indicator at their places, its off and its span."""
+        p, mod, coef, rev = self.sides[side]
+        for pos in np.split(*self.classes[side]):
+            q = p[pos]
+            at = (q - q[0]) // mod
+            if rev:
+                at = at[-1] - at
+            ln, ones = np.zeros(self.n_fft), np.zeros(self.n_fft)
+            ln[at], ones[at] = w[pos], 1.0
+            yield (np.fft.rfft(ln), np.fft.rfft(ones),
+                   coef * int(q[-1] if rev else q[0]), int(at.max()) + 1)
+
+    def scan(self, sharp=None, cols=None, kern: SmoothingKernel | None = None,
+             threads: int = 1):
+        """The (sharp_total, triple_count, col_totals, None) of `_Engine.scan`
+        without collect, on one thread for any threads.  sharp and cols share
+        their p₁ and p₂ weights, and the list of cols is its p₃ slot."""
+        if self.round_bound >= 0.5:
+            raise NumericError(
+                f"FFT rounding of the pair counts may reach {self.round_bound:.3g}; "
+                "no count can be rounded to an integer")
+        lo, hi, q_mod, sgn = self.lo, self.hi, self.modulus, self.sgn
+        acc_sharp, acc_th, count = np.zeros(len(self.p3)), np.zeros(len(self.p3)), 0
+        if self.steps:
+            pair_w = (cols if cols is not None else sharp)[:2]
+            if cols is not None:
+                f, n_eta, den = self.resid
+                th = theta_eval(kern, np.array([(f * s + n_eta) / den
+                                                for s in range(lo, hi + 1)]))
+            n3p3 = self.n3 * self.p3
+            held = list(self._classes(self.held, pair_w[self.held]))
+            for a_ln, a_ones, a_off, a_span in self._classes(1 - self.held,
+                                                              pair_w[1 - self.held]):
+                for b_ln, b_ones, b_off, b_span in held:
+                    span = a_span + b_span - 1
+                    raw = np.fft.irfft(a_ones * b_ones, self.n_fft)[:span]
+                    cnt = np.rint(raw)
+                    if float(np.max(np.abs(raw - cnt))) > self.round_bound:
+                        raise NumericError("an FFT pair count strayed past its rounding bound")
+                    wts = np.fft.irfft(a_ln * b_ln, self.n_fft)[:span]
+                    d0 = n3p3 + self.g * (a_off + b_off)
+                    sig = lo + (d0 - lo) % q_mod      # each p₃'s least σ ≥ lo
+                    k = sgn * ((sig - d0) // q_mod)
+                    for _ in range(self.steps):
+                        hit = np.flatnonzero((sig <= hi) & (k >= 0) & (k < span))
+                        c = cnt[k[hit]]
+                        v = np.where(c > 0, wts[k[hit]], 0.0)
+                        count += int(c.sum())
+                        acc_sharp[hit] += v
+                        if cols is not None:
+                            acc_th[hit] += th[sig[hit] - lo] * v
+                        sig = sig + q_mod
+                        k = k + sgn
+        total = math.fsum(sharp[2] * acc_sharp) if sharp is not None else None
+        totals = [math.fsum(w * acc_th) for w in cols[2]] if cols is not None else []
+        return total, count, totals, None
+
+
 # -------------------------------------------------------------- the Γ family
 
 def _weights(ps: np.ndarray, table: PrimeTable):
@@ -481,7 +659,7 @@ def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
     """Sharp-window weighted count Γ and the number of contributing triples."""
     if inst.eps == 0:
         return 0.0, 0
-    eng = _oriented_engine(inst, table, work_budget=work_budget)
+    eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
     gamma, count, _, _ = eng.scan(sharp=_weights(eng.p1, table), threads=threads)
     return gamma, count
 
@@ -494,7 +672,7 @@ def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
             f"kernel eps {kern.eps} does not match instance eps {inst.eps}"
         )
     check_table_budget(kern.k, work_budget)
-    eng = _oriented_engine(inst, table, work_budget=work_budget)
+    eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
     w1, w2, w3 = _weights(eng.p1, table)
     _, _, (total,), _ = eng.scan(cols=(w1, w2, [w3]), kern=kern, threads=threads)
     return total
@@ -514,7 +692,7 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
             f"partition; got D={d_split}, √X={math.sqrt(inst.x):.6g}"
         )
     check_table_budget(kern.k, work_budget)
-    eng = _oriented_engine(inst, table, work_budget=work_budget)
+    eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
 
     ps = eng.p1          # no slot is masked: every slot holds the same primes
     n3m1 = ps - 1
@@ -651,9 +829,7 @@ def find_triples(inst: Instance, table: PrimeTable,
         return []
     order = np.lexsort((p3h, p2h, p1h, np.abs(res)))
 
-    exact = (*inst.hp_coeffs, Fraction(inst.eps))
-    den = math.lcm(*(v.denominator for v in exact))
-    n1, n2, n3, n_eta, n_eps = (v.numerator * (den // v.denominator) for v in exact)
+    den, n1, n2, n3, n_eta, n_eps = inst.lattice
     out: list[TripleWitness] = []
     for idx in order:
         if len(out) >= max_results:

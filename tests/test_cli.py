@@ -240,6 +240,27 @@ def test_gamma_split_json(capsys):
     assert "timing" not in doc
 
 
+def test_gamma_lattice_identical_for_any_thread_count(capsys, monkeypatch):
+    # a decimal split that the lattice computes: the same bytes on 1, 4 and
+    # 8 threads, and exit 3 once its FFT counts cannot be rounded
+    from linniklab import gamma
+    took = []
+    scan = gamma._Lattice.scan
+    monkeypatch.setattr(gamma._Lattice, "scan",
+                        lambda self, *a, **k: took.append(1) or scan(self, *a, **k))
+    argv = ("gamma", "--mode", "split", "--x", "3e4", "--l1", "1.4", "--l2", "-1",
+            "--l3", "-1.7", "--eta=-0.3791", "--eps", "2", "--lambda0", "0.1", "--d", "100")
+    outs = set()
+    for threads in ("1", "4", "8"):
+        rc, out, err = run(capsys, *argv, "--threads", threads)
+        assert rc == 0 and err == ""
+        outs.add(out)
+    assert len(outs) == 1 and len(took) == 3
+    monkeypatch.setattr(gamma, "_FFT_C", 1e20)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3 and out == "" and "rounding" in err
+
+
 def test_gamma_volume_json(capsys):
     from linniklab.gamma import Instance, b_j_volume
     from linniklab.smoothing import kernel_new

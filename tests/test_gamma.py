@@ -576,7 +576,8 @@ def test_every_sorted_slot_gives_the_same_results(table4, monkeypatch, lam, eta,
     masks = tuple(lin if i in linnik else None for i in (1, 2, 3))
     runs = {}
     for s in (2, 1, 0):
-        monkeypatch.setattr(gamma_mod, "_pick_slot", lambda inst, ps, s=s: s)
+        # a live count of 0 also keeps every Γ call on the pair scan
+        monkeypatch.setattr(gamma_mod, "_pick_slot", lambda inst, ps, s=s: (s, 0))
         rows = [(w.p1, w.p2, w.p3, w.x, w.y, w.residual)
                 for w in find_triples(inst, table4, require_linnik=linnik,
                                       max_results=10**6)]
@@ -610,7 +611,8 @@ def test_picker_sorts_the_slot_with_fewest_live_pairs(table4):
         ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
         live = {s: _live_when_sorting(inst, table4, s) for s in (2, 1, 0)}
         want = min(live.values())
-        assert gamma_mod._pick_slot(inst, ps) == next(s for s in (2, 1, 0) if live[s] == want)
+        assert gamma_mod._pick_slot(inst, ps) == (next(s for s in (2, 1, 0) if live[s] == want),
+                                                  want)
         ties |= {tuple(s for s in (2, 1, 0) if live[s] == want)}
     assert {(2, 1), (1, 0)} <= ties
 
@@ -623,6 +625,129 @@ def test_linnik_finder_scans_a_third_of_the_pairs(table4):
     masks = (None, None, r2_bulk(base - 1, table4) > 0)
     chosen = int(gamma_mod._oriented_engine(inst, table4, masks).runs()[1][-1])
     assert 0 < 3 * chosen < _live_when_sorting(inst, table4, 2, masks)
+
+
+# ------------------------------------------------------------ lattice engine
+
+def _decimal(lam, eta, eps, x, lambda0):
+    # the instance of the typed decimals, as the CLI builds it
+    hp = tuple(Fraction(v) for v in (*lam, eta))
+    return Instance(*(float(v) for v in hp), eps=eps, x=x, lambda0=lambda0, hp_coeffs=hp)
+
+
+def _exact_count(inst, table):
+    # |n₁p₁ + n₂p₂ + n₃p₃ + n_η| < n_ε over the whole cube, in integers
+    _, n1, n2, n3, n_eta, n_eps = inst.lattice
+    ps = table.primes[table.prime_slice(inst.lambda0 * inst.x, inst.x)].astype(np.int64)
+    r = (n1 * ps + n_eta)[:, None, None] + (n2 * ps)[None, :, None] + (n3 * ps)[None, None, :]
+    return int(np.count_nonzero(np.abs(r) < n_eps))
+
+
+@pytest.mark.parametrize("lam, eta, eps, g", [
+    (("1.4", "-1", "-1.7"), "0.30007", 2.0, 2),
+    (("1.5", "-1", "-1.7"), "-0.40003", 2.0, 5),
+    (("1.3", "-1", "-1.7"), "0.10009", 3.0, 1),
+    (("1.4", "0.7", "-1.7"), "0.20001", 1.5, 7),
+    (("-1.4", "-1.3", "1.7"), "-0.60007", 1.5, 1),
+    # M = 1 and the window holds five σ: each p₃ gathers five entries
+    (("-1", "-1", "1"), "0.30007", 2.5, 1),
+], ids=["gcd-2", "gcd-5", "gcd-1", "lambda2-positive", "lambda3-positive", "five-shifts"])
+def test_lattice_matches_the_scan_under_every_sorted_slot(table4, monkeypatch, lam, eta,
+                                                          eps, g):
+    # the instances of test_every_sorted_slot_gives_the_same_results made
+    # decimal, and one more; g = gcd(n₁, n₂) once n₁, n₂, n₃ are divided by
+    # their gcd
+    inst = _decimal(lam, eta, eps, x=1000.0, lambda0=0.3)
+    den, n1, n2, n3, n_eta, n_eps = inst.lattice
+    f = math.gcd(n1, n2, n3)
+    assert math.gcd(n1 // f, n2 // f) == g
+    # no residual lies within 1e-9 of ±ε, so the float scan counts exactly
+    _, _, res = _grid(inst, table4)
+    assert float(np.min(np.abs(np.abs(res) - inst.eps))) > 1e-9
+    # the same window times den, where the scan's floats are exact integers;
+    # on inst, θ sees the floats of 1.4 and 0.7, and Γ₂ (which cancels)
+    # moves by about 1.5e-12 relative
+    scaled = Instance(*map(float, (n1, n2, n3, n_eta)), eps=float(n_eps), x=1000.0,
+                      lambda0=0.3)
+
+    def lattice(inst, table, *args, **kw):
+        return gamma_mod._Lattice(inst, gamma_mod._slot_primes(inst, table, (None,) * 3))
+
+    def sorting(s):
+        def engine(inst, table, *args, **kw):
+            perm = gamma_mod._sorting(s)
+            return gamma_mod._Engine(gamma_mod._permuted(inst, perm), table, perm=perm)
+        return engine
+
+    runs = {}
+    for name, engine in (("lattice", lattice), *((s, sorting(s)) for s in (2, 1, 0))):
+        monkeypatch.setattr(gamma_mod, "_oriented_engine", engine)
+        runs[name] = [(gamma_sharp(i, table4),
+                       gamma_split(i, kernel_new(i.eps, 4), table4, d_split=7.0))
+                      for i in (inst, scaled)]
+    (sharp, split), _ = runs["lattice"]
+    assert sharp[1] == split.triple_count == _exact_count(inst, table4) > 0
+    for name, ((sharp_f, split_f), (sharp_x, split_x)) in runs.items():
+        for sharp_s, split_s in ((sharp_f, split_f), (sharp_x, split_x)):
+            assert sharp_s[1] == split_s.triple_count == sharp[1], name
+            assert abs(sharp_s[0] - sharp[0]) <= 1e-12 * sharp[0], name
+        for f in ("gamma", "gamma0", "g1", "g2", "g3"):
+            a, b = getattr(split_x, f), getattr(split, f)
+            assert abs(a - b) <= 1e-12 * abs(b), (name, f)
+
+
+def test_lattice_counts_the_boundary_instance_exactly():
+    # 899,712 triples lie on |r| = ε; the float scan keeps a share of them
+    table = sieve_primes(10**5)
+    inst = _decimal(("1.4", "-1", "-1.7"), "0.3", 2.0, x=1e5, lambda0=0.1)
+    assert isinstance(gamma_mod._oriented_engine(inst, table, lattice=True), gamma_mod._Lattice)
+    assert gamma_sharp(inst, table)[1] == 7_971_043
+
+
+def test_lattice_refuses_counts_past_the_rounding_bound(table4, monkeypatch):
+    inst = _decimal(("1.4", "-1", "-1.7"), "0.30007", 2.0, x=1e4, lambda0=0.1)
+    ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
+    sharp = gamma_mod._weights(ps[0], table4)
+    assert gamma_mod._Lattice(inst, ps).round_bound < 1e-10
+    # an a priori bound of ½ or more: refused before any FFT
+    monkeypatch.setattr(gamma_mod, "_FFT_C", 1e20)
+    lat = gamma_mod._Lattice(inst, ps)
+    assert lat.round_bound >= 0.5
+    monkeypatch.setattr(np.fft, "irfft", None)
+    with pytest.raises(NumericError, match="rounding"):
+        lat.scan(sharp=sharp)
+    monkeypatch.undo()
+    # a bound below the rounding the FFT does make: the count that strays is caught
+    monkeypatch.setattr(gamma_mod, "_FFT_C", 1e-30)
+    with pytest.raises(NumericError, match="strayed"):
+        gamma_mod._Lattice(inst, ps).scan(sharp=sharp)
+
+
+def test_dispatch_takes_the_lattice_only_where_cheaper():
+    table = sieve_primes(10**5)
+
+    def engine(inst):
+        return type(gamma_mod._oriented_engine(inst, table, lattice=True))
+
+    # the split-1e5 bench instance at seed 0, and at X = 3e4
+    for x in (1e5, 3e4):
+        assert engine(_decimal(("1.4", "-1", "-1.7"), "-0.3791", 2.0, x, 0.1)) \
+            is gamma_mod._Lattice
+    scan = [
+        # float-only: λ's denominator is a power of two near 2⁵²
+        Instance(1.4, -1.0, -1.7, eta=-0.3791, eps=2.0, x=1e5, lambda0=0.1),
+        # a named constant, whose certified value has a denominator near 2²⁹⁶
+        Instance(SQ2, -1.0, -1.7, eta=0.0, eps=2.0, x=1e5, lambda0=0.1,
+                 hp_coeffs=(certified_named("sqrt2").value, -1, Fraction("-1.7"), 0)),
+        _decimal(("1.0000000000000000001", "-1", "-1"), "0", 1.0, 200.0, 0.1),
+        # too small for the FFTs to pay: the instance of test_gamma_sharp_golden
+        _decimal(("1", "-1", "-1"), "0", 0.5, 30.0, 0.05),
+    ]
+    for inst in scan:
+        assert engine(inst) is gamma_mod._Engine, inst
+    # the finder's call has no lattice path
+    seed0 = _decimal(("1.4", "-1", "-1.7"), "-0.3791", 2.0, 1e5, 0.1)
+    assert type(gamma_mod._oriented_engine(seed0, table)) is gamma_mod._Engine
 
 
 # -------------------------------------------------------------------- volume
