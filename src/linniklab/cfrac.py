@@ -5,9 +5,10 @@ whose rational approximations drive the whole construction: each convergent
 a/q with |x − a/q| < 1/q² selects a working scale X through q² = X/(ln X)²².
 
 A number is represented as a certified interval [value − abs_error,
-value + abs_error] held in exact rational arithmetic.  Convergents are
-extracted by running the Gauss map on the interval and emitting a partial
-quotient only while both endpoints agree on its floor, so every emitted
+value + abs_error] held in exact rational arithmetic.  Convergents fold the
+partial quotients that the Gauss map gives on both ends of the interval while
+both ends agree on them.  A prefix shared by both ends is shared by every
+point between them (Khinchin, *Continued Fractions*, §1–2), so every emitted
 convergent is a true convergent of *every* point of the interval — no silent
 float drift can fabricate terms.  The approximation inequality is re-checked
 against the whole interval before a convergent is emitted.
@@ -20,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, PrecisionError, ResourceError
 
@@ -61,24 +62,9 @@ class Convergent:
             raise DomainError(f"convergent {self.a}/{self.q} not in lowest terms")
 
 
-class ConvergentRun(list):
-    """Emitted convergents, in order, plus how the extraction stopped."""
-
-    terminated_rational = False   # interval was one exact rational, fully expanded
-    precision_exhausted = False   # interval stopped determining the next term
-
-
 def _digit_limit() -> int:
     """Most decimal digits an int may have for int↔str conversion."""
     return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def _check_digits(idx: int, h: int, k: int, bound: int) -> None:
-    """Raise ResourceError once convergent idx = h/k reaches bound = 10^limit."""
-    if abs(h) >= bound or k >= bound:
-        raise ResourceError(
-            f"convergent {idx} has more than {_digit_limit()} digits; lower --count"
-        )
 
 
 def certified_named(name: str) -> CertifiedReal:
@@ -156,79 +142,62 @@ def named_cf_terms(name: str) -> Iterator[int]:
         raise DomainError(f"no CF pattern for {name!r}")
 
 
-def convergents_from_terms(terms: Iterator[int], count: int) -> list[Convergent]:
-    """Fold partial quotients through the standard recurrence h_k = a_k h_{k−1} + h_{k−2}.
-
-    Raises ResourceError once a numerator or denominator has more decimal
-    digits than int→str conversion allows, before any Convergent is built.
-    """
+def _fold(terms: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """h_n/k_n of the partial quotients a₀, a₁, …, lazily: h_n = a_n h_{n−1} + h_{n−2}.
+    Raises ResourceError once h_n or k_n has more digits than int→str allows."""
     bound = 10 ** _digit_limit()
     h1, h2 = 1, 0
     k1, k2 = 0, 1
-    fracs: list[tuple[int, int]] = []
-    for idx, a in enumerate(itertools.islice(terms, count)):
+    for idx, a in enumerate(terms):
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
-        _check_digits(idx, h1, k1, bound)
-        fracs.append((h1, k1))
+        if abs(h1) >= bound or k1 >= bound:
+            raise ResourceError(f"convergent {idx} has more than {_digit_limit()} "
+                                "digits; lower --count")
+        yield h1, k1
+
+
+def _shared_terms(lo: Fraction, hi: Fraction) -> Iterator[int]:
+    """The partial quotients lo ≤ hi share, by the Gauss map on both: up to
+    where their floors differ, or to lo on an integer (next one unbounded;
+    hi on one is then lo = hi)."""
+    while (a := math.floor(lo)) == math.floor(hi):
+        yield a
+        if lo == a:
+            return
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+
+
+def convergents_from_terms(terms: Iterator[int], count: int) -> list[Convergent]:
+    """The first count convergents of terms; raises ResourceError as _fold
+    does, before any Convergent is built."""
+    fracs = list(itertools.islice(_fold(terms), count))
     return [Convergent(a=h, q=k, index=i) for i, (h, k) in enumerate(fracs)]
 
 
-def convergents(x: CertifiedReal, max_count: int) -> ConvergentRun:
-    """Certified convergents of x, at most max_count of them.
-
-    Stops with terminated_rational when the interval is a single rational that
-    has been fully expanded, and with precision_exhausted when the interval no
-    longer pins down the next partial quotient.  Raises PrecisionError only
-    when even the first quotient is ambiguous, and ResourceError as
-    convergents_from_terms does.
-    """
+def convergents(x: CertifiedReal, max_count: int) -> list[Convergent]:
+    """At most max_count convergents of the partial quotients both ends of x
+    share, up to the first that verify_eq1 does not certify.  Raises
+    PrecisionError when even a₀ is ambiguous (a₀/1 always certifies), and
+    ResourceError as _fold does."""
     if max_count < 1:
         raise DomainError(f"max_count must be ≥ 1, got {max_count}")
-    lo, hi = x.lo, x.hi
-    exact = x.abs_error == 0
-    bound = 10 ** _digit_limit()
-    h1, h2 = 1, 0
-    k1, k2 = 0, 1
-    run = ConvergentRun()
-    for idx in range(max_count):
-        a_lo = math.floor(lo)
-        if a_lo != math.floor(hi):
-            if idx == 0:
-                raise PrecisionError(
-                    "interval too wide: first partial quotient undetermined"
-                )
-            run.precision_exhausted = True
-            return run
-        a = a_lo
-        h1, h2 = a * h1 + h2, h1
-        k1, k2 = a * k1 + k2, k1
-        _check_digits(idx, h1, k1, bound)
-        conv = Fraction(h1, k1)
-        sup = max(abs(x.lo - conv), abs(x.hi - conv))
-        if not sup < Fraction(1, k1 * k1):
-            # cannot certify |x − a/q| < 1/q² for the whole interval
-            run.precision_exhausted = True
-            return run
-        run.append(Convergent(a=h1, q=k1, index=idx))
-        flo, fhi = lo - a, hi - a
-        if exact and flo == 0:
-            run.terminated_rational = True
-            return run
-        if flo == 0 or fhi == 0:
-            # an endpoint sits on an integer: next quotient unbounded
-            run.precision_exhausted = True
-            return run
-        lo, hi = 1 / fhi, 1 / flo
+    fracs = itertools.islice(_fold(_shared_terms(x.lo, x.hi)), max_count)
+    convs = (Convergent(a=h, q=k, index=i) for i, (h, k) in enumerate(fracs))
+    run = list(itertools.takewhile(lambda c: verify_eq1(x, c)["ok"], convs))
+    if not run:
+        raise PrecisionError("interval too wide: first partial quotient undetermined")
     return run
 
 
 def verify_eq1(x: CertifiedReal, c: Convergent) -> dict:
-    """Check |x − a/q| < 1/q² against the whole certified interval."""
-    if c.q < 1:
-        raise DomainError("convergent denominator must be ≥ 1")
+    """Check |x − a/q| < 1/q² against the whole certified interval.
+
+    "lhs" and "rhs" are floats, which underflow once q passes about 1e154;
+    "q2_lhs" is q²·lhs exactly.
+    """
     conv = Fraction(c.a, c.q)
     lhs = max(abs(x.lo - conv), abs(x.hi - conv))
     rhs = Fraction(1, c.q * c.q)
-    return {"lhs": float(lhs), "rhs": float(rhs), "ok": lhs < rhs}
-
+    return {"lhs": float(lhs), "rhs": float(rhs), "q2_lhs": lhs * c.q * c.q,
+            "ok": lhs < rhs}

@@ -32,6 +32,7 @@ from . import arith, cfrac, dirichlet, expsums, gamma, schedule, smoothing
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
 
 ENV_WORK_BUDGET = "LINNIKLAB_WORK_BUDGET"
+_ROWS = 1 << 16     # rows of a `kernel` table formatted per write
 
 
 def _g(v: float) -> str:
@@ -230,12 +231,10 @@ def cmd_cfrac(args) -> int:
         row = f"{c.index}\t{c.a}\t{c.q}"
         if verify:
             try:
-                err = cfrac.verify_eq1(cert, c)["lhs"] * c.q * c.q
-            except OverflowError:       # q itself is past the float range
-                err = math.inf
-            if not math.isfinite(err):
+                err = float(cfrac.verify_eq1(cert, c)["q2_lhs"])
+            except OverflowError:
                 raise PrecisionError(f"q²·|x - a/q| of convergent {c.index} is not "
-                                     f"a finite float; lower --count")
+                                     f"a finite float; lower --count") from None
             row += "\t" + _g(err)
         rows.append(row)
     sys.stdout.write("\n".join(rows) + "\n")
@@ -250,20 +249,20 @@ def cmd_kernel(args) -> int:
     if args.fourier:
         xmax = args.xmax if args.xmax is not None else 8.0 * k / (math.pi * eps)
         xs = _grid(0.0, xmax, n)
-        th = smoothing.theta_fourier(kern, xs)
-        bd = smoothing.theta_fourier_bound(kern, xs)
-        sys.stdout.write("# x\ttheta_hat\tbound\n")
-        for x, t, b in zip(xs, th, bd):
-            sys.stdout.write(f"{_g(x)}\t{_g(t)}\t{_g(b)}\n")
-        return 0
-    smoothing.check_table_budget(k, args.work_budget)
-    ymax = args.ymax if args.ymax is not None else 1.25 * eps
-    ys = _grid(-ymax, ymax, n)
-    th = smoothing.theta_eval(kern, ys)
-    ta = smoothing.theta_antiderivative(kern, ys)
-    sys.stdout.write("# y\ttheta\tantideriv\n")
-    for y, t, a in zip(ys, th, ta):
-        sys.stdout.write(f"{_g(y)}\t{_g(t)}\t{_g(a)}\n")
+        header = "# x\ttheta_hat\tbound\n"
+        cols = (xs, smoothing.theta_fourier(kern, xs), smoothing.theta_fourier_bound(kern, xs))
+    else:
+        smoothing.check_table_budget(k, args.work_budget)
+        ymax = args.ymax if args.ymax is not None else 1.25 * eps
+        ys = _grid(-ymax, ymax, n)
+        header = "# y\ttheta\tantideriv\n"
+        cols = (ys, smoothing.theta_eval(kern, ys), smoothing.theta_antiderivative(kern, ys))
+    sys.stdout.write(header)
+    # _g's format on plain floats, a block of rows per write: no call per value,
+    # and the block's strings stay small beside the grid's arrays
+    for i in range(0, n, _ROWS):
+        rows = zip(*(c[i:i + _ROWS].tolist() for c in cols))
+        sys.stdout.write("".join(map("%.15g\t%.15g\t%.15g\n".__mod__, rows)))
     return 0
 
 
@@ -313,12 +312,12 @@ def cmd_minorarc(args) -> int:
     return 0
 
 
-def _parse_instance(args, x: float) -> gamma.Instance:
+def _parse_instance(args, x: float, forced_irrational: bool = False) -> gamma.Instance:
     c1, c2, c3, ce = _need(args, "l1"), _need(args, "l2"), _need(args, "l3"), args.eta
     return gamma.Instance(
         lambda1=c1.value, lambda2=c2.value, lambda3=c3.value,
         eta=ce.value, eps=_need(args, "eps"), x=x, lambda0=args.lambda0,
-        ratio_irrational=_ratio_irrational(c1, c2, args.ratio_irrational),
+        ratio_irrational=_ratio_irrational(c1, c2, forced_irrational),
         hp_coeffs=(c1.hp, c2.hp, c3.hp, ce.hp),
     )
 
@@ -357,7 +356,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_triples(args) -> int:
     x = _need(args, "x")
-    inst = _parse_instance(args, x)
+    inst = _parse_instance(args, x, args.ratio_irrational)
     table = _table_for(x)
     wits = gamma.find_triples(
         inst, table, require_linnik=frozenset(args.require_linnik),
@@ -459,8 +458,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     instance.add_argument("--eta", type=_coeff, default="0")
     instance.add_argument("--eps", type=num)
     instance.add_argument("--lambda0", type=num, default=0.5)
-    instance.add_argument("--ratio-irrational", dest="ratio_irrational",
-                          action="store_true")
 
     p = argparse.ArgumentParser(
         prog="linniklab",
@@ -574,8 +571,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "triples", parents=[common, threads, budget, instance],
         help="explicit solution triples with witnesses",
         description="Prime triples satisfying the inequality, each with the "
-                    "two-squares witness for the constrained position(s); "
-                    "residuals re-verified exactly.")
+                    "two-squares witness (x, y) of p3 = x²+y²+1 (-1, -1 when "
+                    "p3 has none); residuals re-verified exactly.")
+    sp.add_argument("--ratio-irrational", dest="ratio_irrational", action="store_true",
+                    help="pledge that λ₁/λ₂ is irrational (theorem mode)")
     sp.add_argument("--require-linnik", dest="require_linnik", type=_int_list,
                     default="3",
                     help="comma list of positions that must be Linnik primes "

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from linniklab import cfrac
 from linniklab.cfrac import (
     CertifiedReal,
     Convergent,
@@ -24,10 +25,20 @@ def test_interval_extraction_matches_cf_patterns():
     for name in ("sqrt2", "sqrt3", "phi", "e"):
         want = convergents_from_terms(named_cf_terms(name), 12)
         run = convergents(certified_named(name), 12)
-        assert not run.precision_exhausted and not run.terminated_rational
+        assert len(run) == 12
         assert [(c.a, c.q, c.index) for c in run] == [
             (c.a, c.q, c.index) for c in want
         ]
+
+
+@pytest.mark.parametrize("name, length", [("sqrt2", 103), ("sqrt3", 138),
+                                          ("phi", 188), ("e", 72)])
+def test_certified_run_is_a_prefix_of_the_pattern(name, length):
+    # the whole certified run, up to where the 296-bit interval stops
+    # certifying, against the classical expansion
+    run = convergents(certified_named(name), 1000)
+    assert len(run) == length
+    assert run == convergents_from_terms(named_cf_terms(name), length)
 
 
 def test_sqrt2_known_prefix():
@@ -70,17 +81,21 @@ def test_sqrt2_best_approximations_up_to_29():
 
 def test_rational_termination():
     run = convergents(certified_decimal("355/113"), 10)
-    assert run.terminated_rational is True
     assert [(c.a, c.q) for c in run] == [(3, 1), (22, 7), (355, 113)]
     run32 = convergents(certified_decimal("3/2"), 10)
-    assert run32.terminated_rational is True
     assert [(c.a, c.q) for c in run32] == [(1, 1), (3, 2)]
 
 
 def test_precision_exhausted_wide_interval():
     run = convergents(certified_decimal("1.5±0.2"), 10)
-    assert run.precision_exhausted is True
     assert len(run) == 1 and (run[0].a, run[0].q) == (1, 1)
+
+
+def test_uncertified_convergent_is_not_emitted(monkeypatch):
+    # a wrong partial quotient fails verify_eq1, so the run stops before it
+    monkeypatch.setattr(cfrac, "_shared_terms", lambda lo, hi: iter([1, 2, 2, 10, 2]))
+    run = convergents(certified_named("sqrt2"), 10)
+    assert [(c.a, c.q) for c in run] == [(1, 1), (3, 2), (7, 5)]
 
 
 def test_first_term_undetermined_raises():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,24 @@ def test_cfrac_rational_and_errors(capsys):
     assert out.splitlines()[1:] == ["0\t3\t1", "1\t22\t7", "2\t355\t113"]
     rc, _, err = run(capsys, "cfrac", "--value", "0.5±0.6")
     assert rc == 2 and "first partial quotient" in err
+
+
+def test_cfrac_verify_rounds_q2_err_once(capsys):
+    # √2 to 420 decimals: from index 404 on, |x − a/q| is below the normal
+    # float range, and from 423 on below the smallest float
+    v = str(math.isqrt(2 * 10 ** 840))
+    x = Fraction(int(v), 10 ** 420)
+    lo, hi = x - Fraction(1, 10 ** 420), x + Fraction(1, 10 ** 420)
+    rc, out, _ = run(capsys, "cfrac", "--value", f"{v[0]}.{v[1:]}±1e-420",
+                     "--count", "600", "--verify")
+    rows = [r.split("\t") for r in out.splitlines()[1:]]
+    assert rc == 0 and len(rows) == 549
+    for idx, a, q, err in rows:
+        a, q = int(a), int(q)
+        exact = max(abs(lo - Fraction(a, q)), abs(hi - Fraction(a, q))) * q * q
+        assert err == f"{float(exact):.15g}", idx
+    assert rows[404][3] == "0.353553390593274"
+    assert rows[548][3] == "0.588592755192145"
 
 
 def test_kernel_tsv_golden(capsys):
@@ -533,6 +552,9 @@ _ADVERSARIAL = [
                  id="triples--work-budget=0"),
     pytest.param(("gamma", *_INSTANCE, "--x", "100", "--l1", "1e400"), {}, 2,
                  id="gamma--l1=1e400"),
+    # read only by the triple finder's theorem-mode warning
+    pytest.param(("gamma", *_INSTANCE, "--x", "100", "--ratio-irrational"), {}, 2,
+                 id="gamma--ratio-irrational"),
     # λ₁p₁ and λ₂p₂ overflow: the pair scan cannot bound its rounding
     pytest.param(("gamma", "--mode", "sharp", "--x", "100", "--l1", "1e308",
                   "--l2=-1e308", "--l3=-1", "--eps", "100", "--lambda0", "0.1"), {}, 2,
