@@ -1,9 +1,10 @@
 """Prime tables and quadratic-character arithmetic.
 
-Everything downstream leans on one sieve pass: a smallest-prime-factor table
-over [0, limit], built in cache-sized segments from descending writes of the
-odd primes to their odd multiples, gives O(log n) factorisation, which in
-turn gives
+A byte sieve over the odd numbers gives the primes ≤ limit and their logs,
+which is all that sums over primes read.  A smallest-prime-factor table over
+[0, limit], built on first use in cache-sized segments from descending writes
+of the odd primes to their odd multiples, gives O(log n) factorisation, which
+in turn gives
 
     χ(n)   the non-principal character mod 4 (+1, −1, 0 for n ≡ 1, 3, 0 mod 2),
     r₂(n)  = 4·Σ_{d|n} χ(d), the number of ways to write n = m₁² + m₂²
@@ -41,13 +42,24 @@ _SEGMENT = 2**19
 
 @dataclass
 class PrimeTable:
-    """Sieve products for [2, limit]: primes, their logs, and smallest prime factors."""
+    """Sieve products for [2, limit]: primes and their logs, with the
+    smallest-prime-factor and least-witness tables built on first use."""
 
     limit: int
     primes: np.ndarray            # int64, ascending
     log_weights: np.ndarray       # float64, log_weights[i] = ln(primes[i])
-    spf: np.ndarray               # int32, spf[n] = smallest prime factor of n (spf[1] = 1)
+    _spf: np.ndarray | None = field(default=None, repr=False)
     _witnesses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def spf(self) -> np.ndarray:
+        """Smallest prime factor of every n ≤ limit (spf[0] = spf[1] = 1).
+
+        int32, 4 bytes per slot, built on first use by ``_spf_table``.
+        """
+        if self._spf is None:
+            self._spf = _spf_table(self.limit, self.primes)
+        return self._spf
 
     @property
     def witnesses(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,25 +93,29 @@ class PrimeTable:
         return int(self.spf[n]) == n
 
 
-def small_primes(n: int) -> list[int]:
-    """Primes ≤ n, ascending, from a boolean sieve: the strides of the big sieves."""
-    is_p = np.ones(n + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.flatnonzero(is_p).tolist()
+def primes_upto(n: int) -> np.ndarray:
+    """Primes ≤ n, ascending, as int64, from a byte sieve over the odd numbers.
+
+    Slot i stands for 2i + 1; each odd prime p ≤ √n clears its odd multiples
+    from p² on in one strided write, p² at slot ⌊p²/2⌋ and a stride of p
+    slots.  One byte per two numbers.
+    """
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
 
 
 def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
-    """Build a PrimeTable up to ``limit`` with a segmented smallest-prime-factor sieve.
+    """Build a PrimeTable up to ``limit``: primes and logs from ``primes_upto``.
 
-    Even n ≥ 4 get 2 in one strided write.  The rest of ``spf`` is walked in
-    segments of ``_SEGMENT`` slots, small enough to stay in cache; in each,
-    every odd prime p ≤ √limit with p² inside it writes p to its odd
-    multiples from max(p², segment start) on.  The primes write in
-    descending order, so the smallest prime factor of n, which has
-    spf(n)² ≤ n, is the last to write it and no write needs a mask.
+    ``memory_budget`` caps limit + 1, the slots of the spf table (4 bytes
+    each) that the first reader of ``PrimeTable.spf`` builds; the cap is
+    checked here, before anything is allocated.
     """
     if not limit >= 2:
         raise DomainError(f"limit must be ≥ 2, got {limit}")
@@ -107,9 +123,25 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
         raise ResourceError(
             f"sieve of {limit + 1} slots exceeds memory budget {memory_budget}"
         )
+    primes = primes_upto(limit)
+    log_weights = np.log(primes.astype(np.float64))
+    return PrimeTable(limit=limit, primes=primes, log_weights=log_weights)
+
+
+def _spf_table(limit: int, primes: np.ndarray) -> np.ndarray:
+    """Smallest prime factor of every n ≤ limit, from a segmented sieve.
+
+    Even n ≥ 4 get 2 in one strided write.  The rest of ``spf`` is walked in
+    segments of ``_SEGMENT`` slots, small enough to stay in cache; in each,
+    every odd prime p ≤ √limit with p² inside it writes p to its odd
+    multiples from max(p², segment start) on.  The primes write in
+    descending order, so the smallest prime factor of n, which has
+    spf(n)² ≤ n, is the last to write it and no write needs a mask.  The
+    slots left untouched are the primes, which take their own value.
+    """
     spf = np.zeros(limit + 1, dtype=np.int32)
     spf[4::2] = 2
-    odd = small_primes(math.isqrt(limit))[1:]
+    odd = primes[1 : np.searchsorted(primes, math.isqrt(limit), side="right")].tolist()
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         view = spf[lo:hi]
@@ -118,13 +150,9 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
             if start % 2 == 0:
                 start += p
             view[start - lo :: 2 * p] = p
-    # untouched n ≥ 2 are prime; give 0 and 1 harmless self-values
-    rest = np.nonzero(spf == 0)[0]
-    spf[rest] = rest
-    spf[0] = 1 if limit >= 1 else 0
-    primes = rest[rest >= 2].astype(np.int64)
-    log_weights = np.log(primes.astype(np.float64))
-    return PrimeTable(limit=limit, primes=primes, log_weights=log_weights, spf=spf)
+    spf[primes] = primes
+    spf[:2] = 1
+    return spf
 
 
 def chi(n: int) -> int:
@@ -187,43 +215,43 @@ def r2(n: int, table: PrimeTable) -> int:
     return 4 * sig
 
 
-def _ppow_chi_sum(p: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Vector Σ_{i≤e} χ(p)^i for prime-power runs; p = 0 marks 'no run' → 1."""
-    r = p & 3
-    out = np.ones(p.shape, dtype=np.int64)
-    out = np.where(r == 1, e + 1, out)
-    out = np.where((r == 3) & (e % 2 == 1), 0, out)
-    return out
-
-
 def r2_bulk(ns: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """Vectorised r₂ over an integer array, by repeated spf division.
+    """Vectorised r₂ over an integer array, one prime power per pass.
 
-    Each pass divides every still-active entry by its current smallest prime
-    factor, so the number of passes is bounded by max Ω(n) (≤ 24 below 10⁷).
+    The power of 2, which contributes 1 to Σ χ(d), goes first, as
+    n // (n & −n).  Each pass then divides every still-active odd cofactor m
+    by the whole power p^e of its smallest prime factor p = spf(m) and
+    multiplies σ by that factor's Σ_{i≤e} χ(p)^i (see ``r2``).  An entry
+    leaves the compacted active arrays (m, index, σ) as soon as m = 1 or
+    σ = 0, the latter at an odd power of a p ≡ 3 (mod 4); so the passes are
+    bounded by the distinct odd primes of one n (at most 7 below 10⁷) and most
+    entries leave well before that.
     """
-    m = np.ascontiguousarray(ns, dtype=np.int64).copy()
-    if m.size == 0:
+    n = np.ascontiguousarray(ns, dtype=np.int64)
+    if n.size == 0:
         return np.zeros(0, dtype=np.int64)
-    if int(m.min()) < 1 or int(m.max()) > table.limit:
+    if int(n.min()) < 1 or int(n.max()) > table.limit:
         raise DomainError("r2_bulk inputs must lie in [1, table.limit]")
-    sig = np.ones(m.shape, dtype=np.int64)
-    cur_p = np.zeros(m.shape, dtype=np.int64)
-    cur_e = np.zeros(m.shape, dtype=np.int64)
     spf = table.spf
-    idx = np.nonzero(m > 1)[0]
+    m = (n // (n & -n)).astype(spf.dtype)
+    sig = (m == 1).astype(np.int64)
+    idx = np.flatnonzero(m > 1)
+    m = m[idx]
+    s = np.ones(idx.size, dtype=spf.dtype)
     while idx.size:
-        p = spf[m[idx]].astype(np.int64)
-        fresh = p != cur_p[idx]
-        ch = idx[fresh]
-        if ch.size:
-            sig[ch] *= _ppow_chi_sum(cur_p[ch], cur_e[ch])
-            cur_p[ch] = p[fresh]
-            cur_e[ch] = 0
-        cur_e[idx] += 1
-        m[idx] //= p
-        idx = idx[m[idx] > 1]
-    sig *= _ppow_chi_sum(cur_p, cur_e)
+        p = spf[m]
+        m //= p
+        e = np.ones(m.size, dtype=spf.dtype)
+        k = np.flatnonzero(m % p == 0)
+        while k.size:
+            m[k] //= p[k]
+            e[k] += 1
+            k = k[m[k] % p[k] == 0]
+        s *= np.where((p & 3) == 1, e + 1, 1 - (e & 1))
+        done = m == 1
+        sig[idx[done]] = s[done]
+        live = ~done & (s != 0)
+        idx, m, s = idx[live], m[live], s[live]
     return 4 * sig
 
 

@@ -9,8 +9,10 @@ runs and thread counts.  Exit codes: 0 success, 2 domain/usage error,
 Coefficients (--l1/--l2/--l3/--eta) accept plain decimals (`-1`, `0.25`),
 decimals with an explicit uncertainty (`1.4142135±1e-7`), or the named
 constants sqrt2, sqrt3, phi, e (optionally signed), which are resolved to
-certified rationals.  Each is held as an exact rational and as its nearest
-float; the triple finder re-checks its candidates with the exact values.
+certified rationals; a signed value may follow its flag as a separate
+argument (`--l3 -sqrt3`) or after `=`.  Each is held as an exact rational
+and as its nearest float; the triple finder re-checks its candidates with
+the exact values.
 
 `_build_parser` declares each flag's type and default once, on the
 subcommands that read it; a `--config` file and LINNIKLAB_WORK_BUDGET only
@@ -21,6 +23,7 @@ values exactly as it checks flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -157,19 +160,50 @@ def _config_defaults(sp: argparse.ArgumentParser, cfg: dict) -> dict:
     return out
 
 
+def _join_signed_values(subs: dict, argv: list[str]) -> list[str]:
+    """argv with `--flag -v` written `--flag=-v` where the subcommand's --flag
+    takes a value.
+
+    argparse reads a token that starts with `-` and is not a plain number as
+    a flag, so a signed named constant or fraction (`--l3 -sqrt3`,
+    `--value -355/113`) would otherwise end in "expected one argument".
+    Tokens that start with `--` or are flags of the subcommand stay flags.
+    """
+    sp = subs.get(argv[0]) if argv else None
+    if sp is None:
+        return argv
+    flags = sp._option_string_actions
+    out = argv[:1]
+    for tok in argv[1:]:
+        prev = flags.get(out[-1])
+        if (prev is not None and prev.nargs is None and tok.startswith("-")
+                and not tok.startswith("--") and tok not in flags):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; precedence of a value is flag > environment > config > built-in."""
     parser, subs = _build_parser()
+    argv = _join_signed_values(subs, sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     cfg = _load_config(args.config) if args.config else {}
     env = os.environ.get(ENV_WORK_BUDGET)
     if env is not None:
         cfg["work_budget"] = env
-    defaults = _config_defaults(subs[args.cmd], cfg)
+    sp = subs[args.cmd]
+    defaults = _config_defaults(sp, cfg)
     if not defaults:
         return args
-    subs[args.cmd].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    # the parser is built once per process: the next call gets its own defaults
+    built_in = {k: sp.get_default(k) for k in defaults}
+    sp.set_defaults(**defaults)
+    try:
+        return parser.parse_args(argv)
+    finally:
+        sp.set_defaults(**built_in)
 
 
 def _need(args, key: str):
@@ -435,8 +469,9 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name."""
+    """The parser and its subcommand parsers by name, built once per process."""
     num = _finite_float
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying flag defaults")

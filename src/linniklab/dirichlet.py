@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import MEMORY_BUDGET, PrimeTable, chi_vec, r2_bulk, small_primes
+from .arith import MEMORY_BUDGET, PrimeTable, chi_vec, primes_upto, r2_bulk
 from .errors import DomainError, ResourceError
 
 
@@ -90,7 +90,7 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
     # factor above √dmax
     phi = np.arange(dmax + 1, dtype=np.int64)
     cof = phi.copy()
-    for p in small_primes(math.isqrt(dmax)):
+    for p in primes_upto(math.isqrt(dmax)).tolist():
         phi[p::p] -= phi[p::p] // p
         q = p
         while q <= dmax:

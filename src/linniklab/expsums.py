@@ -140,8 +140,9 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
     for q in range(1, q_max + 1):
         best = 0.0
         phi = euler_phi(q, table)
-        # each residue class is a slice of one stable sort, in prime order
-        res = np.mod(ps, q)
+        # each residue class is a slice of one stable sort, in prime order;
+        # in the narrowest unsigned type, a q ≤ 2¹⁶ sorts by radix
+        res = np.mod(ps, q).astype(np.min_scalar_type(q - 1))
         order = np.argsort(res, kind="stable")
         cuts = np.searchsorted(res[order], np.arange(q + 1)).tolist()
         pq, wq = psf[order], ws[order]

@@ -34,13 +34,50 @@ def test_r2_against_lattice_small(table4):
         assert r2(n, table4) == counts[n], n
 
 
-def test_r2_bulk_matches_scalar(table4):
-    ns = np.arange(1, 5000, dtype=np.int64)
-    bulk = r2_bulk(ns, table4)
-    rng = random.Random(7)
-    for _ in range(400):
-        n = rng.randrange(1, 5000)
-        assert bulk[n - 1] == r2(n, table4)
+def r2_by_spf_steps(ns: np.ndarray, table) -> np.ndarray:
+    """Oracle: r₂ by dividing every entry by its smallest prime factor, one
+    prime at a time, closing a prime power's factor when the prime changes."""
+    m = np.asarray(ns, dtype=np.int64).copy()
+    sig = np.ones(m.shape, dtype=np.int64)
+    cur_p = np.zeros(m.shape, dtype=np.int64)
+    cur_e = np.zeros(m.shape, dtype=np.int64)
+
+    def close(ix):
+        r = cur_p[ix] & 3
+        sig[ix] *= np.where(r == 1, cur_e[ix] + 1, np.where(r == 3, 1 - cur_e[ix] % 2, 1))
+
+    idx = np.nonzero(m > 1)[0]
+    while idx.size:
+        p = table.spf[m[idx]].astype(np.int64)
+        fresh = p != cur_p[idx]
+        ch = idx[fresh]
+        close(ch)
+        cur_p[ch] = p[fresh]
+        cur_e[ch] = 0
+        cur_e[idx] += 1
+        m[idx] //= p
+        idx = idx[m[idx] > 1]
+    close(np.arange(m.size))
+    return 4 * sig
+
+
+def test_r2_bulk_matches_scalar():
+    limit = 10**5
+    table = sieve_primes(limit)
+    ns = np.arange(1, limit + 1)
+    bulk = r2_bulk(ns, table)
+    assert bulk.dtype == np.int64
+    assert bulk.tolist() == [r2(n, table) for n in range(1, limit + 1)]
+    special = [limit, *(2**k for k in range(17)), *(3**k for k in range(11)),
+               *(3 * 5**k for k in range(7))]
+    got = r2_bulk(np.array(special), table)
+    assert got.tolist() == [r2(n, table) for n in special]
+
+
+def test_r2_bulk_on_shifted_primes_matches_spf_steps(table6):
+    ns = table6.primes - 1
+    got = r2_bulk(ns, table6)
+    assert got.dtype == np.int64 and np.array_equal(got, r2_by_spf_steps(ns, table6))
 
 
 def test_r2_known_values(table4):
@@ -251,6 +288,29 @@ def test_sieve_matches_naive_across_segments(monkeypatch, segment):
     edges = [m * segment + d for m in (1, 2, 3, 7, 19) for d in (-1, 0, 1)]
     for limit in [*edges, 19_999, 20_000, 20_001, 20_449, 24_999]:
         assert_sieve_matches_naive(limit)
+
+
+def eager_spf(limit: int) -> np.ndarray:
+    """Oracle: one unsegmented pass per prime p ≤ √limit over all its multiples
+    from p², descending, so the smallest factor writes last (0, 1 ↦ 1)."""
+    spf = np.arange(limit + 1, dtype=np.int32)
+    spf[:2] = 1
+    for p in reversed([p for p in range(2, math.isqrt(limit) + 1) if _NAIVE_SPF[p] == p]):
+        spf[p * p :: p] = p
+    return spf
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 2**19 - 1, 2**19 + 1, 2**20 + 1, 10**6])
+def test_byte_sieve_and_lazy_spf_match_eager_sieve(limit):
+    table = sieve_primes(limit)
+    assert table._spf is None                     # built only on demand
+    want = eager_spf(limit)
+    n = np.arange(limit + 1)
+    primes = n[(n >= 2) & (want == n)]
+    assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes)
+    assert np.array_equal(table.log_weights, np.log(primes.astype(np.float64)))
+    assert table.spf.dtype == np.int32 and np.array_equal(table.spf, want)
+    assert table.spf is table.spf
 
 
 def test_sieve_validation():

@@ -473,6 +473,57 @@ def test_config_file(capsys, tmp_path):
     assert json.loads(out)["eps"] == 0.5
 
 
+def test_config_defaults_last_one_call(capsys, tmp_path):
+    # the parser tree is built once per process; a config's values are the
+    # defaults of its own call only, also when that call fails
+    assert _build_parser() is _build_parser()
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("count = 3\nverify = true\n")
+    rc, out, _ = run(capsys, "cfrac", "--config", str(cfg), "--name", "sqrt2")
+    assert rc == 0 and len(out.splitlines()) == 4 and "q2_err" in out
+    rc, out, _ = run(capsys, "cfrac", "--name", "sqrt2")
+    assert rc == 0 and out.splitlines()[0] == "# index\ta\tq"
+    assert len(out.splitlines()) == 11
+    cfg.write_text("pattern = true\ncount = abc\n")
+    rc, out, _ = run(capsys, "cfrac", "--config", str(cfg), "--name", "e")
+    assert rc == 2 and out == ""
+    rc, out, _ = run(capsys, "cfrac", "--name", "e", "--count", "4")
+    assert rc == 0 and out.splitlines()[1:] == ["0\t2\t1", "1\t3\t1", "2\t8\t3", "3\t11\t4"]
+
+
+@pytest.mark.parametrize("joined", [
+    ("cfrac", "--name=-sqrt2", "--count", "5", "--verify"),
+    ("cfrac", "--value=-355/113", "--count", "10", "--verify"),
+    ("cfrac", "--value=-1.4142135±1e-7", "--count", "6"),
+    ("triples", "--x", "1e3", "--l1", "sqrt2", "--l2", "-1", "--l3=-sqrt3",
+     "--eps", "0.05", "--lambda0", "0.1"),
+    ("gamma", "--mode", "sharp", "--x", "1e3", "--l1=-e", "--l2", "1",
+     "--l3", "phi", "--eta=-1e-1", "--eps", "1"),
+], ids=["name", "value", "value-err", "l3", "l1-eta"])
+def test_signed_values_as_separate_arguments(capsys, joined):
+    # `--flag -sqrt2` is read as `--flag=-sqrt2`
+    split = [s for a in joined for s in (a.split("=", 1) if "=-" in a else (a,))]
+    want = run(capsys, *joined)
+    assert want[0] == 0 and (want[1].startswith("{") or len(want[1].splitlines()) > 1)
+    assert run(capsys, *split) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("minorarc", "--x", "1e4", "--a", "1", "--q", "7"),
+    ("expsum", "--x", "1e4", "--alpha", "0.3"),
+    ("singular", "--pmax", "1e4", "--dmax", "1e3", "--checkpoints", "10,1000"),
+])
+def test_commands_without_factorisation_build_no_spf(capsys, monkeypatch, argv):
+    from linniklab import arith
+
+    def refuse(*a):
+        raise AssertionError("spf table built")
+
+    monkeypatch.setattr(arith, "_spf_table", refuse)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and out.startswith("{"), err
+
+
 def _modules_after_cli_import(pkg: str) -> str:
     """The modules of pkg that `import linniklab.cli` loads, from a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -567,6 +618,15 @@ _ADVERSARIAL = [
     pytest.param(("schedule", "--x", "1e5", "--mode", "bogus"), {}, 2,
                  id="schedule--mode=bogus"),
     pytest.param(("kernel", "--nope"), {}, 2, id="kernel--nope"),
+    # a signed value joins the flag before it; flags stay flags
+    pytest.param(("cfrac", "--name", "-sqrt2", "--nope"), {}, 2, id="cfrac--name=-sqrt2--nope"),
+    pytest.param(("cfrac", "--name", "-bogus"), {}, 2, id="cfrac--name=-bogus"),
+    pytest.param(("cfrac", "--name", "--count", "3"), {}, 2, id="cfrac--name--count"),
+    pytest.param(("cfrac", "--name", "-h"), {}, 2, id="cfrac--name-h"),
+    pytest.param(("triples", *_INSTANCE, "--x", "30", "--l3", "-nope"), {}, 2,
+                 id="triples--l3=-nope"),
+    pytest.param(("cfrac", "--verify", "-sqrt2", "--name", "e"), {}, 2,
+                 id="cfrac--verify-sqrt2"),
     # finite but extreme: overflow or underflow inside the computation
     pytest.param(("kernel", "--eps", "1e400"), {}, 2, id="kernel--eps=1e400"),
     pytest.param(("kernel", "--eps", "1e308", "--fourier"), {}, 2, id="kernel--eps=1e308"),
