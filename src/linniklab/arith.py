@@ -2,9 +2,10 @@
 
 A byte sieve over the odd numbers gives the primes ≤ limit and their logs,
 which is all that sums over primes read.  A smallest-prime-factor table over
-[0, limit], built on first use in cache-sized segments from descending writes
-of the odd primes to their odd multiples, gives O(log n) factorisation, which
-in turn gives
+the odd n ≤ limit (slot i stands for 2i + 1), built on first use in
+cache-sized segments from descending writes of the odd primes to their odd
+multiples, gives O(log n) factorisation once the power of 2 is split off,
+which in turn gives
 
     χ(n)   the non-principal character mod 4 (+1, −1, 0 for n ≡ 1, 3, 0 mod 2),
     r₂(n)  = 4·Σ_{d|n} χ(d), the number of ways to write n = m₁² + m₂²
@@ -31,12 +32,13 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Default cap on sieve size: spf table is 4 bytes per slot.
+# Default cap on sieve size, in numbers: the spf table is 2 bytes per number.
 MEMORY_BUDGET = 2**31
 # Default cap on inner-loop evaluations per call: (p1,p2) pairs in the pair
 # scans, Q·π(X) modulus-prime steps in the progression error scan.
 WORK_BUDGET = 2**31
-# Slots of spf sieved per segment: 2 MB of int32, about one L2 cache.
+# Slots of spf sieved per segment: 2 MB of int32, about one L2 cache, which
+# cover 2²⁰ numbers.
 _SEGMENT = 2**19
 
 
@@ -53,9 +55,11 @@ class PrimeTable:
 
     @property
     def spf(self) -> np.ndarray:
-        """Smallest prime factor of every n ≤ limit (spf[0] = spf[1] = 1).
+        """Smallest prime factor of every odd n ≤ limit, at slot n // 2
+        (spf[0] = 1 for n = 1).
 
-        int32, 4 bytes per slot, built on first use by ``_spf_table``.
+        int32 over the odd numbers only, 2 bytes per number, built on first
+        use by ``_spf_table``.  Even n have smallest prime factor 2.
         """
         if self._spf is None:
             self._spf = _spf_table(self.limit, self.primes)
@@ -90,7 +94,9 @@ class PrimeTable:
             if n > self.limit:
                 raise DomainError(f"n={n} exceeds table limit {self.limit}")
             return False
-        return int(self.spf[n]) == n
+        if n % 2 == 0:
+            return n == 2
+        return int(self.spf[n >> 1]) == n
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -113,8 +119,8 @@ def primes_upto(n: int) -> np.ndarray:
 def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     """Build a PrimeTable up to ``limit``: primes and logs from ``primes_upto``.
 
-    ``memory_budget`` caps limit + 1, the slots of the spf table (4 bytes
-    each) that the first reader of ``PrimeTable.spf`` builds; the cap is
+    ``memory_budget`` caps limit + 1, the numbers that the spf table (2 bytes
+    each) built by the first reader of ``PrimeTable.spf`` covers; the cap is
     checked here, before anything is allocated.
     """
     if not limit >= 2:
@@ -129,29 +135,30 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
 
 
 def _spf_table(limit: int, primes: np.ndarray) -> np.ndarray:
-    """Smallest prime factor of every n ≤ limit, from a segmented sieve.
+    """Smallest prime factor of every odd n ≤ limit, slot i standing for
+    n = 2i + 1, from a segmented sieve.
 
-    Even n ≥ 4 get 2 in one strided write.  The rest of ``spf`` is walked in
-    segments of ``_SEGMENT`` slots, small enough to stay in cache; in each,
-    every odd prime p ≤ √limit with p² inside it writes p to its odd
-    multiples from max(p², segment start) on.  The primes write in
-    descending order, so the smallest prime factor of n, which has
-    spf(n)² ≤ n, is the last to write it and no write needs a mask.  The
-    slots left untouched are the primes, which take their own value.
+    The table is walked in segments of ``_SEGMENT`` slots, small enough to
+    stay in cache; in each, every odd prime p ≤ √limit with p² inside it
+    writes p to its odd multiples from max(p², segment start) on, a stride of
+    p slots.  The primes write in descending order, so the smallest prime
+    factor of n, which has spf(n)² ≤ n, is the last to write it and no write
+    needs a mask.  The slots left untouched are 1 and the odd primes, which
+    take 1 and their own value.
     """
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    spf[4::2] = 2
-    odd = primes[1 : np.searchsorted(primes, math.isqrt(limit), side="right")].tolist()
-    for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
+    spf = np.zeros((limit + 1) // 2, dtype=np.int32)
+    odd = primes[1:]
+    small = odd[: np.searchsorted(odd, math.isqrt(limit), side="right")].tolist()
+    for lo in range(0, spf.size, _SEGMENT):
+        hi = min(lo + _SEGMENT, spf.size)
         view = spf[lo:hi]
-        for p in reversed([p for p in odd if p * p < hi]):
-            start = -(-max(p * p, lo) // p) * p
+        for p in reversed([p for p in small if p * p < 2 * hi]):
+            start = -(-max(p * p, 2 * lo + 1) // p) * p
             if start % 2 == 0:
                 start += p
-            view[start - lo :: 2 * p] = p
-    spf[primes] = primes
-    spf[:2] = 1
+            view[start // 2 - lo :: p] = p
+    spf[odd >> 1] = odd
+    spf[0] = 1
     return spf
 
 
@@ -168,20 +175,26 @@ def chi(n: int) -> int:
 
 
 def chi_vec(n: np.ndarray) -> np.ndarray:
-    """Vector χ for positive integer arrays, as int64 (the type of np.where
-    on Python ints)."""
-    r = np.asarray(n) & 3
-    return np.where(r == 1, 1, np.where(r == 3, -1, 0))
+    """Vector χ for positive integer arrays, in their dtype: the parity bit
+    times 1 − (n & 2), which is +1 for n ≡ 1 and −1 for n ≡ 3 (mod 4)."""
+    n = np.asarray(n)
+    return (n & 1) * (1 - (n & 2))
 
 
 def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:
-    """Prime factorisation [(p, e), …] via the spf table; ascending p."""
+    """Prime factorisation [(p, e), …] via the spf table; ascending p.
+
+    The power of 2 is split off first; the odd rest is read from the table.
+    """
     if n < 1 or n > table.limit:
         raise DomainError(f"factorize needs 1 ≤ n ≤ {table.limit}, got {n}")
     out: list[tuple[int, int]] = []
-    spf = table.spf
+    e2 = (n & -n).bit_length() - 1
+    if e2:
+        out.append((2, e2))
+        n >>= e2
     while n > 1:
-        p = int(spf[n])
+        p = int(table.spf[n >> 1])
         e = 0
         while n % p == 0:
             n //= p
@@ -191,10 +204,22 @@ def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:
 
 
 def euler_phi(n: int, table: PrimeTable) -> int:
-    """Euler totient from the factorisation."""
-    val = 1
-    for p, e in factorize(n, table):
-        val *= (p - 1) * p ** (e - 1)
+    """Euler totient of 1 ≤ n ≤ table.limit, by trial division up to √n.
+
+    Callers want φ of one small modulus, for which building the spf table
+    would cost far more than the √n divisions.
+    """
+    if n < 1 or n > table.limit:
+        raise DomainError(f"euler_phi needs 1 ≤ n ≤ {table.limit}, got {n}")
+    val, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            val -= val // p
+            while n % p == 0:
+                n //= p
+        p += 1 + (p & 1)
+    if n > 1:
+        val -= val // n
     return val
 
 
@@ -225,7 +250,8 @@ def r2_bulk(ns: np.ndarray, table: PrimeTable) -> np.ndarray:
     leaves the compacted active arrays (m, index, σ) as soon as m = 1 or
     σ = 0, the latter at an odd power of a p ≡ 3 (mod 4); so the passes are
     bounded by the distinct odd primes of one n (at most 7 below 10⁷) and most
-    entries leave well before that.
+    entries leave well before that.  Every m is odd, so spf(m) sits at slot
+    m >> 1 of the odd-only table.
     """
     n = np.ascontiguousarray(ns, dtype=np.int64)
     if n.size == 0:
@@ -239,7 +265,7 @@ def r2_bulk(ns: np.ndarray, table: PrimeTable) -> np.ndarray:
     m = m[idx]
     s = np.ones(idx.size, dtype=spf.dtype)
     while idx.size:
-        p = spf[m]
+        p = spf[m >> 1]
         m //= p
         e = np.ones(m.size, dtype=spf.dtype)
         k = np.flatnonzero(m % p == 0)

@@ -425,11 +425,14 @@ def cmd_singular(args) -> int:
     table = _table_for(pmax)
     approx = dirichlet.n_s(s, pmax, table)
     lo, hi = approx.bracket()
+    # one N(0) for both constants, formed as dirichlet.f_zero and
+    # dirichlet.linnik_constant form them, so 4·f(0) = π·N(0) stays bitwise
+    n0 = approx.value if s == 0 else dirichlet.n_s(0.0, pmax, table).value
     out = {
         "s": s, "pmax": pmax, "n_s": approx.value,
         "tail_bound": approx.tail_bound, "bracket_lo": lo, "bracket_hi": hi,
-        "f_zero": dirichlet.f_zero(pmax, table),
-        "linnik_constant": dirichlet.linnik_constant(pmax, table),
+        "f_zero": 0.25 * math.pi * n0,
+        "linnik_constant": math.pi * n0,
     }
     if dmax is not None:
         out["chi_phi"] = dirichlet.chi_phi_partial(dmax, table, args.checkpoints or None)

@@ -85,26 +85,27 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
         checkpoints = [dmax]
     if any(not 1 <= c <= dmax for c in checkpoints):
         raise DomainError(f"checkpoints must lie in [1, {dmax}]")
-    # φ(d) = d·Π_{p|d}(1 − 1/p), one strided pass per prime p ≤ √dmax; each
-    # pass also strips p from the cofactor, which ends as 1 or d's one prime
-    # factor above √dmax
-    phi = np.arange(dmax + 1, dtype=np.int64)
+    # χ vanishes on even d, so only odd d are kept: slot j stands for
+    # d = 2j + 1, and the odd multiples of an odd p sit at a stride of p slots
+    # from slot p // 2.  φ(d) = d·Π_{p|d}(1 − 1/p), one strided pass per odd
+    # prime p ≤ √dmax; each pass also strips p from the cofactor, which ends
+    # as 1 or d's one prime factor above √dmax
+    phi = np.arange(1, dmax + 1, 2, dtype=np.int64)
     cof = phi.copy()
-    for p in primes_upto(math.isqrt(dmax)).tolist():
-        phi[p::p] -= phi[p::p] // p
+    for p in primes_upto(math.isqrt(dmax))[1:].tolist():
+        phi[p // 2::p] -= phi[p // 2::p] // p
         q = p
         while q <= dmax:
-            cof[q::q] //= p
+            cof[q // 2::q] //= p
             q *= p
     big = np.flatnonzero(cof > 1)
     phi[big] -= phi[big] // cof[big]
-    d = np.arange(dmax + 1, dtype=np.int64)
-    terms = np.zeros(dmax + 1)
-    odd = d[1:][d[1:] % 2 == 1]
-    signs = np.where(odd % 4 == 1, 1.0, -1.0)
-    terms[odd] = signs / phi[odd]
-    partial = np.cumsum(terms)
-    return [(int(c), float(partial[c])) for c in checkpoints]
+    # χ(2j + 1) = (−1)^j; the even d left out add zeros, which never move a
+    # partial sum, so the odd cumsum at slot (D − 1) // 2 is the sum to D
+    signs = np.ones(phi.size)
+    signs[1::2] = -1.0
+    partial = np.cumsum(signs / phi)
+    return [(int(c), float(partial[(c - 1) // 2])) for c in checkpoints]
 
 
 def linnik_empirical(table: PrimeTable, x: float) -> dict:

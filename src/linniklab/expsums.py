@@ -97,8 +97,7 @@ def i_j(j: tuple[float, float], alpha: float) -> complex:
 def e_term(table: PrimeTable, x: float, q: int, a: int) -> float:
     """E(x;q,a) = Σ_{p ≤ x, p ≡ a (q)} ln p − x/φ(q), the progression error."""
     if not 1 <= q <= table.limit:
-        raise DomainError(f"modulus q={q} must lie in [1, {table.limit}]: φ(q) "
-                          f"is read off the sieve")
+        raise DomainError(f"modulus q={q} must lie in [1, {table.limit}]")
     if math.gcd(a, q) != 1:
         raise DomainError(f"need gcd(a,q)=1, got a={a}, q={q}")
     if x <= 0:
@@ -121,8 +120,7 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
     y = X; those O(π(X)) candidates are scanned in full.
     """
     if not 0 <= q_max <= table.limit:
-        raise DomainError(f"modulus bound Q={q_max} must lie in [0, {table.limit}]: "
-                          f"φ(q) is read off the sieve")
+        raise DomainError(f"modulus bound Q={q_max} must lie in [0, {table.limit}]")
     if x <= 0:
         raise DomainError(f"X must be positive, got {x}")
     n = table.prime_count(x)

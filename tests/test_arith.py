@@ -48,7 +48,9 @@ def r2_by_spf_steps(ns: np.ndarray, table) -> np.ndarray:
 
     idx = np.nonzero(m > 1)[0]
     while idx.size:
-        p = table.spf[m[idx]].astype(np.int64)
+        p = np.full(idx.size, 2, dtype=np.int64)
+        odd = m[idx] % 2 == 1
+        p[odd] = table.spf[m[idx][odd] >> 1]
         fresh = p != cur_p[idx]
         ch = idx[fresh]
         close(ch)
@@ -245,7 +247,8 @@ def test_spf_is_smallest_factor(table4):
     rng = random.Random(5)
     for _ in range(500):
         n = rng.randrange(2, 10**4)
-        spf = int(table4.spf[n])
+        spf = int(table4.spf[n >> 1]) if n % 2 else 2
+        assert factorize(n, table4)[0][0] == spf
         assert n % spf == 0
         assert all(n % q for q in range(2, spf))
 
@@ -261,10 +264,21 @@ def naive_spf(nmax: int) -> np.ndarray:
 _NAIVE_SPF = naive_spf(25_000)
 
 
+def assert_spf_matches(table, want: np.ndarray):
+    """table.spf holds want at the odd n, and factorize's first prime and
+    is_prime agree with want at every n ≤ limit, even n included."""
+    assert table.spf.dtype == np.int32, table.limit
+    assert np.array_equal(table.spf, want[1::2]), table.limit
+    assert factorize(1, table) == [] and not table.is_prime(0) and not table.is_prime(1)
+    for n, w in enumerate(want[2:].tolist(), start=2):
+        assert factorize(n, table)[0][0] == w, n
+        assert table.is_prime(n) == (w == n), n
+
+
 def assert_sieve_matches_naive(limit: int):
     table = sieve_primes(limit)
     want = _NAIVE_SPF[: limit + 1]
-    assert table.spf.dtype == np.int32 and np.array_equal(table.spf, want), limit
+    assert_spf_matches(table, want)
     n = np.arange(limit + 1)
     primes = n[(n >= 2) & (want == n)]
     assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes), limit
@@ -309,8 +323,27 @@ def test_byte_sieve_and_lazy_spf_match_eager_sieve(limit):
     primes = n[(n >= 2) & (want == n)]
     assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes)
     assert np.array_equal(table.log_weights, np.log(primes.astype(np.float64)))
-    assert table.spf.dtype == np.int32 and np.array_equal(table.spf, want)
+    assert_spf_matches(table, want)
     assert table.spf is table.spf
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 10**4, 10**4 + 1])
+def test_is_prime_and_factorize_at_the_ends(limit):
+    table = sieve_primes(limit)
+    assert table.spf.size == (limit + 1) // 2     # one slot per odd n ≤ limit
+    assert factorize(1, table) == [] and not table.is_prime(1)
+    assert factorize(2, table) == [(2, 1)] and table.is_prime(2)
+    if limit >= 4:
+        assert factorize(4, table) == [(2, 2)] and not table.is_prime(4)
+    want = {2: [(2, 1)], 3: [(3, 1)], 4: [(2, 2)], 5: [(5, 1)],
+            10**4: [(2, 4), (5, 4)], 10**4 + 1: [(73, 1), (137, 1)]}[limit]
+    assert factorize(limit, table) == want
+    assert table.is_prime(limit) == (limit in (2, 3, 5))
+    for n in (limit + 1, limit + 2):
+        with pytest.raises(DomainError):
+            factorize(n, table)
+        with pytest.raises(DomainError):
+            table.is_prime(n)
 
 
 def test_sieve_validation():

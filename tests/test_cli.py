@@ -393,6 +393,28 @@ def test_singular_json(capsys):
     assert len(doc["chi_phi"]) == 3
 
 
+@pytest.mark.parametrize("s, calls", [("0", 1), ("0.5", 2)])
+def test_singular_evaluates_n0_once(capsys, monkeypatch, s, calls):
+    # N(0) is shared by f_zero and linnik_constant, and is N(s) itself at s = 0
+    from linniklab import arith, dirichlet
+    from linniklab.cli import _r15
+
+    seen = []
+    real = dirichlet.n_s
+
+    def counted(*a):
+        seen.append(a[0])
+        return real(*a)
+
+    monkeypatch.setattr(dirichlet, "n_s", counted)
+    rc, out, _ = run(capsys, "singular", "--pmax", "1e4", "--s", s)
+    assert rc == 0 and len(seen) == calls, seen
+    doc = json.loads(out)
+    table = arith.sieve_primes(10**4)
+    assert doc["f_zero"] == _r15(dirichlet.f_zero(10**4, table))
+    assert doc["linnik_constant"] == _r15(dirichlet.linnik_constant(10**4, table))
+
+
 def test_exit_code_domain_errors(capsys):
     rc, _, err = run(capsys, "gamma", "--mode", "split", "--x", "1000",
                      "--l1", "1", "--l2", "-1", "--l3", "-1", "--eta", "0",
@@ -423,7 +445,7 @@ def test_hooley_non_finite_x_exits_2(capsys):
     (("singular", "--pmax", "1e4", "--dmax", "abc"), "--dmax"),
     (("kernel", "--eps", "nan"), "finite"),
     (("kernel", "--eps", "0.1", "--ymax", "nan"), "--ymax"),
-    # φ(q) is read off the sieve of X, so a larger modulus is refused up front
+    # a modulus past the table of X is refused up front
     (("bvsum", "--x", "7", "--q-max", "12"), "modulus bound Q=12 must lie in [0, 7]"),
     (("eterm", "--x", "100", "--q", "1000", "--a", "1"),
      "modulus q=1000 must lie in [1, 100]"),
@@ -512,6 +534,9 @@ def test_signed_values_as_separate_arguments(capsys, joined):
     ("minorarc", "--x", "1e4", "--a", "1", "--q", "7"),
     ("expsum", "--x", "1e4", "--alpha", "0.3"),
     ("singular", "--pmax", "1e4", "--dmax", "1e3", "--checkpoints", "10,1000"),
+    ("eterm", "--x", "1e4", "--q", "4", "--a", "1"),
+    ("eterm", "--x", "1e4", "--q", "9973", "--a", "1"),
+    ("bvsum", "--x", "1e4", "--q-max", "30"),
 ])
 def test_commands_without_factorisation_build_no_spf(capsys, monkeypatch, argv):
     from linniklab import arith

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linniklab.arith import chi, euler_phi, r2, sieve_primes
+from linniklab.arith import chi, euler_phi, primes_upto, r2, sieve_primes
 from linniklab.dirichlet import (
     chi_phi_partial,
     f_zero,
@@ -92,6 +92,36 @@ def test_chi_phi_matches_euler_phi_bitwise(table4, dmax):
     got = chi_phi_partial(dmax, table4, checkpoints=list(range(1, dmax + 1)))
     assert [c for c, _ in got] == list(range(1, dmax + 1))
     assert np.array_equal(np.array([v for _, v in got]), want[1:]), dmax
+
+
+def chi_phi_full_range(dmax: int) -> np.ndarray:
+    """Oracle: the partial sums Σ_{d ≤ D} χ(d)/φ(d) for every D ≤ dmax from a
+    φ sieve over all d ≤ dmax, even d included as zero terms."""
+    phi = np.arange(dmax + 1, dtype=np.int64)
+    cof = phi.copy()
+    for p in primes_upto(math.isqrt(dmax)).tolist():
+        phi[p::p] -= phi[p::p] // p
+        q = p
+        while q <= dmax:
+            cof[q::q] //= p
+            q *= p
+    big = np.flatnonzero(cof > 1)
+    phi[big] -= phi[big] // cof[big]
+    d = np.arange(dmax + 1, dtype=np.int64)
+    terms = np.zeros(dmax + 1)
+    odd = d[1:][d[1:] % 2 == 1]
+    signs = np.where(odd % 4 == 1, 1.0, -1.0)
+    terms[odd] = signs / phi[odd]
+    return np.cumsum(terms)
+
+
+@pytest.mark.parametrize("dmax", [1, 2, 3, 4, 1000, 10**5 + 1])
+def test_chi_phi_odd_sieve_matches_full_range_bitwise(table4, dmax):
+    # every checkpoint, odd and even, against the sieve over all d ≤ dmax
+    want = chi_phi_full_range(dmax)
+    got = chi_phi_partial(dmax, table4, checkpoints=list(range(1, dmax + 1)))
+    assert np.array_equal(np.array([v for _, v in got]), want[1:]), dmax
+    assert chi_phi_partial(dmax, table4) == [(dmax, float(want[dmax]))]
 
 
 def test_chi_phi_converges_to_f_zero(table6):
