@@ -17,10 +17,12 @@ sums a weight array over the divisors of all n ≤ N at once; a divisor window
 is a weight array that is zero outside it.
 
 A prime p is called a *Linnik prime* here when p − 1 = x² + y² has a
-solution in integers; r₂(p−1) > 0 is the equivalent character-sum test, and
-``linnik_witness`` reads the actual (x, y) pair from a least-witness table
-built by enumerating squares, so the two routes can be checked against each
-other.
+solution in integers; r₂(p−1) > 0 is the equivalent character-sum test.  The
+actual (x, y) pair comes by one of two routes, checked against each other:
+``least_witnesses`` searches x for a given set of n, which is how
+``linnik_witness`` and the triple finder get theirs, and the least-witness
+table over [0, limit], built by enumerating squares, serves ``linniklab
+linnik``, the one reader that needs the witness of every prime.
 """
 
 from __future__ import annotations
@@ -40,12 +42,20 @@ WORK_BUDGET = 2**31
 # Slots of spf sieved per segment: 2 MB of int32, about one L2 cache, which
 # cover 2²⁰ numbers.
 _SEGMENT = 2**19
+# Elements (n, x) tried per block by ``least_witnesses``: 8 MB per int64
+# temporary.
+_WITNESS_BLOCK = 2**20
 
 
 @dataclass
 class PrimeTable:
     """Sieve products for [2, limit]: primes and their logs, with the
-    smallest-prime-factor and least-witness tables built on first use."""
+    smallest-prime-factor and least-witness tables built on first use.
+
+    ``is_prime`` reads ``primes`` alone.  Only ``linniklab linnik`` reads the
+    witness table; ``linnik_witness`` and the triple finder search their few
+    witnesses with ``least_witnesses`` instead.
+    """
 
     limit: int
     primes: np.ndarray            # int64, ascending
@@ -59,7 +69,8 @@ class PrimeTable:
         (spf[0] = 1 for n = 1).
 
         int32 over the odd numbers only, 2 bytes per number, built on first
-        use by ``_spf_table``.  Even n have smallest prime factor 2.
+        use by ``_spf_table`` for its readers ``r2_bulk`` and ``factorize``.
+        Even n have smallest prime factor 2.
         """
         if self._spf is None:
             self._spf = _spf_table(self.limit, self.primes)
@@ -90,13 +101,11 @@ class PrimeTable:
         return slice(i, j)
 
     def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            if n > self.limit:
-                raise DomainError(f"n={n} exceeds table limit {self.limit}")
-            return False
-        if n % 2 == 0:
-            return n == 2
-        return int(self.spf[n >> 1]) == n
+        """Whether n ≤ limit is prime, by a binary search of ``primes``."""
+        if n > self.limit:
+            raise DomainError(f"n={n} exceeds table limit {self.limit}")
+        i = int(np.searchsorted(self.primes, n))
+        return i < self.primes.size and int(self.primes[i]) == n
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -297,16 +306,54 @@ def _witness_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return wx, wy
 
 
+def least_witnesses(ns) -> tuple[np.ndarray, np.ndarray]:
+    """Least (x, y), x ≤ y, with x² + y² = n for every n in ``ns``; −1 if none.
+
+    Returns two int64 arrays, one entry per n.  Each distinct n tries
+    x = 0, 1, … while 2x² ≤ n; x is a witness when y = rint(√(n − x²)) has
+    y² = n − x² in int64 and y ≥ x.  The float root of a perfect square below
+    2⁵² is exact, so the test is.  The search takes blocks of at most
+    ``_WITNESS_BLOCK`` (n, x) elements, a run of x for the n still without a
+    witness, so it costs about (distinct n)·√(max n / 2) steps and allocates
+    nothing over [0, max n].
+    """
+    n, inv = np.unique(np.asarray(ns, dtype=np.int64), return_inverse=True)
+    wx = np.full(n.size, -1, dtype=np.int64)
+    wy = np.full(n.size, -1, dtype=np.int64)
+    if n.size == 0:
+        return wx, wy
+    if int(n[0]) < 0 or int(n[-1]) >= 2**52:
+        raise DomainError("least_witnesses inputs must lie in [0, 2⁵²)")
+    for lo in range(0, n.size, _WITNESS_BLOCK):
+        idx = np.arange(lo, min(lo + _WITNESS_BLOCK, n.size))
+        x0 = 0
+        while idx.size:
+            x1 = min(x0 + max(1, _WITNESS_BLOCK // idx.size),
+                     math.isqrt(int(n[idx[-1]]) // 2) + 1)
+            xs = np.arange(x0, x1)
+            m = n[idx, None] - xs * xs
+            y = np.rint(np.sqrt(np.maximum(m, 0))).astype(np.int64)
+            hit = (y * y == m) & (y >= xs)
+            col = hit.argmax(axis=1)
+            found = hit[np.arange(idx.size), col]
+            wx[idx[found]] = xs[col[found]]
+            wy[idx[found]] = y[found, col[found]]
+            idx = idx[~found & (n[idx] >= 2 * x1 * x1)]
+            x0 = x1
+    return wx[inv], wy[inv]
+
+
 def linnik_witness(p: int, table: PrimeTable) -> tuple[int, int] | None:
     """Least witness (x, y), x ≤ y, with p − 1 = x² + y², or None.
 
-    A lookup in ``table.witnesses``.  Exists iff r₂(p − 1) > 0.
+    A one-element ``least_witnesses`` search; it builds no table.  Exists iff
+    r₂(p − 1) > 0.
     """
     if p < 2 or p > table.limit or not table.is_prime(p):
         raise DomainError(f"linnik_witness needs a prime ≤ {table.limit}, got {p}")
-    wx, wy = table.witnesses
-    x = int(wx[p - 1])
-    return None if x < 0 else (x, int(wy[p - 1]))
+    wx, wy = least_witnesses(np.array([p - 1]))
+    x = int(wx[0])
+    return None if x < 0 else (x, int(wy[0]))
 
 
 def divisor_sum(w: np.ndarray, n_max: int) -> np.ndarray:

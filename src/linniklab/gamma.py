@@ -67,7 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (WORK_BUDGET, PrimeTable, chi_vec, divisor_sum, linnik_witness,
+from .arith import (WORK_BUDGET, PrimeTable, chi_vec, divisor_sum, least_witnesses,
                     r2_bulk)
 from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, check_table_budget, theta_eval
@@ -830,26 +830,35 @@ def find_triples(inst: Instance, table: PrimeTable,
     order = np.lexsort((p3h, p2h, p1h, np.abs(res)))
 
     den, n1, n2, n3, n_eta, n_eps = inst.lattice
-    out: list[TripleWitness] = []
+    kept, resid = [], []
     for idx in order:
-        if len(out) >= max_results:
+        if len(kept) >= max_results:
             break
-        q1, q2, q3 = int(p1h[idx]), int(p2h[idx]), int(p3h[idx])
-        r = n1 * q1 + n2 * q2 + n3 * q3 + n_eta
-        if not abs(r) < n_eps:
-            continue
-        wit3 = linnik_witness(q3, table)
-        if wit3 is None:
-            if 3 in require_linnik:
-                raise NumericError(f"mask said p3={q3} is Linnik but no witness")
-            wit3 = (-1, -1)
-        out.append(TripleWitness(
-            p1=q1, p2=q2, p3=q3, x=wit3[0], y=wit3[1],
-            residual=r / den,     # int true division rounds correctly
-            witness1=linnik_witness(q1, table) if 1 in require_linnik else None,
-            witness2=linnik_witness(q2, table) if 2 in require_linnik else None,
-        ))
-    return out
+        r = n1 * int(p1h[idx]) + n2 * int(p2h[idx]) + n3 * int(p3h[idx]) + n_eta
+        if abs(r) < n_eps:
+            kept.append(idx)
+            resid.append(r)
+    slots = (p1h[kept], p2h[kept], p3h[kept])
+    # one search per slot over its distinct primes; −1 where p is not Linnik
+    wits = {i: [w.tolist() for w in least_witnesses(slots[i - 1] - 1)]
+            for i in require_linnik | {3}}
+    x3, y3 = wits[3]
+    if 3 in require_linnik and -1 in x3:
+        q3 = int(slots[2][x3.index(-1)])
+        raise NumericError(f"mask said p3={q3} is Linnik but no witness")
+
+    def pairs(i: int) -> list[tuple[int, int] | None]:
+        if i not in wits:
+            return [None] * len(kept)
+        return [None if x < 0 else (x, y) for x, y in zip(*wits[i])]
+
+    return [
+        TripleWitness(p1=q1, p2=q2, p3=q3, x=x, y=y,
+                      residual=r / den,     # int true division rounds correctly
+                      witness1=w1, witness2=w2)
+        for q1, q2, q3, r, x, y, w1, w2 in zip(
+            *(c.tolist() for c in slots), resid, x3, y3, pairs(1), pairs(2))
+    ]
 
 
 # ------------------------------------------------------- divisor statistics

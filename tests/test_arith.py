@@ -11,6 +11,7 @@ from linniklab.arith import (
     divisor_sum,
     euler_phi,
     factorize,
+    least_witnesses,
     linnik_witness,
     r2,
     r2_bulk,
@@ -224,6 +225,41 @@ def test_witness_table_matches_brute():
         assert (int(wx[n]), int(wy[n])) == least.get(n, (-1, -1)), n
     for p in table.primes.tolist():
         assert linnik_witness(p, table) == least.get(p - 1)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 2**20])
+def test_least_witnesses_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(arith, "_WITNESS_BLOCK", block)
+    n_max = 20_000 if block >= 1000 else 2_000
+    wx, wy = arith._witness_table(n_max)
+    got_x, got_y = least_witnesses(np.arange(1, n_max + 1))
+    assert got_x.dtype == got_y.dtype == np.int64
+    assert np.array_equal(got_x, wx[1:]) and np.array_equal(got_y, wy[1:])
+    assert (got_x[0], got_y[0]) == (0, 1) and (got_x[1], got_y[1]) == (1, 1)
+    assert (got_x[2], got_y[2]) == (-1, -1)          # n = 3 has no witness
+    # n = 0, and repeated and unordered inputs
+    got_x, got_y = least_witnesses([25, 0, 25, 3])
+    assert got_x.tolist() == [0, 0, 0, -1] and got_y.tolist() == [5, 0, 5, -1]
+    for empty in (np.zeros(0, dtype=np.int64), []):
+        got_x, got_y = least_witnesses(empty)
+        assert got_x.shape == got_y.shape == (0,)
+
+
+def test_least_witnesses_validation():
+    for bad in ([-1], [2**52]):
+        with pytest.raises(DomainError):
+            least_witnesses(np.array(bad))
+
+
+def test_is_prime_and_linnik_witness_build_no_table():
+    limit = 20_000
+    table = sieve_primes(limit)
+    want = _NAIVE_SPF[: limit + 1]
+    for n in range(limit + 1):
+        assert table.is_prime(n) == (n >= 2 and want[n] == n), n
+    for p in (2, 3, 7, 19_997):
+        linnik_witness(p, table)
+    assert table._spf is None and table._witnesses is None
 
 
 def test_prime_table_basics(table4):

@@ -896,6 +896,44 @@ def test_find_triples_all_positions_linnik(table4):
             assert wit[0] ** 2 + wit[1] ** 2 + 1 == p
 
 
+def test_find_triples_searches_witnesses_without_the_table():
+    table = sieve_primes(20_000)
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.3, eps=0.5, x=2e4, lambda0=0.1,
+                    ratio_irrational=True)
+    runs = {req: find_triples(inst, table, require_linnik=req, max_results=2000)
+            for req in (frozenset({1, 2, 3}), frozenset())}
+    assert table._witnesses is None                  # no array over [0, X]
+    wx, wy = table.witnesses
+
+    def lookup(p):
+        return int(wx[p - 1]), int(wy[p - 1])
+
+    for req, wits in runs.items():
+        assert len(wits) > 1000
+        # the rows repeat primes, so each slot's search maps back to many rows
+        assert len({w.p3 for w in wits}) < len(wits)
+        for w in wits:
+            assert (w.x, w.y) == lookup(w.p3)
+            for i, (p, wit) in enumerate(((w.p1, w.witness1), (w.p2, w.witness2)), 1):
+                want = lookup(p) if i in req else None
+                assert wit == (None if want == (-1, -1) else want)
+    assert any(w.x < 0 for w in runs[frozenset()])   # a non-Linnik p3 reads −1
+
+
+def test_find_triples_missing_witness_is_an_error(table4, monkeypatch):
+    inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=30.0, lambda0=0.05,
+                    ratio_irrational=True)
+
+    def none_found(ns):
+        return np.full(len(ns), -1), np.full(len(ns), -1)
+
+    monkeypatch.setattr(gamma_mod, "least_witnesses", none_found)
+    with pytest.raises(NumericError, match="p3=3 is Linnik but no witness"):
+        find_triples(inst, table4)
+    wits = find_triples(inst, table4, require_linnik={1})
+    assert wits and all(w.witness1 is None and w.x == -1 for w in wits)
+
+
 def test_find_triples_sorted_by_residual(table4):
     with mpmath.workprec(256):
         hp = (mpmath.sqrt(2), mpmath.mpf(-1), -mpmath.sqrt(3), mpmath.mpf(0))
