@@ -13,8 +13,8 @@ which in turn gives
     φ(n)   Euler's totient.
 
 Statistics over the divisors of every p − 1 go through ``divisor_sum``, which
-sums a weight array over the divisors of all n ≤ N at once; a divisor window
-is a weight array that is zero outside it.
+sums χ(d), or 1, over the divisors d of each given n that lie in an integer
+window lo ≤ d < hi, for all the n at once.
 
 A prime p is called a *Linnik prime* here when p − 1 = x² + y² has a
 solution in integers; r₂(p−1) > 0 is the equivalent character-sum test.  The
@@ -356,31 +356,32 @@ def linnik_witness(p: int, table: PrimeTable) -> tuple[int, int] | None:
     return None if x < 0 else (x, int(wy[0]))
 
 
-def divisor_sum(w: np.ndarray, n_max: int) -> np.ndarray:
-    """acc[n] = Σ_{d|n} w[d] for 0 < n ≤ n_max (acc[0] = 0).
+def divisor_sum(ns, lo: int, hi: int, chi: bool) -> np.ndarray:
+    """For each n in ``ns``, Σ χ(d) when ``chi``, else Σ 1, over the divisors
+    d of n with lo ≤ d < hi (integer edges), in int64; 0 for n = 0.
 
-    ``w`` is indexed by d and needs at least n_max + 1 entries; restrict the
-    divisors to a window by zeroing w outside it.  Integer and boolean weights
-    are summed in int64, floating ones in at least float64.  Each pair d·m = n is
-    visited once, through whichever factor is ≤ s = ⌊√n_max⌋: small d add
-    w[d] to the stride acc[d::d], and the d > s are covered by looping over
-    their cofactor m ≤ s.  That is O(√n_max) numpy passes; divisors with zero
-    weight are skipped.
+    One accumulator over [0, N], N = max ns, gathers every n at once.  The
+    weight is w on each class d ≡ r (mod q): χ is ±1 on d ≡ 1, 3 (mod 4), the
+    count 1 on all d (mod 1).  Each d·m = n is visited once, through whichever
+    factor is ≤ s = ⌊√N⌋: a small d adds w to the stride acc[d::d], and the
+    class's d > s with cofactor m form the stride acc[m·a : m·b : q·m]: O(√N) passes.
     """
-    if n_max < 0:
-        raise DomainError(f"divisor_sum needs n_max ≥ 0, got {n_max}")
-    w = np.asarray(w)
-    if len(w) < n_max + 1:
-        raise DomainError(f"divisor_sum needs {n_max + 1} weights, got {len(w)}")
-    w = w[: n_max + 1]
-    acc = np.zeros(n_max + 1, dtype=np.result_type(w.dtype, np.int64))
+    ns = np.asarray(ns)
+    if ns.min(initial=0) < 0:
+        raise DomainError(f"divisor_sum needs n ≥ 0, got {ns.min()}")
+    n_max = int(ns.max(initial=0))
+    acc = np.zeros(n_max + 1, dtype=np.int64)
     s = math.isqrt(n_max)
-    for d in np.flatnonzero(w[1 : s + 1]) + 1:
-        acc[d::d] += w[d]
-    big = np.flatnonzero(w[s + 1 :]) + (s + 1)
-    for m in range(1, s + 1):
-        ds = big[: np.searchsorted(big, n_max // m, side="right")]
-        if ds.size == 0:
-            break
-        acc[m * ds] += w[ds]
-    return acc
+    lo, hi = max(lo, 1), min(hi, n_max + 1)
+    q, classes = (4, ((1, 1), (3, -1))) if chi else (1, ((0, 1),))
+    for r, w in classes:
+        for d in range(lo + (r - lo) % q, min(hi, s + 1), q):
+            acc[d::d] += w
+        a = max(lo, s + 1)
+        a += (r - a) % q
+        for m in range(1, s + 1):
+            b = min(hi, n_max // m + 1)
+            if b <= a:
+                break
+            acc[m * a : m * b : q * m] += w
+    return acc[ns]

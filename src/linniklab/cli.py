@@ -305,15 +305,12 @@ def cmd_expsum(args) -> int:
     lo = args.lo if args.lo is not None else args.lambda0 * x
     hi = args.hi if args.hi is not None else x
     table = _table_for(hi)
-    s = expsums.s_ld(table, l, d, (lo, hi), alpha)
-    i = expsums.i_j((lo, hi), alpha)
+    rep = expsums.major_arc_gap(table, x, alpha, delta=delta, j=(lo, hi), l=l, d=d)
+    s, i = rep.pop("s"), rep.pop("i")
     _emit_json({
         "x": x, "alpha": alpha, "l": l, "d": d, "lo": lo, "hi": hi,
         "s_re": s.real, "s_im": s.imag, "s_abs": abs(s),
-        "i_re": i.real, "i_im": i.imag, "i_abs": abs(i),
-        "gap_over_x": abs(s - i) / x,
-        "alpha_exceeds_delta": (None if delta is None
-                                else bool(abs(alpha) > delta)),
+        "i_re": i.real, "i_im": i.imag, "i_abs": abs(i), **rep,
     })
     return 0
 

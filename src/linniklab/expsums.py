@@ -163,18 +163,21 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
 
 
 def major_arc_gap(table: PrimeTable, x: float, alpha: float,
-                  lambda0: float = 0.5, delta: float | None = None) -> dict:
-    """Compare S(α) to I(α) over ((λ₀X, X]) with l=d=1: the major-arc gap.
+                  lambda0: float = 0.5, delta: float | None = None,
+                  j: tuple[float, float] | None = None, l: int = 1, d: int = 1) -> dict:
+    """Compare S(α) over l mod d to I(α) on J, by default (λ₀X, X]: the
+    major-arc gap |S − I|/X.
 
     delta, when given, is the major-arc radius of the active schedule; the
     report flags |α| > delta but never raises for it.
     """
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"X must be positive, got {x}")
-    if not 0.0 < lambda0 < 1.0:
-        raise DomainError("lambda0 must lie in (0,1)")
-    j = (lambda0 * x, x)
-    s = s_ld(table, 1, 1, j, alpha)
+    if j is None:
+        if not 0.0 < lambda0 < 1.0:
+            raise DomainError("lambda0 must lie in (0,1)")
+        j = (lambda0 * x, x)
+    s = s_ld(table, l, d, j, alpha)
     i = i_j(j, alpha)
     return {
         "s": s,

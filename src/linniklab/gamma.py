@@ -67,8 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (WORK_BUDGET, PrimeTable, chi_vec, divisor_sum, least_witnesses,
-                    r2_bulk)
+from .arith import WORK_BUDGET, PrimeTable, divisor_sum, least_witnesses, r2_bulk
 from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, check_table_budget, theta_eval
 
@@ -696,12 +695,9 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
 
     ps = eng.p1          # no slot is masked: every slot holds the same primes
     n3m1 = ps - 1
-    n_max = int(n3m1.max())
-    d = np.arange(n_max + 1)
-    chi_d = chi_vec(d)
-    t_hi = inst.x / d_split
-    a1, a2, a3 = (divisor_sum(np.where(win, chi_d, 0), n_max)[n3m1]
-                  for win in (d <= d_split, (d_split < d) & (d < t_hi), d >= t_hi))
+    cut1, cut2 = _edge(d_split, strict=True), _edge(inst.x / d_split, strict=False)
+    a1, a2, a3 = (divisor_sum(n3m1, lo, hi, chi=True)
+                  for lo, hi in ((1, cut1), (cut1, cut2), (cut2, int(ps.max()))))
     rvals = r2_bulk(n3m1, table)
     lost = np.flatnonzero(4 * (a1 + a2 + a3) != rvals)
     if lost.size:
@@ -863,6 +859,12 @@ def find_triples(inst: Instance, table: PrimeTable,
 
 # ------------------------------------------------------- divisor statistics
 
+def _edge(t: float, strict: bool) -> int:
+    """The least integer d > t (``strict``) or d ≥ t: d ≤ t ⇔ d < _edge(t, True)
+    and d < t ⇔ d < _edge(t, False), like the float compare for d < 2⁵³."""
+    return math.floor(t) + 1 if strict else math.ceil(t)
+
+
 def hooley_sigma_prime(table: PrimeTable, x: float, d_split: float,
                        lambda0: float = 0.0) -> int:
     """Σ over λ₀X < p ≤ X of (Σ_{d|p−1, D<d<X/D} χ(d))² — exact integer."""
@@ -871,12 +873,8 @@ def hooley_sigma_prime(table: PrimeTable, x: float, d_split: float,
     if not 0.0 <= lambda0 < 1.0:
         raise DomainError("lambda0 must lie in [0,1)")
     ps = table.primes[table.prime_slice(lambda0 * x, x)]
-    if ps.size == 0:
-        return 0
-    n_max = int(ps[-1]) - 1
-    d = np.arange(n_max + 1)
-    mid = (d_split < d) & (d < x / d_split)
-    sums = divisor_sum(np.where(mid, chi_vec(d), 0), n_max)[ps - 1]
+    sums = divisor_sum(ps - 1, _edge(d_split, strict=True),
+                       _edge(x / d_split, strict=False), chi=True)
     return int(np.sum(sums * sums))
 
 
@@ -884,6 +882,8 @@ def hooley_f_omega(table: PrimeTable, x: float, omega: float) -> int:
     """Count primes p ≤ X whose p−1 has a divisor in (√X·ln⁻ᵂX, √X·lnᵂX)."""
     if not 0 < omega < math.inf:
         raise DomainError(f"omega must be positive and finite, got {omega}")
+    if not x > 1.0:
+        raise DomainError(f"X must exceed 1, got {x}")
     lx = math.log(x)
     try:
         lo = math.sqrt(x) * lx ** (-omega)
@@ -891,9 +891,6 @@ def hooley_f_omega(table: PrimeTable, x: float, omega: float) -> int:
     except OverflowError:
         raise DomainError(f"(ln X)^omega overflows at omega={omega}") from None
     ps = table.primes[: table.prime_count(x)]
-    if ps.size == 0:
-        return 0
-    n_max = int(ps[-1]) - 1
-    d = np.arange(n_max + 1)
-    hits = divisor_sum((lo < d) & (d < hi), n_max)[ps - 1]
-    return int(np.count_nonzero(hits > 0))
+    hits = divisor_sum(ps - 1, _edge(lo, strict=True), _edge(hi, strict=False),
+                       chi=False)
+    return int(np.count_nonzero(hits))

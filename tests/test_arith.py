@@ -151,34 +151,58 @@ def _brute_window_sums(n_max, weight, inside):
 def test_divisor_sum_integer_endpoints():
     # D = 5, X = 100: X/D = 20 exactly, so divisors 5 and 20 sit on the cuts
     x, dd = 100.0, 5.0
-    d = np.arange(101)
-    for win, inside in (
-        (d <= dd, lambda v: v <= dd),
-        ((dd < d) & (d < x / dd), lambda v: dd < v < x / dd),
-        (d >= x / dd, lambda v: v >= x / dd),
+    ns = np.arange(101)
+    for lo, hi, inside in (
+        (1, 6, lambda v: v <= dd),
+        (6, 20, lambda v: dd < v < x / dd),
+        (20, 101, lambda v: v >= x / dd),
     ):
-        got = divisor_sum(np.where(win, chi_vec(d), 0), 100)
+        got = divisor_sum(ns, lo, hi, chi=True)
         assert got.tolist() == _brute_window_sums(100, chi, inside)
 
 
 def test_divisor_sum_fractional_cut():
     x, dd = 3000.0, 17.5
-    d = np.arange(3001)
-    mid = (dd < d) & (d < x / dd)
-    got = divisor_sum(np.where(mid, chi_vec(d), 0), 3000)
+    ns = np.arange(3001)
+    got = divisor_sum(ns, 18, 172, chi=True)      # 17.5 < d < 171.43
     assert got.tolist() == _brute_window_sums(3000, chi, lambda v: dd < v < x / dd)
-    ones = divisor_sum(np.ones(3001, dtype=bool), 3000)   # counts, not OR
+    ones = divisor_sum(ns, 1, 3001, chi=False)    # counts, not OR
     assert ones.tolist() == _brute_window_sums(3000, lambda v: 1, lambda v: True)
 
 
 def test_divisor_sum_empty_window():
-    d = np.arange(501)
-    for win in (np.zeros(501, dtype=bool), (10.2 < d) & (d < 10.9)):
-        got = divisor_sum(win.astype(np.int64), 500)
-        assert not got.any()
-    assert divisor_sum(np.ones(1, dtype=np.int64), 0).tolist() == [0]
+    ns = np.arange(501)
+    for lo, hi in ((1, 1), (11, 11), (40, 12)):   # 10.2 < d < 10.9 is [11, 11)
+        for c in (True, False):
+            assert not divisor_sum(ns, lo, hi, chi=c).any()
+    assert divisor_sum(np.array([0]), 0, 10, chi=False).tolist() == [0]
     with pytest.raises(DomainError):
-        divisor_sum(np.ones(10, dtype=np.int64), 10)
+        divisor_sum(np.array([10, -1]), 1, 10, chi=False)
+
+
+def test_divisor_sum_matches_brute_on_every_window():
+    n_max = 3000
+    s = math.isqrt(n_max)
+    # every divisor pair (n, d), by enumerating the multiples of each d
+    pairs = [(k * d, d) for d in range(1, n_max + 1) for k in range(1, n_max // d + 1)]
+    pn, pd = np.array(pairs).T
+    ns = np.arange(n_max + 1)
+    edges = (0, 1, 2, 3, 4, s - 1, s, s + 1, s + 2, 1000, n_max - 1, n_max,
+             n_max + 1, n_max + 2, 10**6)
+    for lo in edges:
+        for hi in edges:
+            inside = (lo <= pd) & (pd < hi)
+            for c in (True, False):
+                w = chi_vec(pd) if c else np.ones_like(pd)
+                want = np.bincount(pn[inside], weights=w[inside], minlength=n_max + 1)
+                got = divisor_sum(ns, lo, hi, chi=c)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (lo, hi, c)
+    # any order, repeats and dtype of ns; the answer is read at each entry
+    sub = np.array([2999, 12, 0, 1, 12, 2048, 60], dtype=np.int32)
+    full = divisor_sum(ns, 5, 400, chi=True)
+    assert np.array_equal(divisor_sum(sub, 5, 400, chi=True), full[sub])
+    assert divisor_sum(np.zeros(0, dtype=np.int64), 1, 10, chi=True).shape == (0,)
 
 
 def test_euler_phi(table4):

@@ -671,6 +671,11 @@ _ADVERSARIAL = [
                  {}, 2, id="eterm--q=1e23"),
     pytest.param(("hooley", "--x", "100", "--stat", "fomega", "--omega", "1e300"), {}, 2,
                  id="hooley--omega=1e300"),
+    # |S − I|/X needs X > 0; λ₀ only sets the default lo
+    pytest.param(("expsum", "--x", "0", "--alpha", "0.1", "--lo", "1", "--hi", "100"),
+                 {}, 2, id="expsum--x=0"),
+    pytest.param(("expsum", "--x", "-5", "--alpha", "0.1", "--lo", "1", "--hi", "100"),
+                 {}, 2, id="expsum--x=-5"),
     pytest.param(("singular", "--pmax", "100", "--dmax", "1e300"), {}, 3,
                  id="singular--dmax=1e300"),
     # convergents past the float range or past int→str's digit limit

@@ -219,6 +219,18 @@ def test_major_arc_gap(table4):
         major_arc_gap(table4, 1e4, 0.0, lambda0=1.5)
 
 
+def test_major_arc_gap_explicit_range_and_class(table4):
+    # an explicit J leaves λ₀ unread, even outside (0, 1)
+    for lam0 in (0.5, 0.0, 2.0):
+        rep = major_arc_gap(table4, 1e3, 0.1, lambda0=lam0, j=(10.0, 500.0), l=3, d=4)
+        assert rep["s"] == s_ld(table4, 3, 4, (10.0, 500.0), 0.1)
+        assert rep["i"] == i_j((10.0, 500.0), 0.1)
+        assert rep["gap_over_x"] == abs(rep["s"] - rep["i"]) / 1e3
+    for bad_x in (0.0, -5.0, math.nan):
+        with pytest.raises(DomainError):
+            major_arc_gap(table4, bad_x, 0.1, j=(1.0, 100.0))
+
+
 def test_minor_arc_report(table4):
     rep = minor_arc_report(table4, 1e4, 1, 5, 0.2)
     assert rep["ratio"] == rep["s_abs"] / rep["bound"]

@@ -1147,3 +1147,66 @@ def test_hooley_f_omega_rejects_non_finite_omega(table4):
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             hooley_f_omega(table4, 100.0, bad)
+
+
+def test_hooley_f_omega_rejects_x_at_most_one(table4):
+    # ln X ≤ 0 there: 0.0 ** -omega divides by zero, and X < 1 is complex
+    for bad in (1.0, 0.5):
+        with pytest.raises(DomainError):
+            hooley_f_omega(table4, bad, 0.5)
+
+
+def _weight_array_divisor_sum(w, n_max):
+    """acc[n] = Σ_{d|n} w[d] for n ≤ n_max: the weight-array form of
+    ``divisor_sum``, whose windows are weights zeroed outside them."""
+    acc = np.zeros(n_max + 1, dtype=np.int64)
+    s = math.isqrt(n_max)
+    for d in np.flatnonzero(w[1 : s + 1]) + 1:
+        acc[d::d] += w[d]
+    big = np.flatnonzero(w[s + 1 :]) + (s + 1)
+    for m in range(1, s + 1):
+        ds = big[: np.searchsorted(big, n_max // m, side="right")]
+        acc[m * ds] += w[ds]
+    return acc
+
+
+def _window_columns(ps, x, d_split):
+    """The split columns a₁, a₂, a₃ and the Hooley mid column at the p − 1,
+    from χ and masks over [0, max p − 1] compared with the float cuts."""
+    n_max = int(ps.max()) - 1
+    d = np.arange(n_max + 1)
+    chi_d = (d & 1) * (1 - (d & 2))
+    t_hi = x / d_split
+    return [_weight_array_divisor_sum(np.where(win, chi_d, 0), n_max)[ps - 1]
+            for win in (d <= d_split, (d_split < d) & (d < t_hi), d >= t_hi)]
+
+
+@pytest.mark.parametrize("x, d_split", [(1e4, 20.0), (1e4, 17.5), (1e4, 99.9),
+                                        (1e4, 25.0), (100.0, 5.0)])
+def test_divisor_windows_match_the_weight_arrays(table4, monkeypatch, x, d_split):
+    seen, divisor_sum = [], gamma_mod.divisor_sum
+
+    def spy(*args, **kwargs):
+        seen.append(divisor_sum(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(gamma_mod, "divisor_sum", spy)
+    inst = Instance(SQ2, -1.0, -SQ3, eta=0.2, eps=0.5, x=x, lambda0=0.1)
+    gamma_split(inst, kernel_new(0.5, 2), table4, d_split=d_split)
+    ps = table4.primes[table4.prime_slice(0.1 * x, x)]
+    want = _window_columns(ps, x, d_split)
+    assert len(seen) == 3
+    for got, ref in zip(seen, want):
+        assert np.array_equal(got, ref)
+
+    for lam0 in (0.0, 0.1):
+        ps = table4.primes[table4.prime_slice(lam0 * x, x)]
+        mid = _window_columns(ps, x, d_split)[1]
+        assert hooley_sigma_prime(table4, x, d_split, lam0) == int(np.sum(mid * mid))
+    ps = table4.primes[: table4.prime_count(x)]
+    d = np.arange(int(ps.max()))
+    lx = math.log(x)
+    for om in (1e-20, 0.5, 1.0, 10.0):
+        lo, hi = math.sqrt(x) * lx ** (-om), math.sqrt(x) * lx ** om
+        hits = _weight_array_divisor_sum((lo < d) & (d < hi), len(d) - 1)[ps - 1]
+        assert hooley_f_omega(table4, x, om) == int(np.count_nonzero(hits > 0))
