@@ -69,8 +69,8 @@ class PrimeTable:
         (spf[0] = 1 for n = 1).
 
         int32 over the odd numbers only, 2 bytes per number, built on first
-        use by ``_spf_table`` for its readers ``r2_bulk`` and ``factorize``.
-        Even n have smallest prime factor 2.
+        use by ``_spf_table`` for its readers ``r2_bulk`` (which ``gamma``
+        calls) and ``factorize``.  Even n have smallest prime factor 2.
         """
         if self._spf is None:
             self._spf = _spf_table(self.limit, self.primes)

@@ -24,6 +24,8 @@ from .errors import DomainError, ResourceError
 
 _SPLITTER = 134217729.0   # 2**27 + 1, Dekker's constant for binary64
 _INT64_MAX = 2**63 - 1     # moduli are reduced against int64 primes
+# Primes whose phases ``s_ld`` reduces per block: 512 KB per float64 temporary.
+_PHASE_BLOCK = 2**16
 
 
 def _two_prod(a, b):
@@ -65,9 +67,18 @@ def s_ld(table: PrimeTable, l: int, d: int, j: tuple[float, float],
         ps, ws = ps[mask], ws[mask]
     if ps.size == 0:
         return 0.0 + 0.0j
-    ang = (2.0 * math.pi) * phase_mod1(alpha, ps)
-    return complex(float(np.sum(ws * np.cos(ang))),
-                   float(np.sum(ws * np.sin(ang))))
+    # the phase temporaries live per block; cos and sin fill two full-length
+    # columns, which are weighted in place and summed whole, so every element
+    # and the pairwise sum are those of the unblocked expression
+    re, im = np.empty(ps.size), np.empty(ps.size)
+    for i in range(0, ps.size, _PHASE_BLOCK):
+        blk = slice(i, i + _PHASE_BLOCK)
+        ang = (2.0 * math.pi) * phase_mod1(alpha, ps[blk])
+        np.cos(ang, out=re[blk])
+        np.sin(ang, out=im[blk])
+    re *= ws
+    im *= ws
+    return complex(float(np.sum(re)), float(np.sum(im)))
 
 
 def i_j(j: tuple[float, float], alpha: float) -> complex:

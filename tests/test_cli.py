@@ -537,6 +537,7 @@ def test_signed_values_as_separate_arguments(capsys, joined):
     ("eterm", "--x", "1e4", "--q", "4", "--a", "1"),
     ("eterm", "--x", "1e4", "--q", "9973", "--a", "1"),
     ("bvsum", "--x", "1e4", "--q-max", "30"),
+    ("linnik", "--x", "1e4", "--empirical"),
 ])
 def test_commands_without_factorisation_build_no_spf(capsys, monkeypatch, argv):
     from linniklab import arith

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linniklab.arith import chi, euler_phi, primes_upto, r2, sieve_primes
+from linniklab.arith import chi, euler_phi, primes_upto, r2, r2_bulk, sieve_primes
 from linniklab.dirichlet import (
     chi_phi_partial,
     f_zero,
@@ -166,3 +166,34 @@ def test_linnik_empirical(table4):
         linnik_empirical(table4, 2.0)
     with pytest.raises(DomainError):
         linnik_empirical(table4, 2e4)
+
+
+def test_linnik_empirical_rejects_nan(table4):
+    # NaN compares false with everything, so it must not pass as X > 2
+    with pytest.raises(DomainError):
+        linnik_empirical(table4, math.nan)
+
+
+def test_lattice_count_every_integer_x():
+    # the lattice count against the r₂ sums through spf, for every X ≤ 3000
+    table = sieve_primes(3000)
+    ps = table.primes
+    scalar = np.cumsum([r2(int(p) - 1, table) for p in ps])
+    bulk = np.cumsum(r2_bulk(ps - 1, table))
+    assert np.array_equal(scalar, bulk)
+    for x in range(3, 3001):
+        n = table.prime_count(x)
+        assert linnik_empirical(table, x)["sum"] == bulk[n - 1], x
+
+
+@pytest.mark.parametrize("x", [2.5, 100.5, 10**4])
+def test_lattice_count_fractional_x_and_table_limit(table4, x):
+    ps = table4.primes[: table4.prime_count(x)]
+    want = int(np.sum(r2_bulk(ps - 1, table4)))
+    assert want == sum(r2(int(p) - 1, table4) for p in ps)
+    assert linnik_empirical(table4, x)["sum"] == want
+
+
+def test_lattice_count_at_one_million(table6):
+    ps = table6.primes
+    assert linnik_empirical(table6, 1e6)["sum"] == int(np.sum(r2_bulk(ps - 1, table6)))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -91,6 +92,54 @@ def test_alpha_must_be_finite(table4):
             s_ld(table4, 1, 1, (1.0, 10.0), bad)
         with pytest.raises(DomainError):
             i_j((1.0, 10.0), bad)
+
+
+def s_ld_unblocked(table, l, d, j, alpha):
+    """Oracle: ``s_ld`` as one whole-array expression over the class."""
+    sl = table.prime_slice(*j)
+    ps, ws = table.primes[sl], table.log_weights[sl]
+    if d > 1:
+        mask = np.mod(ps, d) == l % d
+        ps, ws = ps[mask], ws[mask]
+    if ps.size == 0:
+        return 0.0 + 0.0j
+    ang = (2.0 * math.pi) * phase_mod1(alpha, ps)
+    return complex(float(np.sum(ws * np.cos(ang))),
+                   float(np.sum(ws * np.sin(ang))))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 1 / 3, 1e-9, 12345.678])
+@pytest.mark.parametrize("l,d", [(1, 1), (1, 4), (3, 4), (2, 7), (6, 7)])
+def test_blocked_s_ld_matches_unblocked_bitwise(table6, l, d, alpha):
+    # (0, 1e6] holds 78,498 primes, more than one block of 2¹⁶; the d = 1
+    # ranges also cut a block short at either end
+    for j in [(0.0, 1e6), (2.0, 9.9e5), (1e5, 1e6)]:
+        assert s_ld(table6, l, d, j, alpha) == s_ld_unblocked(table6, l, d, j, alpha)
+
+
+def test_blocked_s_ld_block_edges_and_empty_class(table6):
+    # exactly one block of 2¹⁶ primes, and one prime past it
+    for n in (2**16, 2**16 + 1):
+        j = (0.0, float(table6.primes[n - 1]))
+        assert table6.primes[table6.prime_slice(*j)].size == n
+        assert s_ld(table6, 1, 1, j, 0.3) == s_ld_unblocked(table6, 1, 1, j, 0.3)
+    # no prime ≤ 1e6 is 1 mod 999983 (1 and 999984 are not prime), nor
+    # 3 mod 4 in (13, 18], which holds 17 alone
+    assert s_ld(table6, 1, 999983, (0.0, 1e6), 0.3) == 0.0 + 0.0j
+    assert s_ld(table6, 3, 4, (13.0, 18.0), 0.3) == 0.0 + 0.0j
+    assert s_ld(table6, 1, 4, (13.0, 18.0), 0.3) == s_ld_unblocked(table6, 1, 4, (13.0, 18.0), 0.3)
+
+
+def test_s_ld_peak_memory(table7):
+    # the whole-array expression peaks at 35.5 MiB over the primes ≤ 1e7;
+    # per block only the two full-length cos and sin columns (10.1 MiB) stay
+    tracemalloc.start()
+    try:
+        s_ld(table7, 1, 1, (0.0, 1e7), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
 
 
 def test_phase_reduction_vs_exact_rational():
