@@ -1,7 +1,8 @@
 """Prime tables and quadratic-character arithmetic.
 
-A byte sieve over the odd numbers gives the primes ≤ limit and their logs,
-which is all that sums over primes read.  A smallest-prime-factor table over
+A segmented byte sieve over the odd numbers gives the primes ≤ limit, which
+is all that sums over primes read; their logs are formed on first read, by the
+few readers that want the whole column.  A smallest-prime-factor table over
 the odd n ≤ limit (slot i stands for 2i + 1), built on first use in
 cache-sized segments from descending writes of the odd primes to their odd
 multiples, gives O(log n) factorisation once the power of 2 is split off,
@@ -39,9 +40,13 @@ MEMORY_BUDGET = 2**31
 # Default cap on inner-loop evaluations per call: (p1,p2) pairs in the pair
 # scans, Q·π(X) modulus-prime steps in the progression error scan.
 WORK_BUDGET = 2**31
-# Slots of spf sieved per segment: 2 MB of int32, about one L2 cache, which
-# cover 2²⁰ numbers.
+# Odd slots sieved per segment, which cover 2²⁰ numbers: 512 KB of the prime
+# sieve's bytes, 2 MB of spf's int32, about one L2 cache.
 _SEGMENT = 2**19
+# Primes per block in the passes over a prime column (the phases of
+# ``expsums.s_ld``, the factors of ``dirichlet.n_s``): 512 KB per float64
+# temporary.
+PRIME_BLOCK = 2**16
 # Elements (n, x) tried per block by ``least_witnesses``: 8 MB per int64
 # temporary.
 _WITNESS_BLOCK = 2**20
@@ -49,7 +54,7 @@ _WITNESS_BLOCK = 2**20
 
 @dataclass
 class PrimeTable:
-    """Sieve products for [2, limit]: primes and their logs, with the
+    """Sieve products for [2, limit]: the primes, with their logs and the
     smallest-prime-factor and least-witness tables built on first use.
 
     ``is_prime`` reads ``primes`` alone.  Only ``linniklab linnik`` reads the
@@ -59,9 +64,21 @@ class PrimeTable:
 
     limit: int
     primes: np.ndarray            # int64, ascending
-    log_weights: np.ndarray       # float64, log_weights[i] = ln(primes[i])
+    _logs: np.ndarray | None = field(default=None, repr=False)
     _spf: np.ndarray | None = field(default=None, repr=False)
     _witnesses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        """ln p for every prime, float64, log_weights[i] = ln(primes[i]).
+
+        Built on first read, 8 bytes per prime, for the readers that want
+        the whole column (``e_term``, ``bv_aggregate``); ``s_ld`` and
+        ``n_s`` take their logs per block of primes instead.
+        """
+        if self._logs is None:
+            self._logs = np.log(self.primes.astype(np.float64))
+        return self._logs
 
     @property
     def spf(self) -> np.ndarray:
@@ -96,6 +113,8 @@ class PrimeTable:
         """Index slice of primes in the half-open interval (lo, hi], hi ≤ limit."""
         if hi > self.limit:
             raise DomainError(f"{hi} exceeds the table limit {self.limit}")
+        if lo != lo or hi != hi:                  # NaN, of any numeric type
+            raise DomainError(f"prime range ({lo}, {hi}] has a NaN end")
         i = int(np.searchsorted(self.primes, lo, side="right"))
         j = int(np.searchsorted(self.primes, hi, side="right"))
         return slice(i, j)
@@ -109,24 +128,52 @@ class PrimeTable:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """Primes ≤ n, ascending, as int64, from a byte sieve over the odd numbers.
+    """Primes ≤ n, ascending, as int64, from a segmented byte sieve over the
+    odd numbers.
 
-    Slot i stands for 2i + 1; each odd prime p ≤ √n clears its odd multiples
-    from p² on in one strided write, p² at slot ⌊p²/2⌋ and a stride of p
-    slots.  One byte per two numbers.
+    Slot i stands for 2i + 1.  The slots are walked in segments of
+    ``_SEGMENT``, one byte each, so the sieve stays in cache.  Each odd prime
+    p ≤ √n, found by the same sieve run to √n, clears its odd multiples from
+    p² on, a stride of p slots, and carries its next multiple's slot from one
+    segment to the next.  A segment's primes leave it as slot indices, which
+    are turned into 2i + 1 in place and joined once at the end.
     """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    odd = np.ones((n + 1) // 2, dtype=bool)
-    odd[0] = False
-    for p in range(3, math.isqrt(n) + 1, 2):
-        if odd[p // 2]:
-            odd[p * p // 2 :: p] = False
-    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+    size = (n + 1) // 2
+    small = primes_upto(math.isqrt(n))[1:].tolist()
+    nxt = [p * p // 2 for p in small]
+    seg = np.empty(min(_SEGMENT, size), dtype=bool)
+    found = [np.array([2], dtype=np.int64)]
+    for lo in range(0, size, _SEGMENT):
+        hi = min(lo + _SEGMENT, size)
+        view = seg[: hi - lo]
+        view[:] = True
+        for k, p in enumerate(small):
+            s = nxt[k]
+            if s >= hi:
+                # a stride longer than the segment can skip it; past the
+                # first segment the next slots are not sorted, but p² is
+                if p * p // 2 >= hi:
+                    break
+                continue
+            view[s - lo :: p] = False
+            nxt[k] = s + -(-(hi - s) // p) * p
+        if lo == 0:
+            view[0] = False                       # 1 is not prime
+        idx = np.flatnonzero(view)
+        idx += lo
+        idx *= 2
+        idx += 1
+        found.append(idx)
+    return np.concatenate(found)
 
 
 def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
-    """Build a PrimeTable up to ``limit``: primes and logs from ``primes_upto``.
+    """Build a PrimeTable up to ``limit``: the primes from ``primes_upto``.
+
+    The table stores the primes alone; the log column and the spf and
+    witness tables are built by their first readers.
 
     ``memory_budget`` caps limit + 1, the numbers that the spf table (2 bytes
     each) built by the first reader of ``PrimeTable.spf`` covers; the cap is
@@ -138,9 +185,7 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
         raise ResourceError(
             f"sieve of {limit + 1} slots exceeds memory budget {memory_budget}"
         )
-    primes = primes_upto(limit)
-    log_weights = np.log(primes.astype(np.float64))
-    return PrimeTable(limit=limit, primes=primes, log_weights=log_weights)
+    return PrimeTable(limit=limit, primes=primes_upto(limit))
 
 
 def _spf_table(limit: int, primes: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import MEMORY_BUDGET, PrimeTable, chi_vec, primes_upto
+from .arith import MEMORY_BUDGET, PRIME_BLOCK, PrimeTable, chi_vec, primes_upto
 from .errors import DomainError, ResourceError
 
 
@@ -53,9 +53,15 @@ def n_s(s: float, pmax: int, table: PrimeTable) -> EulerProductApprox:
     if pmax < 2:
         raise DomainError(f"pmax must be ≥ 2, got {pmax}")
     n = table.prime_count(pmax)
-    ps = table.primes[:n].astype(np.float64)
-    terms = chi_vec(table.primes[:n]) / (ps ** (s + 1.0) * (ps - 1.0))
-    value = math.exp(float(np.sum(np.log1p(terms))))
+    # the factors χ(p)/(p^{s+1}(p − 1)) live per block of primes; their
+    # log1p fill one full-length column, summed whole, so every element and
+    # the pairwise sum are those of the unblocked expression
+    ps, logs = table.primes[:n], np.empty(n)
+    for i in range(0, n, PRIME_BLOCK):
+        blk = slice(i, i + PRIME_BLOCK)
+        pf = ps[blk].astype(np.float64)
+        np.log1p(chi_vec(ps[blk]) / (pf ** (s + 1.0) * (pf - 1.0)), out=logs[blk])
+    value = math.exp(float(np.sum(logs)))
     tail = 2.0 / (s + 1.0) * pmax ** (-(s + 1.0))
     return EulerProductApprox(s=s, pmax=pmax, value=value, tail_bound=tail)
 
@@ -91,8 +97,9 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
     # d = 2j + 1, and the odd multiples of an odd p sit at a stride of p slots
     # from slot p // 2.  φ(d) = d·Π_{p|d}(1 − 1/p), one strided pass per odd
     # prime p ≤ √dmax; each pass also strips p from the cofactor, which ends
-    # as 1 or d's one prime factor above √dmax
-    phi = np.arange(1, dmax + 1, 2, dtype=np.int64)
+    # as 1 or d's one prime factor above √dmax.  Both fit int32, since
+    # φ(d) ≤ d ≤ dmax < MEMORY_BUDGET = 2³¹
+    phi = np.arange(1, dmax + 1, 2, dtype=np.int32)
     cof = phi.copy()
     for p in primes_upto(math.isqrt(dmax))[1:].tolist():
         phi[p // 2::p] -= phi[p // 2::p] // p
@@ -102,11 +109,12 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
             q *= p
     big = np.flatnonzero(cof > 1)
     phi[big] -= phi[big] // cof[big]
-    # χ(2j + 1) = (−1)^j; the even d left out add zeros, which never move a
-    # partial sum, so the odd cumsum at slot (D − 1) // 2 is the sum to D
-    signs = np.ones(phi.size)
-    signs[1::2] = -1.0
-    partial = np.cumsum(signs / phi)
+    # χ(2j + 1) = (−1)^j, and −1/φ is −(1/φ) exactly; the even d left out add
+    # zeros, which never move a partial sum, so the odd cumsum at slot
+    # (D − 1) // 2 is the sum to D
+    partial = 1.0 / phi
+    np.negative(partial[1::2], out=partial[1::2])
+    np.cumsum(partial, out=partial)
     return [(int(c), float(partial[(c - 1) // 2])) for c in checkpoints]
 
 

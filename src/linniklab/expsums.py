@@ -19,13 +19,11 @@ import math
 
 import numpy as np
 
-from .arith import WORK_BUDGET, PrimeTable, euler_phi
+from .arith import PRIME_BLOCK, WORK_BUDGET, PrimeTable, euler_phi
 from .errors import DomainError, ResourceError
 
 _SPLITTER = 134217729.0   # 2**27 + 1, Dekker's constant for binary64
 _INT64_MAX = 2**63 - 1     # moduli are reduced against int64 primes
-# Primes whose phases ``s_ld`` reduces per block: 512 KB per float64 temporary.
-_PHASE_BLOCK = 2**16
 
 
 def _two_prod(a, b):
@@ -42,9 +40,16 @@ def _two_prod(a, b):
 
 
 def phase_mod1(alpha: float, y):
-    """(α·y) mod 1 in [0,1), exact reduction of the double product."""
+    """(α·y) mod 1 in [0,1), exact reduction of the double product.
+
+    Each reduction is x − ⌊x⌋: the floor is exact and the difference is one
+    rounding of the exact x mod 1, the value that ``np.mod(x, 1.0)`` also
+    rounds once, so the two agree bit for bit (±0, integers, negative x, inf
+    and NaN included) without the cost of ``fmod``.
+    """
     p, err = _two_prod(np.float64(alpha), np.asarray(y, dtype=np.float64))
-    return np.mod(np.mod(p, 1.0) + err, 1.0)
+    r = p - np.floor(p) + err
+    return r - np.floor(r)
 
 
 def s_ld(table: PrimeTable, l: int, d: int, j: tuple[float, float],
@@ -59,25 +64,23 @@ def s_ld(table: PrimeTable, l: int, d: int, j: tuple[float, float],
         raise DomainError(f"empty range J=({lo}, {hi}]")
     if not math.isfinite(alpha):
         raise DomainError(f"α must be finite, got {alpha}")
-    sl = table.prime_slice(lo, hi)
-    ps = table.primes[sl]
-    ws = table.log_weights[sl]
+    ps = table.primes[table.prime_slice(lo, hi)]
     if d > 1:
-        mask = np.mod(ps, d) == l % d
-        ps, ws = ps[mask], ws[mask]
+        ps = ps[np.mod(ps, d) == l % d]
     if ps.size == 0:
         return 0.0 + 0.0j
-    # the phase temporaries live per block; cos and sin fill two full-length
-    # columns, which are weighted in place and summed whole, so every element
-    # and the pairwise sum are those of the unblocked expression
+    # the phases and logs live per block; the weighted cos and sin fill two
+    # full-length columns, which are summed whole, so every element and the
+    # pairwise sum are those of the unblocked expression
     re, im = np.empty(ps.size), np.empty(ps.size)
-    for i in range(0, ps.size, _PHASE_BLOCK):
-        blk = slice(i, i + _PHASE_BLOCK)
+    for i in range(0, ps.size, PRIME_BLOCK):
+        blk = slice(i, i + PRIME_BLOCK)
         ang = (2.0 * math.pi) * phase_mod1(alpha, ps[blk])
+        w = np.log(ps[blk].astype(np.float64))
         np.cos(ang, out=re[blk])
         np.sin(ang, out=im[blk])
-    re *= ws
-    im *= ws
+        re[blk] *= w
+        im[blk] *= w
     return complex(float(np.sum(re)), float(np.sum(im)))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from linniklab.arith import (
     sieve_primes,
 )
 from linniklab import arith
+from linniklab.dirichlet import n_s
 from linniklab.errors import DomainError, ResourceError
+from linniklab.expsums import bv_aggregate, e_term
 
 
 def lattice_r2(nmax: int) -> np.ndarray:
@@ -303,6 +306,20 @@ def test_prime_table_basics(table4):
             reach()
 
 
+def test_nan_prime_range_is_an_error():
+    # NaN fails every comparison, so the limit check alone lets a NaN end
+    # through, and searchsorted would put it past every prime: π(nan) = π(limit)
+    t = sieve_primes(1000)
+    for call in (lambda: t.prime_count(math.nan),
+                 lambda: t.prime_slice(math.nan, 100),
+                 lambda: t.prime_slice(0, math.nan),
+                 lambda: e_term(t, math.nan, 4, 1),
+                 lambda: bv_aggregate(t, math.nan, 3),
+                 lambda: n_s(0.0, math.nan, t)):
+        with pytest.raises(DomainError, match="NaN"):
+            call()
+
+
 def test_spf_is_smallest_factor(table4):
     rng = random.Random(5)
     for _ in range(500):
@@ -424,3 +441,66 @@ def test_log_weights_match_primes(table4):
     assert np.allclose(
         table4.log_weights, np.log(table4.primes.astype(float)), rtol=0, atol=0
     )
+
+
+def primes_upto_unsegmented(n: int) -> np.ndarray:
+    """Oracle: one byte sieve over all the odd slots, each odd p ≤ √n
+    clearing its odd multiples from p² in one strided write."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    return np.concatenate(([2], 2 * np.flatnonzero(odd) + 1))
+
+
+def assert_primes_match_unsegmented(n: int):
+    got, want = arith.primes_upto(n), primes_upto_unsegmented(n)
+    assert got.dtype == np.int64 and np.array_equal(got, want), n
+
+
+def test_segmented_sieve_matches_unsegmented():
+    for n in range(3001):
+        assert_primes_match_unsegmented(n)
+    # a segment of _SEGMENT odd slots covers 2·_SEGMENT numbers
+    for k in (1, 2, 3):
+        for delta in range(-3, 4):
+            assert_primes_match_unsegmented(2 * k * arith._SEGMENT + delta)
+    for n in (10**6, 10**7 + 1):
+        assert_primes_match_unsegmented(n)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 50])
+def test_segmented_sieve_strides_longer_than_a_segment(monkeypatch, segment):
+    # with segments shorter than √n slots, a prime's stride skips whole
+    # segments, and past the first the next slots are no longer sorted
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    for n in (2, 3, 9, 25, 49, 2 * segment + 1, 4999, 5000, 12_345, 29_929, 30_001):
+        assert_primes_match_unsegmented(n)
+
+
+def test_log_weights_built_on_first_read():
+    for n in (2, 3, 1000, 2**20 + 1):
+        table = sieve_primes(n)
+        assert table._logs is None
+        logs = table.log_weights
+        want = np.log(table.primes.astype(np.float64))
+        assert logs.dtype == np.float64
+        assert np.array_equal(logs.view(np.uint64), want.view(np.uint64)), n
+        assert table._logs is logs and table.log_weights is logs
+
+
+def test_sieve_primes_peak_memory():
+    # the primes ≤ 1e7 are 5.1 MiB of int64; the unsegmented sieve peaked at
+    # 15.2 MiB with its full-length bytes and index temporaries, the segments
+    # leave the per-segment indices and their one concatenation
+    tracemalloc.start()
+    try:
+        table = sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.primes.size == 664_579
+    assert peak < 12 * 2**20, peak / 2**20

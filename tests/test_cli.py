@@ -550,6 +550,23 @@ def test_commands_without_factorisation_build_no_spf(capsys, monkeypatch, argv):
     assert rc == 0 and out.startswith("{"), err
 
 
+@pytest.mark.parametrize("argv", [
+    ("linnik", "--x", "1e4", "--empirical"),
+    ("singular", "--pmax", "1e4", "--dmax", "1e3", "--checkpoints", "10,1000"),
+    ("minorarc", "--x", "1e4", "--a", "1", "--q", "7"),
+    ("expsum", "--x", "1e4", "--alpha", "0.3"),
+])
+def test_commands_over_prime_sums_build_no_log_column(capsys, monkeypatch, argv):
+    from linniklab import arith
+
+    def refuse(self):
+        raise AssertionError("log column built")
+
+    monkeypatch.setattr(arith.PrimeTable, "log_weights", property(refuse))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and out.startswith("{"), err
+
+
 def _modules_after_cli_import(pkg: str) -> str:
     """The modules of pkg that `import linniklab.cli` loads, from a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -11,6 +11,7 @@ import pytest
 from linniklab.arith import chi_vec, euler_phi, sieve_primes
 from linniklab.errors import DomainError, ResourceError
 from linniklab.expsums import (
+    _two_prod,
     bv_aggregate,
     e_term,
     i_j,
@@ -140,6 +141,43 @@ def test_s_ld_peak_memory(table7):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20, peak / 2**20
+
+
+def phase_mod1_np_mod(alpha, y):
+    """Oracle: ``phase_mod1`` with both reductions taken by ``np.mod``."""
+    p, err = _two_prod(np.float64(alpha), np.asarray(y, dtype=np.float64))
+    return np.mod(np.mod(p, 1.0) + err, 1.0)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.array_equal(got[ok].view(np.uint64), want[ok].view(np.uint64))
+
+
+def test_phase_mod1_matches_np_mod_bitwise():
+    rng = np.random.default_rng(20261019)
+    ints = np.concatenate([np.arange(0, 1000), [2**31 - 1, 2**31],
+                           rng.integers(0, 2**31, 20_000)]).astype(np.float64)
+    reals = np.concatenate([[-0.0, 0.0, 0.5, -0.5, -2.5, 1e-300, -1e-300],
+                            rng.uniform(-2.0**31, 2.0**31, 20_000),
+                            rng.uniform(-1.0, 1.0, 1000)])
+    alphas = [0.0, -0.0, 5e-324, -5e-324, 1e-9, 0.5, 1.0, -0.2082, 12345.678,
+              -7.5e5, 1e13 / 1e7, math.pi]
+    alphas += rng.uniform(-1e4, 1e4, 30).tolist()
+    for alpha in alphas:
+        for y in (ints, reals):
+            assert_same_bits(phase_mod1(alpha, y), phase_mod1_np_mod(alpha, y))
+        for y in (7.0, -7.0, 0.25, 2.0**31):       # 0-d input, as i_j passes
+            assert_same_bits(phase_mod1(alpha, y), phase_mod1_np_mod(alpha, y))
+    # products that overflow, and NaN, reduce to NaN either way
+    special = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for alpha in (1.0, 10.0, -0.5):
+            assert_same_bits(phase_mod1(alpha, special),
+                             phase_mod1_np_mod(alpha, special))
 
 
 def test_phase_reduction_vs_exact_rational():
