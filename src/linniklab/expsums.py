@@ -109,7 +109,12 @@ def i_j(j: tuple[float, float], alpha: float) -> complex:
 
 
 def e_term(table: PrimeTable, x: float, q: int, a: int) -> float:
-    """E(x;q,a) = Σ_{p ≤ x, p ≡ a (q)} ln p − x/φ(q), the progression error."""
+    """E(x;q,a) = Σ_{p ≤ x, p ≡ a (q)} ln p − x/φ(q), the progression error.
+
+    E is defined for every q ≥ 1, but q may not exceed the table limit X:
+    φ(q) comes from ``euler_phi``, trial division to √q in Python, so the
+    bound caps it at √X steps, where a q near 2⁶³ would take about 3e9.
+    """
     if not 1 <= q <= table.limit:
         raise DomainError(f"modulus q={q} must lie in [1, {table.limit}]")
     if math.gcd(a, q) != 1:

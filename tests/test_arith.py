@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -495,12 +497,96 @@ def test_log_weights_built_on_first_read():
 def test_sieve_primes_peak_memory():
     # the primes ≤ 1e7 are 5.1 MiB of int64; the unsegmented sieve peaked at
     # 15.2 MiB with its full-length bytes and index temporaries, the segments
-    # leave the per-segment indices and their one concatenation
+    # leave the per-segment indices and their one concatenation.  Measured on
+    # primes_upto: once a 1e7 column is kept, sieve_primes(1e7) sieves nothing
     tracemalloc.start()
     try:
-        table = sieve_primes(10**7)
+        primes = arith.primes_upto(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.primes.size == 664_579
+    assert primes.size == 664_579
     assert peak < 12 * 2**20, peak / 2**20
+
+
+@pytest.fixture
+def empty_column(monkeypatch):
+    """sieve_primes starting from no kept column; the kept one comes back after."""
+    monkeypatch.setattr(arith, "_kept", (1, np.zeros(0, dtype=np.int64)))
+
+
+def test_tables_are_prefixes_of_one_read_only_column(empty_column):
+    seg = 2 * arith._SEGMENT
+    rising = [2, 3, 4, 10**4, seg - 1, seg + 1, 2 * seg - 1, 2 * seg + 1, 10**6, 10**7]
+    top = 1
+    for limit in rising + rising[::-1] + rising + [10**6, 10**6, 3, 3]:
+        kept = arith._kept
+        table = sieve_primes(limit)
+        # only a limit above every earlier one sieves and replaces the column
+        assert (arith._kept is not kept) == (limit > top), limit
+        top = max(top, limit)
+        assert arith._kept[0] == top
+        assert table.limit == limit
+        assert np.shares_memory(table.primes, arith._kept[1])
+        assert table.primes.dtype == np.int64
+        assert np.array_equal(table.primes, arith.primes_upto(limit)), limit
+        with pytest.raises(ValueError):
+            table.primes[0] = 4
+        assert table._logs is None and table._spf is None and table._witnesses is None
+
+
+def test_concurrent_sieves_each_get_their_own_primes(empty_column):
+    # racing callers may both sieve and either may keep its column, but every
+    # table must hold the primes to its own limit
+    limits = [2, 97, 1000, 4099, 10**4, 30_011, 10**5, 2 * arith._SEGMENT + 1]
+    want = {n: arith.primes_upto(n) for n in limits}
+
+    def worker(k):
+        rng = random.Random(k)
+        for _ in range(40):
+            n = rng.choice(limits)
+            table = sieve_primes(n)
+            if table.limit != n or not np.array_equal(table.primes, want[n]):
+                return n
+        return None
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            bad = [n for n in pool.map(worker, range(8), timeout=120) if n is not None]
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == []
+
+
+def test_table_cut_from_a_longer_column_keeps_its_limit(empty_column):
+    sieve_primes(10**7)
+    table = sieve_primes(10**6)
+    assert arith._kept[0] == 10**7 and table.primes.size == 78_498
+    assert table.prime_count(10**6) == 78_498 and not table.is_prime(10**6 - 1)
+    with pytest.raises(DomainError):
+        table.prime_count(2e6)
+    with pytest.raises(DomainError):
+        table.is_prime(1_000_003)
+    assert sieve_primes(10**7).is_prime(1_000_003)
+    # a derived table covers the table's own limit, not the column's
+    assert table.spf.size == (10**6 + 1) // 2
+
+
+def test_sieve_primes_checks_before_sieving(empty_column, monkeypatch):
+    def refuse(n):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(arith, "primes_upto", refuse)
+    with pytest.raises(DomainError):
+        sieve_primes(1)
+    with pytest.raises(ResourceError):
+        sieve_primes(10**9, memory_budget=10**6)
+    assert arith._kept[0] == 1
+    # a limit inside the kept column is still held to the budget
+    monkeypatch.setattr(arith, "_kept", (10**4, primes_upto_unsegmented(10**4)))
+    with pytest.raises(ResourceError):
+        sieve_primes(10**3, memory_budget=10**3)
+    with pytest.raises(DomainError):
+        sieve_primes(1)

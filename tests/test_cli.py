@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linniklab.cli import _build_parser, main
@@ -607,6 +609,46 @@ def test_subprocess_smoke():
         capture_output=True, text=True, timeout=120,
     )
     assert bad.returncode == 2
+
+
+# every subcommand at X ≤ 1e5, its limit rising and falling; eterm exits 2,
+# its q above its own table's limit though a longer column is kept
+_TOUR = [
+    "linnik --x 3000",
+    "hooley --x 1e5 --stat sigma --d 30",
+    "eterm --x 100 --q 1000 --a 1",
+    "singular --pmax 1e5 --dmax 1e4 --checkpoints 100,10000",
+    "bvsum --x 3e4 --q-max 30",
+    "minorarc --x 1e5 --a 1 --q 7",
+    "expsum --x 5e4 --alpha 0.2",
+    "schedule --eps-report",
+    "cfrac --name sqrt2 --count 8 --verify",
+    "kernel --eps 0.1 --k 4 --grid 201 --fourier",
+    "gamma --mode sharp --x 3000 --l1 1.4 --l2 -1 --l3 -1.7 --eta=0.3 --eps 2",
+    "triples --x 1000 --l1 sqrt2 --l2 -1 --l3=-sqrt3 --eps 0.01 --lambda0 0.5",
+]
+
+
+def test_tour_in_one_process_matches_cold_runs(capsys, monkeypatch):
+    from linniklab import arith
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def cold(argv: str):
+        proc = subprocess.run([sys.executable, "-m", "linniklab", *argv.split()],
+                              capture_output=True, text=True, timeout=120, env=env)
+        return proc.returncode, proc.stdout
+
+    with ThreadPoolExecutor(4) as pool:
+        want = dict(zip(_TOUR, pool.map(cold, _TOUR)))
+    assert {rc for rc, _ in want.values()} == {0, 2}
+    # no kept column at the start, so the forward pass sieves as it rises
+    monkeypatch.setattr(arith, "_kept", (1, np.zeros(0, dtype=np.int64)))
+    for argv in _TOUR + _TOUR[::-1]:
+        rc, out, _ = run(capsys, *argv.split())
+        assert (rc, out) == want[argv], argv
 
 
 _INSTANCE = ("--l1", "1", "--l2", "-1", "--l3", "-1", "--eps", "0.5")
