@@ -2,7 +2,7 @@
 with one prime of the form x² + y² + 1.
 
 Submodules:
-    arith      — sieve, character mod 4, two-squares representation counts
+    arith      — sieve, character mod 4, two-squares counts over lattice rows
     schedule   — derived parameter schedules (asymptotic and desk modes)
     cfrac      — certified continued-fraction convergents
     smoothing  — C^k smoothed window, its transform and antiderivative
@@ -12,7 +12,7 @@ Submodules:
     cli        — the `linniklab` command-line entry point
 """
 
-from .arith import PrimeTable, chi, linnik_witness, r2, r2_bulk, sieve_primes
+from .arith import PrimeTable, chi, linnik_rows, linnik_witness, r2, sieve_primes
 from .cfrac import CertifiedReal, Convergent, certified_decimal, certified_named, convergents
 from .dirichlet import chi_phi_partial, f_zero, linnik_constant, linnik_empirical, n_s
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
@@ -35,7 +35,7 @@ from .smoothing import SmoothingKernel, kernel_new, suggested_k, theta_eval, the
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeTable", "chi", "linnik_witness", "r2", "r2_bulk", "sieve_primes",
+    "PrimeTable", "chi", "linnik_rows", "linnik_witness", "r2", "sieve_primes",
     "CertifiedReal", "Convergent", "certified_decimal", "certified_named", "convergents",
     "chi_phi_partial", "f_zero", "linnik_constant", "linnik_empirical", "n_s",
     "DomainError", "NumericError", "PrecisionError", "ResourceError",

@@ -5,16 +5,19 @@ is all that sums over primes read.  The process keeps one read-only column,
 the primes up to the largest limit sieved so far, and every table holds a
 prefix of it, so only a limit above every earlier one sieves.  What is derived
 from the primes stays per table: their logs are formed on first read, by the
-few readers that want the whole column.  A smallest-prime-factor table over
-the odd n ≤ limit (slot i stands for 2i + 1), built on first use in
-cache-sized segments from descending writes of the odd primes to their odd
-multiples, gives O(log n) factorisation once the power of 2 is split off,
-which in turn gives
+few readers that want the whole column.
 
     χ(n)   the non-principal character mod 4 (+1, −1, 0 for n ≡ 1, 3, 0 mod 2),
     r₂(n)  = 4·Σ_{d|n} χ(d), the number of ways to write n = m₁² + m₂²
              counting signs and order,
-    φ(n)   Euler's totient.
+    φ(n)   Euler's totient,
+
+are trial division to √n for one n.  The readers of r₂(p − 1) over a range of
+primes (the weight of the third prime, p = x² + y² + 1) go through
+``linnik_rows`` instead: one sweep of the half-lattice rows x ≤ y,
+x ≡ y (mod 2), over a bool array of the odd primes, counts each prime's
+points and notes its least witness, with no factoring; ``linnik_sum`` is the
+same sweep reduced to Σ r₂(p − 1).
 
 Statistics over the divisors of every p − 1 go through ``divisor_sum``, which
 sums χ(d), or 1, over the divisors d of each given n that lie in an integer
@@ -22,11 +25,10 @@ window lo ≤ d < hi, for all the n at once.
 
 A prime p is called a *Linnik prime* here when p − 1 = x² + y² has a
 solution in integers; r₂(p−1) > 0 is the equivalent character-sum test.  The
-actual (x, y) pair comes by one of two routes, checked against each other:
-``least_witnesses`` searches x for a given set of n, which is how
-``linnik_witness`` and the triple finder get theirs, and the least-witness
-table over [0, limit], built by enumerating squares, serves ``linniklab
-linnik``, the one reader that needs the witness of every prime.
+least pair (x, y) comes from ``linnik_rows`` for every prime of a range, which
+is how ``linniklab linnik`` gets its witnesses, and from ``least_witnesses``,
+a search over x for a given set of n, which is how ``linnik_witness`` and the
+triple finder get theirs for a few primes.
 """
 
 from __future__ import annotations
@@ -38,13 +40,15 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-# Default cap on sieve size, in numbers: the spf table is 2 bytes per number.
+# Default cap on a table's limit, in numbers.  Below 2³¹ the per-slot column
+# of ``linnik_rows`` fits uint16 (r₂(n)/4 ≤ τ(n) ≤ 1600, witness x ≤ 2¹⁵) and
+# ``dirichlet.chi_phi_partial`` fits int32.
 MEMORY_BUDGET = 2**31
 # Default cap on inner-loop evaluations per call: (p1,p2) pairs in the pair
 # scans, Q·π(X) modulus-prime steps in the progression error scan.
 WORK_BUDGET = 2**31
 # Odd slots sieved per segment, which cover 2²⁰ numbers: 512 KB of the prime
-# sieve's bytes, 2 MB of spf's int32, about one L2 cache.
+# sieve's bytes, about one L2 cache.
 _SEGMENT = 2**19
 # Primes per block in the passes over a prime column (the phases of
 # ``expsums.s_ld``, the factors of ``dirichlet.n_s``): 512 KB per float64
@@ -53,6 +57,10 @@ PRIME_BLOCK = 2**16
 # Elements (n, x) tried per block by ``least_witnesses``: 8 MB per int64
 # temporary.
 _WITNESS_BLOCK = 2**20
+# Points looked up per block of rows by ``_half_lattice``: 256 KB per int64
+# temporary.  2¹⁶ is as fast but leaves the tour-arith worker's peak RSS
+# 0.8 MB higher, 2¹⁴ costs 10 % more at 1e7.
+_ROW_BLOCK = 2**15
 # The primes ≤ the largest limit ``sieve_primes`` has sieved, read-only:
 # one (limit, column) pair, replaced whole.
 _kept: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
@@ -60,24 +68,20 @@ _kept: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
 
 @dataclass
 class PrimeTable:
-    """Sieve products for [2, limit]: the primes, with their logs and the
-    smallest-prime-factor and least-witness tables built on first use.
+    """Sieve products for [2, limit]: the primes, with their logs built on
+    first use.
 
     ``primes`` is a read-only view, a prefix of the column that
-    ``sieve_primes`` keeps for the process; tables share it.  The derived
-    columns belong to the table: each starts as ``None`` and is built by its
-    first reader, so none outlives the table.  ``limit`` is the limit asked
+    ``sieve_primes`` keeps for the process; tables share it.  The log column
+    belongs to the table: it starts as ``None`` and is built by its first
+    reader, so it does not outlive the table.  ``limit`` is the limit asked
     for, and reads past it raise even when the shared column goes further.
-    ``is_prime`` reads ``primes`` alone.  Only ``linniklab linnik`` reads the
-    witness table; ``linnik_witness`` and the triple finder search their few
-    witnesses with ``least_witnesses`` instead.
+    ``is_prime`` reads ``primes`` alone.
     """
 
     limit: int
     primes: np.ndarray            # int64, ascending
     _logs: np.ndarray | None = field(default=None, repr=False)
-    _spf: np.ndarray | None = field(default=None, repr=False)
-    _witnesses: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -90,31 +94,6 @@ class PrimeTable:
         if self._logs is None:
             self._logs = np.log(self.primes.astype(np.float64))
         return self._logs
-
-    @property
-    def spf(self) -> np.ndarray:
-        """Smallest prime factor of every odd n ≤ limit, at slot n // 2
-        (spf[0] = 1 for n = 1).
-
-        int32 over the odd numbers only, 2 bytes per number, built on first
-        use by ``_spf_table`` for its readers ``r2_bulk`` (which ``gamma``
-        calls) and ``factorize``.  Even n have smallest prime factor 2.
-        """
-        if self._spf is None:
-            self._spf = _spf_table(self.limit, self.primes)
-        return self._spf
-
-    @property
-    def witnesses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Least-witness columns (wx, wy) over [0, limit], built on first use.
-
-        wx[n], wy[n] is the pair x ≤ y with x² + y² = n and x least, or
-        (−1, −1) when n is not a sum of two squares.  Two int32 columns:
-        8 bytes per slot.
-        """
-        if self._witnesses is None:
-            self._witnesses = _witness_table(self.limit)
-        return self._witnesses
 
     def prime_count(self, x: float) -> int:
         """π(x) for x ≤ limit."""
@@ -190,13 +169,13 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     view found by one ``searchsorted``; a larger limit sieves with
     ``primes_upto`` and replaces the kept column.  The column costs 8 bytes
     per prime while the process lives: 5.3 MB at 1e7.  The table's log column
-    and spf and witness tables are its own, built by their first readers.
-    Racing callers each get the primes to their own limit; a race can only
-    repeat a sieve or keep the shorter of two new columns.
+    is its own, built by its first reader.  Racing callers each get the
+    primes to their own limit; a race can only repeat a sieve or keep the
+    shorter of two new columns.
 
-    ``memory_budget`` caps limit + 1, the numbers that the spf table (2 bytes
-    each) built by the first reader of ``PrimeTable.spf`` covers; the cap is
-    checked here, before anything is allocated.
+    ``memory_budget`` caps limit + 1, the numbers a table covers, which keeps
+    the per-slot column of ``linnik_rows`` exact (see ``MEMORY_BUDGET``); the
+    cap is checked here, before anything is allocated.
     """
     global _kept
     if not limit >= 2:
@@ -212,34 +191,6 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
         _kept = (limit, column)
     n = int(np.searchsorted(column, limit, side="right"))
     return PrimeTable(limit=limit, primes=column[:n])
-
-
-def _spf_table(limit: int, primes: np.ndarray) -> np.ndarray:
-    """Smallest prime factor of every odd n ≤ limit, slot i standing for
-    n = 2i + 1, from a segmented sieve.
-
-    The table is walked in segments of ``_SEGMENT`` slots, small enough to
-    stay in cache; in each, every odd prime p ≤ √limit with p² inside it
-    writes p to its odd multiples from max(p², segment start) on, a stride of
-    p slots.  The primes write in descending order, so the smallest prime
-    factor of n, which has spf(n)² ≤ n, is the last to write it and no write
-    needs a mask.  The slots left untouched are 1 and the odd primes, which
-    take 1 and their own value.
-    """
-    spf = np.zeros((limit + 1) // 2, dtype=np.int32)
-    odd = primes[1:]
-    small = odd[: np.searchsorted(odd, math.isqrt(limit), side="right")].tolist()
-    for lo in range(0, spf.size, _SEGMENT):
-        hi = min(lo + _SEGMENT, spf.size)
-        view = spf[lo:hi]
-        for p in reversed([p for p in small if p * p < 2 * hi]):
-            start = -(-max(p * p, 2 * lo + 1) // p) * p
-            if start % 2 == 0:
-                start += p
-            view[start // 2 - lo :: p] = p
-    spf[odd >> 1] = odd
-    spf[0] = 1
-    return spf
 
 
 def chi(n: int) -> int:
@@ -261,33 +212,11 @@ def chi_vec(n: np.ndarray) -> np.ndarray:
     return (n & 1) * (1 - (n & 2))
 
 
-def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:
-    """Prime factorisation [(p, e), …] via the spf table; ascending p.
-
-    The power of 2 is split off first; the odd rest is read from the table.
-    """
-    if n < 1 or n > table.limit:
-        raise DomainError(f"factorize needs 1 ≤ n ≤ {table.limit}, got {n}")
-    out: list[tuple[int, int]] = []
-    e2 = (n & -n).bit_length() - 1
-    if e2:
-        out.append((2, e2))
-        n >>= e2
-    while n > 1:
-        p = int(table.spf[n >> 1])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def euler_phi(n: int, table: PrimeTable) -> int:
     """Euler totient of 1 ≤ n ≤ table.limit, by trial division up to √n.
 
-    Callers want φ of one small modulus, for which building the spf table
-    would cost far more than the √n divisions.
+    Callers want φ of one small modulus, for which a table over [0, n] would
+    cost far more than the √n divisions.
     """
     if n < 1 or n > table.limit:
         raise DomainError(f"euler_phi needs 1 ≤ n ≤ {table.limit}, got {n}")
@@ -304,77 +233,129 @@ def euler_phi(n: int, table: PrimeTable) -> int:
 
 
 def r2(n: int, table: PrimeTable) -> int:
-    """r₂(n) = 4·Σ_{d|n} χ(d) = signed/ordered count of n = m₁² + m₂².
+    """r₂(n) = 4·Σ_{d|n} χ(d) = signed/ordered count of n = m₁² + m₂², for
+    1 ≤ n ≤ table.limit, by trial division up to √n as in ``euler_phi``.
 
     The divisor character sum is multiplicative: a factor p^e contributes
     Σ_{i≤e} χ(p)^i, i.e. e+1 when p ≡ 1 (mod 4), the parity of e when
     p ≡ 3 (mod 4), and 1 for p = 2.
     """
-    sig = 1
-    for p, e in factorize(n, table):
-        c = chi(p) if p != 2 else 0
-        if c == 1:
-            sig *= e + 1
-        elif c == -1 and e % 2 == 1:
+    if n < 1 or n > table.limit:
+        raise DomainError(f"r2 needs 1 ≤ n ≤ {table.limit}, got {n}")
+    n //= n & -n
+    sig, p = 1, 3
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if p & 3 == 1:
+                sig *= e + 1
+            elif e & 1:
+                return 0
+        p += 2
+    if n > 1:
+        if n & 3 == 3:
             return 0
+        sig *= 2
     return 4 * sig
 
 
-def r2_bulk(ns: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """Vectorised r₂ over an integer array, one prime power per pass.
+def _half_lattice(odd: np.ndarray):
+    """Yield (x, hits, units) for the points (x, y), y ≥ x, y ≡ x (mod 2),
+    with p = x² + y² + 1 a prime of ``odd``, in blocks of rows from the top
+    row x down to x = 0; three arrays with one entry per point.
 
-    The power of 2, which contributes 1 to Σ χ(d), goes first, as
-    n // (n & −n).  Each pass then divides every still-active odd cofactor m
-    by the whole power p^e of its smallest prime factor p = spf(m) and
-    multiplies σ by that factor's Σ_{i≤e} χ(p)^i (see ``r2``).  An entry
-    leaves the compacted active arrays (m, index, σ) as soon as m = 1 or
-    σ = 0, the latter at an odd power of a p ≡ 3 (mod 4); so the passes are
-    bounded by the distinct odd primes of one n (at most 7 below 10⁷) and most
-    entries leave well before that.  Every m is odd, so spf(m) sits at slot
-    m >> 1 of the odd-only table.
+    ``odd`` holds primes ≥ 5, ascending and not empty.  p is odd on these
+    rows, and its slot j = (p − 1)/2 is ⌊x²/2⌋ + (x & 1) + ⌊y²/2⌋.  Squares
+    are 0 or 1 mod 3, so 3 divides p when 3 divides neither x nor y: a row
+    with 3 ∤ x tries only y ≡ 0 (mod 3), a stride of 6, and the rows try 5/9
+    of the points.  The rows are joined into blocks of about ``_ROW_BLOCK``
+    points, and a block looks its slots up at once in one bool array over
+    the odd numbers from odd[0] to odd[-1].  ``x`` (uint16) is each point's
+    row, ``hits`` its slot as the offset j − j₀ from odd[0]'s slot j₀, and
+    ``units`` (uint16) its share of r₂(p − 1)/4: 1 when x = 0 or x = y,
+    whose images under signs and order are 4, and 2 otherwise, with 8.
     """
-    n = np.ascontiguousarray(ns, dtype=np.int64)
-    if n.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if int(n.min()) < 1 or int(n.max()) > table.limit:
-        raise DomainError("r2_bulk inputs must lie in [1, table.limit]")
-    spf = table.spf
-    m = (n // (n & -n)).astype(spf.dtype)
-    sig = (m == 1).astype(np.int64)
-    idx = np.flatnonzero(m > 1)
-    m = m[idx]
-    s = np.ones(idx.size, dtype=spf.dtype)
-    while idx.size:
-        p = spf[m >> 1]
-        m //= p
-        e = np.ones(m.size, dtype=spf.dtype)
-        k = np.flatnonzero(m % p == 0)
-        while k.size:
-            m[k] //= p[k]
-            e[k] += 1
-            k = k[m[k] % p[k] == 0]
-        s *= np.where((p & 3) == 1, e + 1, 1 - (e & 1))
-        done = m == 1
-        sig[idx[done]] = s[done]
-        live = ~done & (s != 0)
-        idx, m, s = idx[live], m[live], s[live]
-    return 4 * sig
+    j0, j1 = int(odd[0]) >> 1, int(odd[-1]) >> 1
+    is_prime = np.zeros(j1 - j0 + 1, dtype=bool)
+    is_prime[(odd >> 1) - j0] = True
+    half_sq = np.arange(math.isqrt(2 * j1) + 1, dtype=np.int64) ** 2 >> 1
+    rows, xs, size = [], [], 0
+    for x in range(math.isqrt(j1), -1, -1):
+        rest = 2 * j0 - x * x                    # y² ≥ rest puts p ≥ odd[0]
+        y = x if rest <= x * x else math.isqrt(rest - 1) + 1
+        y += (y - x) & 1
+        step = 2
+        if x % 3:
+            y, step = y + 2 * (y % 3), 6
+        rows.append(half_sq[y : math.isqrt(2 * j1 - x * x) + 1 : step])
+        xs.append(x)
+        size += rows[-1].size
+        if size < _ROW_BLOCK and x:
+            continue
+        sizes = [row.size for row in rows]
+        x_row = np.array(xs, dtype=np.int64)
+        slots = np.concatenate(rows)
+        slots += np.repeat((x_row * x_row >> 1) + (x_row & 1) - j0, sizes)
+        at = np.flatnonzero(is_prime[slots])
+        hits = slots[at]
+        x_hit = x_row[np.searchsorted(np.cumsum(sizes), at, side="right")]
+        units = np.full(hits.size, 2, dtype=np.uint16)
+        units -= x_hit == 0
+        units -= hits == x_hit * x_hit - j0
+        yield x_hit.astype(np.uint16), hits, units
+        rows, xs, size = [], [], 0
 
 
-def _witness_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least (x, y), x ≤ y, with x² + y² = n for every n ≤ n_max; −1 if none.
+def _range_split(table: PrimeTable, lo: float, hi: float):
+    """The primes of (lo, hi], how many of them are 2 or 3, and the rest."""
+    ps = table.primes[table.prime_slice(lo, hi)]
+    k = int(np.searchsorted(ps, 3, side="right"))
+    return ps, k, ps[k:]
 
-    One numpy pass per x with 2x² ≤ n_max, taken from the largest x down, so
-    the least x is the last to write each n.
+
+def linnik_rows(table: PrimeTable, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """r₂(p − 1) and the least witness x of every prime p in (lo, hi], in the
+    order of ``table.primes[table.prime_slice(lo, hi)]``.
+
+    Two int64 arrays.  A witness is the least x ≥ 0 with p − 1 = x² + y²,
+    y ≥ x, and then y = isqrt(p − 1 − x²); x is −1 where r₂(p − 1) = 0.
+    p = 2 and 3 are taken apart: r₂(1) = r₂(2) = 4, witnesses (0, 1) and
+    (1, 1).  The primes ≥ 5 come from the points of ``_half_lattice``, which
+    are joined and reduced by ``ufunc.at`` into one uint16 column over the
+    odd slots of the range, 2 bytes per slot: first their shares of
+    r₂(p − 1)/4, read off at the primes, then the least x.  uint16 holds
+    both below ``MEMORY_BUDGET``: r₂(n)/4 ≤ τ(n) ≤ 1600 and x ≤ 2¹⁵.
     """
-    wx = np.full(n_max + 1, -1, dtype=np.int32)
-    wy = np.full(n_max + 1, -1, dtype=np.int32)
-    for x in range(math.isqrt(n_max // 2), -1, -1):
-        y = np.arange(x, math.isqrt(n_max - x * x) + 1, dtype=np.int64)
-        n = x * x + y * y
-        wx[n] = x
-        wy[n] = y
-    return wx, wy
+    ps, k, odd = _range_split(table, lo, hi)
+    if ps.size and int(ps[-1]) > MEMORY_BUDGET:
+        raise DomainError(f"linnik_rows counts in uint16, exact for p ≤ {MEMORY_BUDGET}")
+    r = np.zeros(ps.size, dtype=np.int64)
+    wx = np.zeros(ps.size, dtype=np.int64)
+    if odd.size:
+        xs, hits, units = map(np.concatenate, zip(*_half_lattice(odd)))
+        slots = (odd >> 1) - (int(odd[0]) >> 1)
+        col = np.zeros(int(slots[-1]) + 1, dtype=np.uint16)
+        np.add.at(col, hits, units)
+        r[k:] = col[slots]
+        col.fill(np.iinfo(np.uint16).max)
+        np.minimum.at(col, hits, xs)
+        wx[k:] = col[slots]
+        r *= 4
+        wx[r == 0] = -1
+    r[:k], wx[:k] = 4, ps[:k] - 2
+    return r, wx
+
+
+def linnik_sum(table: PrimeTable, lo: float, hi: float) -> int:
+    """Σ r₂(p − 1) over the primes p in (lo, hi]: the points of
+    ``linnik_rows`` summed without its per-slot column, 4 per unit, and 4
+    each for p = 2 and 3."""
+    _, k, odd = _range_split(table, lo, hi)
+    units = sum(int(u.sum()) for _, _, u in _half_lattice(odd)) if odd.size else 0
+    return 4 * (units + k)
 
 
 def least_witnesses(ns) -> tuple[np.ndarray, np.ndarray]:
@@ -431,28 +412,36 @@ def divisor_sum(ns, lo: int, hi: int, chi: bool) -> np.ndarray:
     """For each n in ``ns``, Σ χ(d) when ``chi``, else Σ 1, over the divisors
     d of n with lo ≤ d < hi (integer edges), in int64; 0 for n = 0.
 
-    One accumulator over [0, N], N = max ns, gathers every n at once.  The
-    weight is w on each class d ≡ r (mod q): χ is ±1 on d ≡ 1, 3 (mod 4), the
-    count 1 on all d (mod 1).  Each d·m = n is visited once, through whichever
-    factor is ≤ s = ⌊√N⌋: a small d adds w to the stride acc[d::d], and the
-    class's d > s with cofactor m form the stride acc[m·a : m·b : q·m]: O(√N) passes.
+    One accumulator gathers every n at once.  The weight is w on each class
+    d ≡ r (mod q): χ is ±1 on d ≡ 1, 3 (mod 4), the count 1 on all d (mod 1).
+    Each d·m = n is visited once, through whichever factor is ≤ s = ⌊√N⌋: a
+    small d adds w to the stride of its multiples, and the class's d > s with
+    cofactor m form one stride of step q·m: O(√N) passes.  The count runs
+    over n itself, with N = max ns and slot n.  χ vanishes on even d, and an
+    odd d divides n exactly when it divides n's odd part n / (n & −n), so χ
+    runs over the odd parts instead, with N their maximum, odd cofactors only
+    and slot (n + 1) / 2 for odd n (slot 0 for n = 0): a quarter of the
+    slots when every n is even, as the n = p − 1 are.
     """
     ns = np.asarray(ns)
     if ns.min(initial=0) < 0:
         raise DomainError(f"divisor_sum needs n ≥ 0, got {ns.min()}")
+    h = int(chi)                                  # slot(n) = (n + h) >> h
+    if chi:
+        ns = ns // np.maximum(ns & -ns, 1)
     n_max = int(ns.max(initial=0))
-    acc = np.zeros(n_max + 1, dtype=np.int64)
+    acc = np.zeros(((n_max + h) >> h) + 1, dtype=np.int64)
     s = math.isqrt(n_max)
     lo, hi = max(lo, 1), min(hi, n_max + 1)
     q, classes = (4, ((1, 1), (3, -1))) if chi else (1, ((0, 1),))
     for r, w in classes:
         for d in range(lo + (r - lo) % q, min(hi, s + 1), q):
-            acc[d::d] += w
+            acc[(d + h) >> h :: d] += w
         a = max(lo, s + 1)
         a += (r - a) % q
-        for m in range(1, s + 1):
+        for m in range(1, s + 1, 1 + h):
             b = min(hi, n_max // m + 1)
             if b <= a:
                 break
-            acc[m * a : m * b : q * m] += w
-    return acc[ns]
+            acc[(m * a + h) >> h : ((m * (b - 1) + h) >> h) + 1 : (q * m) >> h] += w
+    return acc[(ns + h) >> h]

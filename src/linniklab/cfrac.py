@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,19 +143,32 @@ def named_cf_terms(name: str) -> Iterator[int]:
         raise DomainError(f"no CF pattern for {name!r}")
 
 
-def _fold(terms: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """h_n/k_n of the partial quotients a₀, a₁, …, lazily: h_n = a_n h_{n−1} + h_{n−2}.
-    Raises ResourceError once h_n or k_n has more digits than int→str allows."""
+def _fold(terms: Iterable[int]) -> Iterator[Convergent]:
+    """The convergents h_n/k_n of the integer partial quotients a₀, a₁, …,
+    lazily: h_n = a_n h_{n−1} + h_{n−2}, and k_n alike.
+
+    Each step multiplies [[h_n, h_{n−1}], [k_n, k_{n−1}]] by [[a, 1], [1, 0]],
+    of determinant −1, so h_n k_{n−1} − h_{n−1} k_n = (−1)^{n+1} and every
+    common divisor of h_n and k_n divides 1: the pair is in lowest terms, and
+    the Convergent is built without ``__post_init__``'s gcd, which costs
+    quadratic time in the digits.  k_n ≥ 1 is still checked, since a term ≤ 0
+    after a₀ can break it.  Raises ResourceError once h_n or k_n has more
+    digits than int→str allows."""
     bound = 10 ** _digit_limit()
     h1, h2 = 1, 0
     k1, k2 = 0, 1
     for idx, a in enumerate(terms):
+        a = operator.index(a)
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
         if abs(h1) >= bound or k1 >= bound:
             raise ResourceError(f"convergent {idx} has more than {_digit_limit()} "
                                 "digits; lower --count")
-        yield h1, k1
+        if k1 < 1:
+            raise DomainError(f"convergent {h1}/{k1} not in lowest terms")
+        conv = object.__new__(Convergent)
+        conv.__dict__.update(a=h1, q=k1, index=idx)
+        yield conv
 
 
 def _shared_terms(lo: Fraction, hi: Fraction) -> Iterator[int]:
@@ -170,9 +184,8 @@ def _shared_terms(lo: Fraction, hi: Fraction) -> Iterator[int]:
 
 def convergents_from_terms(terms: Iterator[int], count: int) -> list[Convergent]:
     """The first count convergents of terms; raises ResourceError as _fold
-    does, before any Convergent is built."""
-    fracs = list(itertools.islice(_fold(terms), count))
-    return [Convergent(a=h, q=k, index=i) for i, (h, k) in enumerate(fracs)]
+    does."""
+    return list(itertools.islice(_fold(terms), count))
 
 
 def convergents(x: CertifiedReal, max_count: int) -> list[Convergent]:
@@ -182,8 +195,7 @@ def convergents(x: CertifiedReal, max_count: int) -> list[Convergent]:
     ResourceError as _fold does."""
     if max_count < 1:
         raise DomainError(f"max_count must be ≥ 1, got {max_count}")
-    fracs = itertools.islice(_fold(_shared_terms(x.lo, x.hi)), max_count)
-    convs = (Convergent(a=h, q=k, index=i) for i, (h, k) in enumerate(fracs))
+    convs = itertools.islice(_fold(_shared_terms(x.lo, x.hi)), max_count)
     run = list(itertools.takewhile(lambda c: verify_eq1(x, c)["ok"], convs))
     if not run:
         raise PrecisionError("interval too wide: first partial quotient undetermined")

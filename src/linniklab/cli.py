@@ -444,10 +444,11 @@ def cmd_linnik(args) -> int:
         rep = dirichlet.linnik_empirical(table, x)
         _emit_json({"x": x, **rep})
         return 0
-    ps = table.primes[: table.prime_count(x)]
-    wx, wy = table.witnesses
-    n = ps[wx[ps - 1] >= 0] - 1
-    rows = zip(n.tolist(), wx[n].tolist(), wy[n].tolist())
+    r, wx = arith.linnik_rows(table, 0, x)          # the first r.size primes
+    n, wx = table.primes[: r.size][r > 0] - 1, wx[r > 0]
+    # n − x² is a perfect square below 2⁵², whose float root is exact
+    wy = np.sqrt(n - wx * wx).astype(np.int64)
+    rows = zip(n.tolist(), wx.tolist(), wy.tolist())
     sys.stdout.write("# p\tx\ty\n")
     sys.stdout.write("".join(f"{m + 1}\t{a}\t{b}\n" for m, a, b in rows))
     return 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import MEMORY_BUDGET, PRIME_BLOCK, PrimeTable, chi_vec, primes_upto
+from .arith import MEMORY_BUDGET, PRIME_BLOCK, PrimeTable, chi_vec, linnik_sum, primes_upto
 from .errors import DomainError, ResourceError
 
 
@@ -118,37 +118,14 @@ def chi_phi_partial(dmax: int, table: PrimeTable,
     return [(int(c), float(partial[(c - 1) // 2])) for c in checkpoints]
 
 
-def _parity_lattice_points(odd_primes: np.ndarray, top: int) -> int:
-    """#{(x, y) : x ≥ 1, y ≥ 0, x ≡ y (mod 2), x² + y² + 1 ≤ top prime},
-    given the odd primes ≤ top.
-
-    x ≡ y makes p = x² + y² + 1 odd, and p's odd-slot index (p − 1)/2 is
-    ⌊x²/2⌋ + (x & 1) + ⌊y²/2⌋.  Each row x ≤ √(top − 1) looks its slots up
-    in one bool array over the odd numbers ≤ top that marks the primes.
-    """
-    # slot j stands for 2j + 1, as in ``primes_upto``
-    is_odd_prime = np.zeros((top + 1) // 2, dtype=bool)
-    is_odd_prime[odd_primes >> 1] = True
-    rows = math.isqrt(top - 1)
-    half_sq = np.arange(rows + 1, dtype=np.int64) ** 2 >> 1
-    points = 0
-    for a in range(1, rows + 1):
-        b = math.isqrt(top - 1 - a * a)
-        slots = half_sq[a & 1 : b + 1 : 2] + (a * a // 2 + (a & 1))
-        points += int(np.count_nonzero(is_odd_prime[slots]))
-    return points
-
-
 def linnik_empirical(table: PrimeTable, x: float) -> dict:
     """Σ_{p ≤ X} r(p−1) against its predicted main term π·N(0)·X/ln X.
 
     The sum counts the lattice points (x, y) with x² + y² + 1 = p a prime
-    ≤ X.  Each nonzero point has one rotation with x ≥ 1, y ≥ 0, and for odd
-    p the sum x² + y² = p − 1 is even, so x ≡ y (mod 2); p = 2 adds r(1) = 4.
+    ≤ X, by the half-lattice rows x ≤ y of ``arith.linnik_sum``.
     """
     if not x > 2:
         raise DomainError(f"X must exceed 2, got {x}")
-    n = table.prime_count(x)
-    total = 4 + 4 * _parity_lattice_points(table.primes[1:n], math.floor(x))
+    total = linnik_sum(table, 0, x)
     main = linnik_constant(table.limit, table) * x / math.log(x)
     return {"sum": total, "main_term": main, "ratio": total / main}

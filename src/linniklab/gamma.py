@@ -67,7 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import WORK_BUDGET, PrimeTable, divisor_sum, least_witnesses, r2_bulk
+from .arith import WORK_BUDGET, PrimeTable, divisor_sum, least_witnesses, linnik_rows
 from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, check_table_budget, theta_eval
 
@@ -647,10 +647,12 @@ class _Lattice:
 
 # -------------------------------------------------------------- the Γ family
 
-def _weights(ps: np.ndarray, table: PrimeTable):
-    """The weights (ln p₁, ln p₂, r(p₃−1)·ln p₃) of Γ on the primes ps."""
-    logs = np.log(ps.astype(np.float64))
-    return logs, logs, r2_bulk(ps - 1, table).astype(np.float64) * logs
+def _weights(inst: Instance, table: PrimeTable):
+    """The weights (ln p₁, ln p₂, r(p₃−1)·ln p₃) of Γ on the primes of
+    (λ₀X, X], which every unmasked slot holds."""
+    logs = np.log(_range_primes(inst, table).astype(np.float64))
+    r, _ = linnik_rows(table, inst.lambda0 * inst.x, inst.x)
+    return logs, logs, r.astype(np.float64) * logs
 
 
 def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
@@ -659,7 +661,7 @@ def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
     if inst.eps == 0:
         return 0.0, 0
     eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
-    gamma, count, _, _ = eng.scan(sharp=_weights(eng.p1, table), threads=threads)
+    gamma, count, _, _ = eng.scan(sharp=_weights(inst, table), threads=threads)
     return gamma, count
 
 
@@ -672,7 +674,7 @@ def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
         )
     check_table_budget(kern.k, work_budget)
     eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
-    w1, w2, w3 = _weights(eng.p1, table)
+    w1, w2, w3 = _weights(inst, table)
     _, _, (total,), _ = eng.scan(cols=(w1, w2, [w3]), kern=kern, threads=threads)
     return total
 
@@ -698,7 +700,7 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
     cut1, cut2 = _edge(d_split, strict=True), _edge(inst.x / d_split, strict=False)
     a1, a2, a3 = (divisor_sum(n3m1, lo, hi, chi=True)
                   for lo, hi in ((1, cut1), (cut1, cut2), (cut2, int(ps.max()))))
-    rvals = r2_bulk(n3m1, table)
+    rvals, _ = linnik_rows(table, inst.lambda0 * inst.x, inst.x)
     lost = np.flatnonzero(4 * (a1 + a2 + a3) != rvals)
     if lost.size:
         raise NumericError(f"divisor split lost mass at p3={ps[lost[0]]}")
@@ -815,7 +817,7 @@ def find_triples(inst: Instance, table: PrimeTable,
     base = _range_primes(inst, table)
     if base.size == 0:
         return []
-    linnik_mask = r2_bulk(base - 1, table) > 0
+    linnik_mask = linnik_rows(table, inst.lambda0 * inst.x, inst.x)[0] > 0
     if require_linnik and not linnik_mask.any():
         return []
     masks = tuple(linnik_mask if i in require_linnik else None for i in (1, 2, 3))

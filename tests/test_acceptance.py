@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fourier_check import fourier_inverse_check
-from linniklab.arith import r2_bulk, sieve_primes
+from linniklab.arith import r2, sieve_primes
 from linniklab.cfrac import certified_named
 from linniklab.dirichlet import chi_phi_partial, f_zero, linnik_constant, \
     linnik_empirical, n_s
@@ -70,8 +70,7 @@ def test_criterion_01_representation_identity(table4, capsys):
             continue
         b = np.arange(-int(math.isqrt(rest)), int(math.isqrt(rest)) + 1)
         np.add.at(lattice, a * a + b * b, 1)
-    ns = np.arange(1, n_max + 1)
-    got = r2_bulk(ns, table4)
+    got = np.array([r2(n, table4) for n in range(1, n_max + 1)])
     bad = int(np.count_nonzero(got != lattice[1:]))
     dt = time.perf_counter() - t0
     ok = bad == 0 and dt < 5.0
@@ -122,7 +121,7 @@ def test_criterion_03_oracle_equivalence(table4, capsys):
         d_split = 9.0
         ps, w, res = _grid(inst, table4)
         assert float(np.min(np.abs(np.abs(res) - inst.eps))) > 1e-9
-        r2w = r2_bulk(ps - 1, table4) * w
+        r2w = np.array([r2(int(p) - 1, table4) for p in ps]) * w
         inwin = (np.abs(res) < inst.eps).astype(np.float64)
         want_sharp = float(np.einsum("i,j,ijk,k->", w, w, inwin, r2w))
         want_count = int(inwin.sum())

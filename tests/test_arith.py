@@ -13,11 +13,11 @@ from linniklab.arith import (
     chi_vec,
     divisor_sum,
     euler_phi,
-    factorize,
     least_witnesses,
+    linnik_rows,
+    linnik_sum,
     linnik_witness,
     r2,
-    r2_bulk,
     sieve_primes,
 )
 from linniklab import arith
@@ -40,9 +40,10 @@ def test_r2_against_lattice_small(table4):
         assert r2(n, table4) == counts[n], n
 
 
-def r2_by_spf_steps(ns: np.ndarray, table) -> np.ndarray:
+def r2_by_spf_steps(ns: np.ndarray, spf: np.ndarray) -> np.ndarray:
     """Oracle: r₂ by dividing every entry by its smallest prime factor, one
-    prime at a time, closing a prime power's factor when the prime changes."""
+    prime at a time, closing a prime power's factor when the prime changes;
+    ``spf`` holds the smallest prime factor of every n ≤ max ns."""
     m = np.asarray(ns, dtype=np.int64).copy()
     sig = np.ones(m.shape, dtype=np.int64)
     cur_p = np.zeros(m.shape, dtype=np.int64)
@@ -56,7 +57,7 @@ def r2_by_spf_steps(ns: np.ndarray, table) -> np.ndarray:
     while idx.size:
         p = np.full(idx.size, 2, dtype=np.int64)
         odd = m[idx] % 2 == 1
-        p[odd] = table.spf[m[idx][odd] >> 1]
+        p[odd] = spf[m[idx][odd]]
         fresh = p != cur_p[idx]
         ch = idx[fresh]
         close(ch)
@@ -69,23 +70,84 @@ def r2_by_spf_steps(ns: np.ndarray, table) -> np.ndarray:
     return 4 * sig
 
 
-def test_r2_bulk_matches_scalar():
+def test_linnik_rows_matches_scalar():
     limit = 10**5
     table = sieve_primes(limit)
-    ns = np.arange(1, limit + 1)
-    bulk = r2_bulk(ns, table)
-    assert bulk.dtype == np.int64
-    assert bulk.tolist() == [r2(n, table) for n in range(1, limit + 1)]
+    r, wx = linnik_rows(table, 0, limit)
+    assert r.dtype == wx.dtype == np.int64
+    assert r.tolist() == [r2(int(p) - 1, table) for p in table.primes]
+    # r2 itself, on every n, against the lattice count
+    counts = lattice_r2(limit)
+    assert [r2(n, table) for n in range(1, limit + 1)] == counts[1:].tolist()
     special = [limit, *(2**k for k in range(17)), *(3**k for k in range(11)),
                *(3 * 5**k for k in range(7))]
-    got = r2_bulk(np.array(special), table)
-    assert got.tolist() == [r2(n, table) for n in special]
+    assert [r2(n, table) for n in special] == counts[special].tolist()
 
 
-def test_r2_bulk_on_shifted_primes_matches_spf_steps(table6):
-    ns = table6.primes - 1
-    got = r2_bulk(ns, table6)
-    assert got.dtype == np.int64 and np.array_equal(got, r2_by_spf_steps(ns, table6))
+def test_linnik_rows_on_shifted_primes_matches_spf_steps(table6):
+    r, _ = linnik_rows(table6, 0, 10**6)
+    want = r2_by_spf_steps(table6.primes - 1, eager_spf(10**6))
+    assert r.dtype == np.int64 and np.array_equal(r, want)
+
+
+def test_linnik_rows_on_every_prime_to_ten_million(table7):
+    r, wx = linnik_rows(table7, 0, 10**7)
+    ps = table7.primes
+    assert r.size == wx.size == ps.size == 664_579
+    assert np.array_equal(r, 4 * divisor_sum(ps - 1, 1, 10**7, chi=True))
+    # the search stops at the first witness, so it is cheap where there is one
+    live = r > 0
+    want_x, want_y = least_witnesses(ps[live] - 1)
+    assert np.array_equal(wx[live], want_x) and np.all(wx[~live] == -1)
+    assert linnik_sum(table7, 0, 10**7) == int(r.sum())
+    # and every witness, found or not, on the primes to 1e6
+    n6 = table7.prime_count(10**6)
+    assert np.array_equal(wx[:n6], least_witnesses(ps[:n6] - 1)[0])
+
+
+def test_linnik_rows_small_primes_and_both_kinds_of_weight(table4):
+    # p = 2 is apart; the points x = 0 (5 − 1 = 0² + 2², 17 − 1 = 0² + 4²)
+    # and x = y (3 − 1 = 1² + 1², 19 − 1 = 3² + 3²) weigh 4, 11 − 1 = 1² + 3²
+    # weighs 8, and 7 − 1 and 13 − 1 have no witness
+    r, wx = linnik_rows(table4, 0, 19)
+    assert table4.primes[:8].tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert r.tolist() == [4, 4, 4, 0, 8, 0, 4, 4]
+    assert wx.tolist() == [0, 1, 0, -1, 1, -1, 0, 3]
+    # 101 − 1 = 0² + 10² = 6² + 8²: x = 0 and x < y on one prime
+    r, wx = linnik_rows(table4, 100, 101)
+    assert r.tolist() == [12] and wx.tolist() == [0]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 2**15])
+def test_linnik_rows_on_any_window(table4, monkeypatch, block):
+    full_r, full_x = linnik_rows(table4, 0, 10**4)
+    # rows joined into blocks of at least `block` points, so a block ends
+    # after every row, or every few, or spans the whole range
+    monkeypatch.setattr(arith, "_ROW_BLOCK", block)
+    ps = table4.primes.tolist()
+    rng = random.Random(26)
+    ends = [0, 1, 1.5, 2, 2.5, 3, 4, 5, 6, 7, 17, 18, 19, 100, 9973, 9999, 10**4]
+    windows = [(lo, hi) for lo in ends for hi in ends]
+    windows += [sorted(rng.sample(ps, 2)) for _ in range(200)]       # prime ends
+    windows += [sorted(rng.uniform(0, 10**4) for _ in range(2)) for _ in range(100)]
+    for lo, hi in windows:
+        sl = table4.prime_slice(lo, hi)
+        r, wx = linnik_rows(table4, lo, hi)
+        assert np.array_equal(r, full_r[sl]) and np.array_equal(wx, full_x[sl]), (lo, hi)
+        assert linnik_sum(table4, lo, hi) == int(full_r[sl].sum()), (lo, hi)
+    for lo, hi in ((5, 6), (7, 7), (8, 10), (100, 50), (9973, 10**4)):
+        r, wx = linnik_rows(table4, lo, hi)                             # no prime
+        assert r.shape == wx.shape == (0,) and r.dtype == wx.dtype == np.int64
+        assert linnik_sum(table4, lo, hi) == 0
+
+
+def test_linnik_rows_refuses_primes_past_its_counters():
+    # a table past the default budget can only come from a larger one given
+    # to sieve_primes; 2³¹ + 11 is prime, and its witness x could pass 2¹⁵
+    table = PrimeTable(limit=2**31 + 11, primes=np.array([2, 3, 2**31 - 1, 2**31 + 11]))
+    assert linnik_rows(table, 0, 2**31)[0].tolist() == [4, 4, 0]
+    with pytest.raises(DomainError, match="uint16"):
+        linnik_rows(table, 0, 2**31 + 11)
 
 
 def test_r2_known_values(table4):
@@ -126,22 +188,6 @@ def test_r2_chi_divisor_identity(table4):
     sympy = pytest.importorskip("sympy")
     for n in range(1, 600):
         assert r2(n, table4) == 4 * sum(chi(d) for d in sympy.divisors(n))
-
-
-def test_factorize_and_divisors(table4):
-    rng = random.Random(99)
-    for _ in range(300):
-        n = rng.randrange(2, 9999)
-        fac = factorize(n, table4)
-        prod = 1
-        for p, e in fac:
-            assert e >= 1
-            # p really is prime: no smaller divisor
-            assert all(p % q for q in range(2, math.isqrt(p) + 1))
-            prod *= p**e
-        assert prod == n
-        # Π(e+1) counts the divisors
-        assert math.prod(e + 1 for _, e in fac) == sum(n % d == 0 for d in range(1, n + 1))
 
 
 def _brute_window_sums(n_max, weight, inside):
@@ -186,24 +232,30 @@ def test_divisor_sum_empty_window():
 
 
 def test_divisor_sum_matches_brute_on_every_window():
-    n_max = 3000
-    s = math.isqrt(n_max)
+    n_max = 5000
     # every divisor pair (n, d), by enumerating the multiples of each d
     pairs = [(k * d, d) for d in range(1, n_max + 1) for k in range(1, n_max // d + 1)]
     pn, pd = np.array(pairs).T
-    ns = np.arange(n_max + 1)
-    edges = (0, 1, 2, 3, 4, s - 1, s, s + 1, s + 2, 1000, n_max - 1, n_max,
-             n_max + 1, n_max + 2, 10**6)
-    for lo in edges:
-        for hi in edges:
-            inside = (lo <= pd) & (pd < hi)
-            for c in (True, False):
-                w = chi_vec(pd) if c else np.ones_like(pd)
-                want = np.bincount(pn[inside], weights=w[inside], minlength=n_max + 1)
-                got = divisor_sum(ns, lo, hi, chi=c)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, want), (lo, hi, c)
+    # χ reads only the odd part of n: every n ≤ n_max, then only even n and
+    # only powers of 2, whose largest odd parts (4999, 2499, 1) set √N apart
+    for ns in (np.arange(n_max + 1), np.arange(0, n_max + 1, 2),
+               np.array([0, *(2**k for k in range(13))])):
+        top = int(ns.max())
+        odd_top = max(int(n) // (int(n) & -int(n)) for n in ns if n)
+        roots = {math.isqrt(top), math.isqrt(odd_top)}
+        edges = {0, 1, 2, 3, 4, 5, 1000, top - 1, top, top + 1, top + 2, 10**6,
+                 *(r + k for r in roots for k in (-1, 0, 1, 2))}
+        for lo in sorted(edges):
+            for hi in sorted(edges):
+                inside = (lo <= pd) & (pd < hi) & (pn <= top)
+                for c in (True, False):
+                    w = chi_vec(pd) if c else np.ones_like(pd)
+                    want = np.bincount(pn[inside], weights=w[inside], minlength=top + 1)
+                    got = divisor_sum(ns, lo, hi, chi=c)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, want[ns]), (top, lo, hi, c)
     # any order, repeats and dtype of ns; the answer is read at each entry
+    ns = np.arange(n_max + 1)
     sub = np.array([2999, 12, 0, 1, 12, 2048, 60], dtype=np.int32)
     full = divisor_sum(ns, 5, 400, chi=True)
     assert np.array_equal(divisor_sum(sub, 5, 400, chi=True), full[sub])
@@ -239,6 +291,19 @@ def test_linnik_witness_canonical_order(table4):
     assert linnik_witness(7, table4) is None
 
 
+def witness_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: least (x, y), x ≤ y, with x² + y² = n for every n ≤ n_max, −1
+    if none, from one pass per x, the largest first, so the least x writes
+    last."""
+    wx = np.full(n_max + 1, -1, dtype=np.int64)
+    wy = np.full(n_max + 1, -1, dtype=np.int64)
+    for x in range(math.isqrt(n_max // 2), -1, -1):
+        y = np.arange(x, math.isqrt(n_max - x * x) + 1, dtype=np.int64)
+        wx[x * x + y * y] = x
+        wy[x * x + y * y] = y
+    return wx, wy
+
+
 def test_witness_table_matches_brute():
     n_max = 2 * 10**4
     least = {}
@@ -246,21 +311,20 @@ def test_witness_table_matches_brute():
         for y in range(x, math.isqrt(n_max - x * x) + 1):
             least.setdefault(x * x + y * y, (x, y))
     table = sieve_primes(n_max)
-    assert table._witnesses is None                # built only on demand
-    wx, wy = table.witnesses
-    assert wx.dtype == wy.dtype == np.int32
-    assert table.witnesses[0] is wx
+    wx, wy = least_witnesses(np.arange(n_max + 1))
     for n in range(n_max + 1):
         assert (int(wx[n]), int(wy[n])) == least.get(n, (-1, -1)), n
-    for p in table.primes.tolist():
+    r, rx = linnik_rows(table, 0, n_max)
+    for p, x, rp in zip(table.primes.tolist(), rx.tolist(), r.tolist()):
         assert linnik_witness(p, table) == least.get(p - 1)
+        assert x == least.get(p - 1, (-1, -1))[0] and (rp > 0) == (p - 1 in least), p
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000, 2**20])
 def test_least_witnesses_across_blocks(monkeypatch, block):
     monkeypatch.setattr(arith, "_WITNESS_BLOCK", block)
     n_max = 20_000 if block >= 1000 else 2_000
-    wx, wy = arith._witness_table(n_max)
+    wx, wy = witness_table(n_max)
     got_x, got_y = least_witnesses(np.arange(1, n_max + 1))
     assert got_x.dtype == got_y.dtype == np.int64
     assert np.array_equal(got_x, wx[1:]) and np.array_equal(got_y, wy[1:])
@@ -280,15 +344,22 @@ def test_least_witnesses_validation():
             least_witnesses(np.array(bad))
 
 
-def test_is_prime_and_linnik_witness_build_no_table():
+def test_is_prime_and_linnik_witness_build_no_table(monkeypatch):
     limit = 20_000
     table = sieve_primes(limit)
     want = _NAIVE_SPF[: limit + 1]
     for n in range(limit + 1):
         assert table.is_prime(n) == (n >= 2 and want[n] == n), n
+
+    def refuse(odd):
+        raise AssertionError("row sweep over the range")
+
+    monkeypatch.setattr(arith, "_half_lattice", refuse)
     for p in (2, 3, 7, 19_997):
         linnik_witness(p, table)
-    assert table._spf is None and table._witnesses is None
+    assert table._logs is None
+    for name in ("spf", "_spf", "witnesses", "_witnesses"):
+        assert not hasattr(table, name), name
 
 
 def test_prime_table_basics(table4):
@@ -322,16 +393,6 @@ def test_nan_prime_range_is_an_error():
             call()
 
 
-def test_spf_is_smallest_factor(table4):
-    rng = random.Random(5)
-    for _ in range(500):
-        n = rng.randrange(2, 10**4)
-        spf = int(table4.spf[n >> 1]) if n % 2 else 2
-        assert factorize(n, table4)[0][0] == spf
-        assert n % spf == 0
-        assert all(n % q for q in range(2, spf))
-
-
 def naive_spf(nmax: int) -> np.ndarray:
     """Independent oracle: smallest factor of each n ≤ nmax by trial division (0, 1 ↦ 1)."""
     out = [1, 1]
@@ -343,21 +404,18 @@ def naive_spf(nmax: int) -> np.ndarray:
 _NAIVE_SPF = naive_spf(25_000)
 
 
-def assert_spf_matches(table, want: np.ndarray):
-    """table.spf holds want at the odd n, and factorize's first prime and
-    is_prime agree with want at every n ≤ limit, even n included."""
-    assert table.spf.dtype == np.int32, table.limit
-    assert np.array_equal(table.spf, want[1::2]), table.limit
-    assert factorize(1, table) == [] and not table.is_prime(0) and not table.is_prime(1)
+def assert_is_prime_matches(table, want: np.ndarray):
+    """is_prime agrees with the smallest factors ``want`` at every n ≤ limit,
+    even n, 0 and 1 included."""
+    assert not table.is_prime(0) and not table.is_prime(1)
     for n, w in enumerate(want[2:].tolist(), start=2):
-        assert factorize(n, table)[0][0] == w, n
         assert table.is_prime(n) == (w == n), n
 
 
 def assert_sieve_matches_naive(limit: int):
     table = sieve_primes(limit)
     want = _NAIVE_SPF[: limit + 1]
-    assert_spf_matches(table, want)
+    assert_is_prime_matches(table, want)
     n = np.arange(limit + 1)
     primes = n[(n >= 2) & (want == n)]
     assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes), limit
@@ -396,33 +454,36 @@ def eager_spf(limit: int) -> np.ndarray:
 @pytest.mark.parametrize("limit", [2, 3, 4, 2**19 - 1, 2**19 + 1, 2**20 + 1, 10**6])
 def test_byte_sieve_and_lazy_spf_match_eager_sieve(limit):
     table = sieve_primes(limit)
-    assert table._spf is None                     # built only on demand
+    assert table._logs is None                    # built only on demand
     want = eager_spf(limit)
     n = np.arange(limit + 1)
     primes = n[(n >= 2) & (want == n)]
     assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes)
     assert np.array_equal(table.log_weights, np.log(primes.astype(np.float64)))
-    assert_spf_matches(table, want)
-    assert table.spf is table.spf
+    assert_is_prime_matches(table, want)
+    assert table.log_weights is table.log_weights
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 10**4, 10**4 + 1])
 def test_is_prime_and_factorize_at_the_ends(limit):
     table = sieve_primes(limit)
-    assert table.spf.size == (limit + 1) // 2     # one slot per odd n ≤ limit
-    assert factorize(1, table) == [] and not table.is_prime(1)
-    assert factorize(2, table) == [(2, 1)] and table.is_prime(2)
+    assert r2(1, table) == 4 and not table.is_prime(1)
+    assert r2(2, table) == 4 and table.is_prime(2)
     if limit >= 4:
-        assert factorize(4, table) == [(2, 2)] and not table.is_prime(4)
-    want = {2: [(2, 1)], 3: [(3, 1)], 4: [(2, 2)], 5: [(5, 1)],
-            10**4: [(2, 4), (5, 4)], 10**4 + 1: [(73, 1), (137, 1)]}[limit]
-    assert factorize(limit, table) == want
+        assert r2(4, table) == 4 and not table.is_prime(4)
+    # 10⁴ = 2⁴·5⁴ and 10⁴ + 1 = 73·137, both primes ≡ 1 (mod 4)
+    want = {2: 4, 3: 0, 4: 4, 5: 8, 10**4: 20, 10**4 + 1: 16}[limit]
+    assert r2(limit, table) == want
     assert table.is_prime(limit) == (limit in (2, 3, 5))
+    r, _ = linnik_rows(table, 0, limit)
+    assert r.tolist() == [r2(int(p) - 1, table) for p in table.primes]
     for n in (limit + 1, limit + 2):
         with pytest.raises(DomainError):
-            factorize(n, table)
+            r2(n, table)
         with pytest.raises(DomainError):
             table.is_prime(n)
+        with pytest.raises(DomainError):
+            linnik_rows(table, 0, n)
 
 
 def test_sieve_validation():
@@ -532,7 +593,7 @@ def test_tables_are_prefixes_of_one_read_only_column(empty_column):
         assert np.array_equal(table.primes, arith.primes_upto(limit)), limit
         with pytest.raises(ValueError):
             table.primes[0] = 4
-        assert table._logs is None and table._spf is None and table._witnesses is None
+        assert table._logs is None
 
 
 def test_concurrent_sieves_each_get_their_own_primes(empty_column):
@@ -570,8 +631,10 @@ def test_table_cut_from_a_longer_column_keeps_its_limit(empty_column):
     with pytest.raises(DomainError):
         table.is_prime(1_000_003)
     assert sieve_primes(10**7).is_prime(1_000_003)
-    # a derived table covers the table's own limit, not the column's
-    assert table.spf.size == (10**6 + 1) // 2
+    # the row reader covers the table's own limit, not the column's
+    assert linnik_rows(table, 0, 10**6)[0].size == 78_498
+    with pytest.raises(DomainError):
+        linnik_rows(table, 0, 2e6)
 
 
 def test_sieve_primes_checks_before_sieving(empty_column, monkeypatch):

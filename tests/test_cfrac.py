@@ -193,3 +193,20 @@ def test_certified_real_validation():
         convergents(certified_named("sqrt2"), 0)
     with pytest.raises(DomainError):
         Convergent(a=4, q=2, index=0)   # not in lowest terms
+
+
+def test_recurrence_convergents_are_in_lowest_terms():
+    # built without the gcd of Convergent.__post_init__: the determinant
+    # h_n k_{n−1} − h_{n−1} k_n = (−1)^{n+1} certifies them instead
+    for name in ("sqrt2", "sqrt3", "phi", "e"):
+        run = convergents_from_terms(named_cf_terms(name), 400)
+        for prev, c in zip(run, run[1:]):
+            assert c.a * prev.q - prev.a * c.q == (-1) ** (c.index + 1)
+        for c in run:
+            assert c.q >= 1 and math.gcd(c.a, c.q) == 1
+            assert c == Convergent(a=c.a, q=c.q, index=c.index)
+    # a term ≤ 0 after a₀ can give k_n ≤ 0, which is still refused
+    with pytest.raises(DomainError):
+        convergents_from_terms(iter([1, 0, 0]), 3)
+    with pytest.raises(TypeError):
+        convergents_from_terms(iter([1, 2.0]), 2)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -542,14 +543,36 @@ def test_signed_values_as_separate_arguments(capsys, joined):
     ("linnik", "--x", "1e4", "--empirical"),
 ])
 def test_commands_without_factorisation_build_no_spf(capsys, monkeypatch, argv):
+    # none of these reads r(p − 1) per prime, so none builds the per-slot
+    # column of the row reader (`linnik --empirical` sums its rows instead)
     from linniklab import arith
 
     def refuse(*a):
-        raise AssertionError("spf table built")
+        raise AssertionError("per-prime rows built")
 
-    monkeypatch.setattr(arith, "_spf_table", refuse)
+    monkeypatch.setattr(arith, "linnik_rows", refuse)
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and out.startswith("{"), err
+
+
+def test_linnik_witnesses_peak_memory(capsys, table7):
+    # the witness table over [0, X] peaked at 101.5 MiB; the row reader holds
+    # a bool array over the odd slots while it sweeps, then one uint16 column
+    # over them (10 MB at 1e7), and its per-prime results (29 MiB in all).
+    # table7 keeps the 1e7 column, so nothing is sieved
+    from linniklab.arith import PrimeTable
+
+    tracemalloc.start()
+    try:
+        rc = main(["linnik", "--x", "1e7"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, _ = capsys.readouterr()
+    assert rc == 0 and out.count("\n") == 110_026          # 110,025 Linnik primes
+    assert peak < 48 * 2**20, peak / 2**20
+    for name in ("spf", "witnesses"):
+        assert not hasattr(PrimeTable, name) and not hasattr(table7, name)
 
 
 @pytest.mark.parametrize("argv", [

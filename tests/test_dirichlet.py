@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from linniklab.arith import chi, chi_vec, euler_phi, primes_upto, r2, r2_bulk, sieve_primes
+from linniklab.arith import (
+    chi,
+    chi_vec,
+    divisor_sum,
+    euler_phi,
+    linnik_rows,
+    primes_upto,
+    r2,
+    sieve_primes,
+)
 from linniklab.dirichlet import (
     chi_phi_partial,
     f_zero,
@@ -246,11 +255,12 @@ def test_linnik_empirical_rejects_nan(table4):
 
 
 def test_lattice_count_every_integer_x():
-    # the lattice count against the r₂ sums through spf, for every X ≤ 3000
+    # the lattice count against the r₂ sums by trial division and by the
+    # per-prime rows, for every X ≤ 3000
     table = sieve_primes(3000)
     ps = table.primes
     scalar = np.cumsum([r2(int(p) - 1, table) for p in ps])
-    bulk = np.cumsum(r2_bulk(ps - 1, table))
+    bulk = np.cumsum(linnik_rows(table, 0, 3000)[0])
     assert np.array_equal(scalar, bulk)
     for x in range(3, 3001):
         n = table.prime_count(x)
@@ -260,11 +270,13 @@ def test_lattice_count_every_integer_x():
 @pytest.mark.parametrize("x", [2.5, 100.5, 10**4])
 def test_lattice_count_fractional_x_and_table_limit(table4, x):
     ps = table4.primes[: table4.prime_count(x)]
-    want = int(np.sum(r2_bulk(ps - 1, table4)))
+    want = int(np.sum(linnik_rows(table4, 0, x)[0]))
     assert want == sum(r2(int(p) - 1, table4) for p in ps)
     assert linnik_empirical(table4, x)["sum"] == want
 
 
 def test_lattice_count_at_one_million(table6):
+    # against the divisor character sums of every p − 1
     ps = table6.primes
-    assert linnik_empirical(table6, 1e6)["sum"] == int(np.sum(r2_bulk(ps - 1, table6)))
+    want = 4 * int(np.sum(divisor_sum(ps - 1, 1, 10**6, chi=True)))
+    assert linnik_empirical(table6, 1e6)["sum"] == want

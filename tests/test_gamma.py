@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from linniklab import gamma as gamma_mod
-from linniklab.arith import r2_bulk, sieve_primes
+from linniklab.arith import linnik_rows, r2, sieve_primes
 from linniklab.cfrac import certified_named
 from linniklab.errors import DomainError, NumericError, ResourceError
 from linniklab.gamma import (
@@ -25,6 +25,11 @@ from linniklab.gamma import (
 from linniklab.smoothing import kernel_new, theta_eval
 
 SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
+
+
+def _r2(ps, table):
+    """Oracle: r(p − 1) for each p, by trial division."""
+    return np.array([r2(int(p) - 1, table) for p in ps], dtype=np.int64)
 
 
 def _grid(inst, table):
@@ -43,7 +48,7 @@ def _brute_sharp(inst, table):
     # guard: no residual within 1e-9 of the window edge, so float rounding
     # cannot flip a boundary triple between the two evaluation routes
     assert float(np.min(np.abs(np.abs(res) - inst.eps))) > 1e-9
-    r2w = r2_bulk(ps - 1, table) * w
+    r2w = _r2(ps, table) * w
     inwin = (np.abs(res) < inst.eps).astype(np.float64)
     val = float(np.einsum("i,j,ijk,k->", w, w, inwin, r2w))
     return val, int(inwin.sum())
@@ -51,7 +56,7 @@ def _brute_sharp(inst, table):
 
 def _brute_smoothed(inst, kern, table):
     ps, w, res = _grid(inst, table)
-    r2w = r2_bulk(ps - 1, table) * w
+    r2w = _r2(ps, table) * w
     th = theta_eval(kern, res)
     return float(np.einsum("i,j,ijk,k->", w, w, th, r2w))
 
@@ -170,7 +175,7 @@ def test_smoothed_matches_exact_theta_at_k20(table4):
     k = 20
     kern = kernel_new(2.5, k)
     ps, w, res = _grid(inst, table4)
-    r2w = r2_bulk(ps - 1, table4) * w
+    r2w = _r2(ps, table4) * w
     a, delta, eps = Fraction(kern.a), Fraction(kern.delta), Fraction(inst.eps)
     terms, band = [], 0
     for i, j, m in zip(*np.nonzero(np.abs(res) < inst.eps)):
@@ -254,12 +259,12 @@ def test_split_mass_check_catches_r2_error(table4, monkeypatch):
     base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
     bad_p3 = int(base[len(base) // 2])
 
-    def r2_off_at_one(ns, table):
-        out = r2_bulk(ns, table)
-        out[np.asarray(ns) == bad_p3 - 1] += 4
-        return out
+    def r2_off_at_one(table, lo, hi):
+        r, wx = linnik_rows(table, lo, hi)
+        r[table.primes[table.prime_slice(lo, hi)] == bad_p3] += 4
+        return r, wx
 
-    monkeypatch.setattr(gamma_mod, "r2_bulk", r2_off_at_one)
+    monkeypatch.setattr(gamma_mod, "linnik_rows", r2_off_at_one)
     with pytest.raises(NumericError, match=f"p3={bad_p3}"):
         gamma_split(inst, kern, table4, d_split=9.0)
 
@@ -344,13 +349,13 @@ def test_live_strip_matches_full_box(table4):
         base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
         masks = {}
         if kind == "linnik":
-            lin = r2_bulk(base - 1, table4) > 0
+            lin = _r2(base, table4) > 0
             masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
         elif kind == "one-p2":
             masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
         eng = gamma_mod._Engine(inst, table4, **masks)
         weights = (np.log(eng.p1.astype(np.float64)), np.log(eng.p2.astype(np.float64)),
-                   r2_bulk(eng.p3 - 1, table4) * np.log(eng.p3.astype(np.float64)))
+                   _r2(eng.p3, table4) * np.log(eng.p3.astype(np.float64)))
         want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
         got, cnt, _, hits = eng.scan(sharp=weights, collect=True)
         if kind == "ends":
@@ -501,7 +506,7 @@ def test_bucket_lookup_matches_searchsorted(table4):
         base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
         masks = {}
         if kind == "linnik":
-            lin = r2_bulk(base - 1, table4) > 0
+            lin = _r2(base, table4) > 0
             masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
         elif kind == "one-p2":
             masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
@@ -572,7 +577,7 @@ def test_every_sorted_slot_gives_the_same_results(table4, monkeypatch, lam, eta,
     assert float(np.min(np.abs(np.abs(res) - inst.eps))) > 1e-9
     kern = kernel_new(inst.eps, 4)
     base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
-    lin = r2_bulk(base - 1, table4) > 0
+    lin = _r2(base, table4) > 0
     masks = tuple(lin if i in linnik else None for i in (1, 2, 3))
     runs = {}
     for s in (2, 1, 0):
@@ -622,7 +627,7 @@ def test_linnik_finder_scans_a_third_of_the_pairs(table4):
     inst = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e4, lambda0=0.5,
                     ratio_irrational=True)
     base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
-    masks = (None, None, r2_bulk(base - 1, table4) > 0)
+    masks = (None, None, _r2(base, table4) > 0)
     chosen = int(gamma_mod._oriented_engine(inst, table4, masks).runs()[1][-1])
     assert 0 < 3 * chosen < _live_when_sorting(inst, table4, 2, masks)
 
@@ -707,7 +712,7 @@ def test_lattice_counts_the_boundary_instance_exactly():
 def test_lattice_refuses_counts_past_the_rounding_bound(table4, monkeypatch):
     inst = _decimal(("1.4", "-1", "-1.7"), "0.30007", 2.0, x=1e4, lambda0=0.1)
     ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
-    sharp = gamma_mod._weights(ps[0], table4)
+    sharp = gamma_mod._weights(inst, table4)
     assert gamma_mod._Lattice(inst, ps).round_bound < 1e-10
     # an a priori bound of ½ or more: refused before any FFT
     monkeypatch.setattr(gamma_mod, "_FFT_C", 1e20)
@@ -902,11 +907,13 @@ def test_find_triples_searches_witnesses_without_the_table():
                     ratio_irrational=True)
     runs = {req: find_triples(inst, table, require_linnik=req, max_results=2000)
             for req in (frozenset({1, 2, 3}), frozenset())}
-    assert table._witnesses is None                  # no array over [0, X]
-    wx, wy = table.witnesses
+    assert not hasattr(table, "_witnesses")          # no array over [0, X]
+    _, wx = linnik_rows(table, 0, 2e4)
+    least = {p: (x, math.isqrt(p - 1 - x * x))
+             for p, x in zip(table.primes.tolist(), wx.tolist()) if x >= 0}
 
     def lookup(p):
-        return int(wx[p - 1]), int(wy[p - 1])
+        return least.get(p, (-1, -1))
 
     for req, wits in runs.items():
         assert len(wits) > 1000
