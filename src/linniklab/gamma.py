@@ -31,13 +31,16 @@ P = π(X) − π(λ₀X).  A Linnik mask shortens its slot: the finder at
 X = 1e6 with only p₃ masked has L = 4.45e6 sorting λ₃p₃ and 4.4e5 sorting
 λ₂p₂, with p₃ on a pair slot.  Each Γ call, and the triple finder, makes
 one sweep over the live pairs: the window bounds of a chunk feed the sharp
-prefix-sum total, the triple count, the θ-weighted columns and the
-collected hits together.  A hit's residual is formed in the caller's
-association whichever slot is sorted, so θ and the finder's order see the
-same floats.  The live pairs, row after row, are cut into chunks of a
-fixed count, independent of the thread count; their partial sums are
-combined in chunk order with exact compensated summation, so results are
-bit-identical for any thread count.
+prefix-sum total, the triple count, the per-p₃ pair mass
+W(p₃) = Σ_{p₁,p₂} θ(residual)·ln p₁·ln p₂ and the collected hits together.
+The columns of Γ₀ and its split differ only in their p₃ weight, so each is
+the dot product of that weight with W.  A hit's residual is formed in the
+caller's association whichever slot is sorted, so θ and the finder's order
+see the same floats.  The live pairs, row after row, are cut into chunks of
+a fixed count, independent of the thread count; their sharp partial sums
+are combined in chunk order with exact compensated summation, and their
+masses are added into W in chunk order, so results are bit-identical for
+any thread count.
 
 The Γ family has a second path, the lattice (`_Lattice`), for instances
 whose λᵢ are small rationals, such as typed decimals.  Over the common
@@ -47,7 +50,8 @@ mod |m₁| with mᵢ = nᵢ/gcd(n₁,n₂)), each class pair is one short
 `numpy.fft.rfft` convolution of the ln p weights and one of the 0/1
 indicators, the latter rounded to exact pair counts under an a priori
 bound.  Each p₃ gathers the entries at the integer shifts of the window,
-decided exactly in integers, with θ at the correctly rounded residuals.
+decided exactly in integers, into its W with θ at the correctly rounded
+residuals.
 So the lattice computes Γ of the rationals, not of their floats, and
 counts boundary triples exactly.  It runs on one thread, and only where
 its estimated time is below the scan's for the live pairs that
@@ -276,17 +280,18 @@ def _check_pair_budget(n1: int, n2: int, work_budget: int):
         )
 
 
-def _run_chunks(fn, spans: list[tuple[int, int]], threads: int) -> list:
-    """fn(k0, k1) for every span, results in span order, on up to threads workers."""
+def _run_chunks(fn, spans: list[tuple[int, int]], threads: int):
+    """fn(k0, k1) for every span, yielded in span order, on up to threads workers."""
     workers = max(1, min(threads, len(spans), os.cpu_count() or 1))
     if workers == 1:
-        return [fn(k0, k1) for k0, k1 in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda span: fn(*span), spans))
+        yield from (fn(k0, k1) for k0, k1 in spans)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(lambda span: fn(*span), spans)
 
 
 class _Engine:
-    """Shared state for one pair scan: sorted λ₃p₃ and aligned p₃ columns.
+    """Shared state for one pair scan: λ₃p₃ sorted, and the order that sorts it.
 
     inst may be a caller's instance with two slots exchanged; perm[k] names
     the caller's slot that the engine's slot k holds (see _oriented_engine).
@@ -301,7 +306,6 @@ class _Engine:
             inst, self.p1, self.p2, self.p3)
         order = np.argsort(z, kind="stable")
         self.zs = z[order]
-        self.p3_sorted = self.p3[order]
         self.order = order
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
@@ -356,14 +360,6 @@ class _Engine:
             idx += cmp(self.zpad[idx], key)
         return idx
 
-    def sorted_col(self, col: np.ndarray) -> np.ndarray:
-        return np.asarray(col, dtype=np.float64)[self.order]
-
-    def prefix(self, col_sorted: np.ndarray) -> np.ndarray:
-        pref = np.zeros(len(col_sorted) + 1)
-        np.cumsum(col_sorted, out=pref[1:])
-        return pref
-
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The live run of p₂ columns of every p₁ row, as (off, cum).
 
@@ -397,48 +393,43 @@ class _Engine:
             hi_edge = np.maximum(hi_edge, np.nextafter(nc, np.inf))
         return rows, cols, self._search(lo_edge, "right"), self._search(hi_edge, "left")
 
-    def scan(self, sharp=None, cols=None, kern: SmoothingKernel | None = None,
-             threads: int = 1, collect: bool = False):
+    def scan(self, w, kern: SmoothingKernel | None = None, threads: int = 1,
+             collect: bool = False):
         """One sweep over the live (p₁,p₂) pairs, each chunk bounded once.
 
-        Weights and hits are in the caller's slots (see perm).  sharp is a
-        weight triple (w₁, w₂, w₃); cols is one too, except that one of its
-        slots holds a list of vectors, one per θ-weighted column.  Returns
-        (sharp_total, triple_count, col_totals, hits): sharp_total is
-        Σ w₁·w₂·w₃ over the in-window triples, read off the prefix sums of
-        the sorted slot's weights (None without sharp); col_totals holds
-        Σ θ(residual)·w₁·w₂·w₃ per column of cols (kern required); hits,
-        with collect=True, are the flat arrays (p1, p2, p3, residual) in
-        the engine's (p₁, p₂) order.  A hit's residual is
+        w is a weight triple (w₁, w₂, w₃) in the caller's slots (see perm);
+        a slot that no result reads may be None.  Returns (sharp, count,
+        mass, hits): sharp is Σ w₁·w₂·w₃ over the in-window triples, read
+        off the prefix sums of the sorted slot's weights (None if w₃ is);
+        mass, with kern, is the per-p₃ pair mass, mass[j] = Σ θ(residual)·w₁·w₂
+        over the in-window triples whose p₃ is the caller's j-th, each
+        chunk's hits added into it in chunk order (None without kern);
+        hits, with collect=True, are the flat arrays (p1, p2, p3, residual)
+        in the engine's (p₁, p₂) order.  A hit's residual is
         fl(λ₃p₃) − (fl(−(fl(λ₁p₁) + η)) − fl(λ₂p₂)) in the caller's slots,
         the same floats whichever slot is sorted.  Hits are enumerated only
-        for cols or collect, and only then count against HITS_BUDGET: each
+        for kern or collect, and only then count against HITS_BUDGET: each
         chunk's, and with collect the running total of those kept.
         """
         perm, eta = self.perm, self.inst.eta
-        n_cols = 0
-        if cols is not None:
-            cols = [cols[i] for i in perm]
-            many = next(k for k, w in enumerate(cols) if isinstance(w, list))
-            n_cols = len(cols[many])
-            z = ([self.sorted_col(w) for w in cols[2]] if many == 2
-                 else self.sorted_col(cols[2]))
-        enumerate_hits = n_cols > 0 or collect
+        k3 = perm.index(2)          # the engine's slot of the caller's p₃
+        enumerate_hits = kern is not None or collect
         off, cum = self.runs()
         lock, kept = threading.Lock(), [0]
-        if sharp is not None:
-            w1, w2, w3 = (sharp[i] for i in perm)
-            pref = self.prefix(self.sorted_col(w3))
+        if w[2] is not None:
+            w1, w2, w3 = (w[i] for i in perm)
+            pref = np.zeros(len(self.zs) + 1)
+            np.cumsum(w3[self.order], out=pref[1:])
 
         def do(k0, k1):
             rows, i2, lo, hi = self._bounds(off, cum, k0, k1)
             val = None
-            if sharp is not None:
+            if w[2] is not None:
                 val = float(np.sum(w1[rows] * w2[i2] * (pref[hi] - pref[lo])))
             cnt = hi - lo
             tot = int(cnt.sum())
             if not enumerate_hits or tot == 0:
-                return val, tot, [0.0] * n_cols, None
+                return val, tot, None, None
             if tot > HITS_BUDGET:
                 raise ResourceError(
                     f"{tot:.2e} window hits in one chunk exceeds the hits budget"
@@ -456,46 +447,48 @@ class _Engine:
             starts = np.cumsum(reps) - reps
             inner = np.repeat(lo[nz] - starts, reps) + np.arange(tot)
             i1, i2 = rows[nz], i2[nz]
+            j = self.order[inner]           # each hit's index into the slot-2 columns
+
+            def take(k, col):
+                """col, a column of the engine's slot k, at each hit."""
+                return col[j] if k == 2 else np.repeat(col[(i1, i2)[k]], reps)
+
             v = [None] * 3
-            v[perm[0]] = np.repeat(self.l1p1[i1], reps)
-            v[perm[1]] = np.repeat(self.l2p2[i2], reps)
+            v[perm[0]], v[perm[1]] = take(0, self.l1p1), take(1, self.l2p2)
             v[perm[2]] = self.zs[inner]
             res = v[2] - (-(v[0] + eta) - v[1])
-            sums = []
-            if n_cols:
-                # the slots that all columns share are multiplied once
-                th = theta_eval(kern, res)
-                if many == 2:
-                    fixed = th * np.repeat(cols[0][i1] * cols[1][i2], reps)
-                    sums = [float(np.sum(fixed * w[inner])) for w in z]
-                else:
-                    shared, own = (i1, i2)[1 - many], (i1, i2)[many]
-                    fixed = th * np.repeat(cols[1 - many][shared], reps) * z[inner]
-                    ih = np.repeat(own, reps)
-                    sums = [float(np.sum(fixed * w[ih])) for w in cols[many]]
+            part = None
+            if kern is not None:
+                a, b = (take(k, w[perm[k]]) for k in range(3) if k != k3)
+                part = (j if k3 == 2 else np.repeat((i1, i2)[k3], reps),
+                        theta_eval(kern, res) * a * b)
             hits = None
             if collect:
                 ps = [None] * 3
-                ps[perm[0]] = np.repeat(self.p1[i1], reps)
-                ps[perm[1]] = np.repeat(self.p2[i2], reps)
-                ps[perm[2]] = self.p3_sorted[inner]
+                for k, p in enumerate((self.p1, self.p2, self.p3)):
+                    ps[perm[k]] = take(k, p)
                 hits = (*ps, res)
-            return val, tot, sums, hits
+            return val, tot, part, hits
 
         n_live = int(cum[-1])
         spans = [(k, min(k + _CHUNK, n_live)) for k in range(0, n_live, _CHUNK)]
-        parts = _run_chunks(do, spans, threads)
-        total = math.fsum(p[0] for p in parts) if sharp is not None else None
-        count = sum(p[1] for p in parts)
-        totals = [math.fsum(p[2][i] for p in parts) for i in range(n_cols)]
+        vals, count, found = [], 0, []
+        mass = None if kern is None else np.zeros(len((self.p1, self.p2, self.p3)[k3]))
+        for val, tot, part, hits in _run_chunks(do, spans, threads):
+            vals.append(val)
+            count += tot
+            if part is not None:
+                np.add.at(mass, *part)
+            if hits is not None:
+                found.append(hits)
+        sharp = math.fsum(vals) if w[2] is not None else None
         if not collect:
-            return total, count, totals, None
-        hits = [p[3] for p in parts if p[3] is not None]
-        if hits:
-            merged = tuple(np.concatenate([h[i] for h in hits]) for i in range(4))
+            return sharp, count, mass, None
+        if found:
+            merged = tuple(np.concatenate([h[i] for h in found]) for i in range(4))
         else:
             merged = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
-        return total, count, totals, merged
+        return sharp, count, mass, merged
 
 
 # ------------------------------------------------------------ lattice engine
@@ -599,11 +592,9 @@ class _Lattice:
             yield (np.fft.rfft(ln), np.fft.rfft(ones),
                    coef * int(q[-1] if rev else q[0]), int(at.max()) + 1)
 
-    def scan(self, sharp=None, cols=None, kern: SmoothingKernel | None = None,
-             threads: int = 1):
-        """The (sharp_total, triple_count, col_totals, None) of `_Engine.scan`
-        without collect, on one thread for any threads.  sharp and cols share
-        their p₁ and p₂ weights, and the list of cols is its p₃ slot."""
+    def scan(self, w, kern: SmoothingKernel | None = None, threads: int = 1):
+        """The (sharp, count, mass, None) of `_Engine.scan` without collect,
+        on one thread for any threads."""
         if self.round_bound >= 0.5:
             raise NumericError(
                 f"FFT rounding of the pair counts may reach {self.round_bound:.3g}; "
@@ -611,22 +602,24 @@ class _Lattice:
         lo, hi, q_mod, sgn = self.lo, self.hi, self.modulus, self.sgn
         acc_sharp, acc_th, count = np.zeros(len(self.p3)), np.zeros(len(self.p3)), 0
         if self.steps:
-            pair_w = (cols if cols is not None else sharp)[:2]
-            if cols is not None:
+            if kern is not None:
                 f, n_eta, den = self.resid
                 th = theta_eval(kern, np.array([(f * s + n_eta) / den
                                                 for s in range(lo, hi + 1)]))
             n3p3 = self.n3 * self.p3
-            held = list(self._classes(self.held, pair_w[self.held]))
-            for a_ln, a_ones, a_off, a_span in self._classes(1 - self.held,
-                                                              pair_w[1 - self.held]):
+            # one set of n_fft buffers for every class pair
+            prod = np.empty(self.n_fft // 2 + 1, complex)
+            raw, cnt, err, wts = (np.empty(self.n_fft) for _ in range(4))
+            held = list(self._classes(self.held, w[self.held]))
+            for a_ln, a_ones, a_off, a_span in self._classes(1 - self.held, w[1 - self.held]):
                 for b_ln, b_ones, b_off, b_span in held:
                     span = a_span + b_span - 1
-                    raw = np.fft.irfft(a_ones * b_ones, self.n_fft)[:span]
-                    cnt = np.rint(raw)
-                    if float(np.max(np.abs(raw - cnt))) > self.round_bound:
+                    np.fft.irfft(np.multiply(a_ones, b_ones, out=prod), self.n_fft, out=raw)
+                    np.rint(raw[:span], out=cnt[:span])
+                    err_span = np.subtract(raw[:span], cnt[:span], out=err[:span])
+                    if float(np.abs(err_span, out=err_span).max()) > self.round_bound:
                         raise NumericError("an FFT pair count strayed past its rounding bound")
-                    wts = np.fft.irfft(a_ln * b_ln, self.n_fft)[:span]
+                    np.fft.irfft(np.multiply(a_ln, b_ln, out=prod), self.n_fft, out=wts)
                     d0 = n3p3 + self.g * (a_off + b_off)
                     sig = lo + (d0 - lo) % q_mod      # each p₃'s least σ ≥ lo
                     k = sgn * ((sig - d0) // q_mod)
@@ -636,13 +629,12 @@ class _Lattice:
                         v = np.where(c > 0, wts[k[hit]], 0.0)
                         count += int(c.sum())
                         acc_sharp[hit] += v
-                        if cols is not None:
+                        if kern is not None:
                             acc_th[hit] += th[sig[hit] - lo] * v
                         sig = sig + q_mod
                         k = k + sgn
-        total = math.fsum(sharp[2] * acc_sharp) if sharp is not None else None
-        totals = [math.fsum(w * acc_th) for w in cols[2]] if cols is not None else []
-        return total, count, totals, None
+        return (None if w[2] is None else math.fsum(w[2] * acc_sharp), count,
+                None if kern is None else acc_th, None)
 
 
 # -------------------------------------------------------------- the Γ family
@@ -661,7 +653,7 @@ def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
     if inst.eps == 0:
         return 0.0, 0
     eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
-    gamma, count, _, _ = eng.scan(sharp=_weights(inst, table), threads=threads)
+    gamma, count, _, _ = eng.scan(_weights(inst, table), threads=threads)
     return gamma, count
 
 
@@ -675,8 +667,8 @@ def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
     check_table_budget(kern.k, work_budget)
     eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
     w1, w2, w3 = _weights(inst, table)
-    _, _, (total,), _ = eng.scan(cols=(w1, w2, [w3]), kern=kern, threads=threads)
-    return total
+    _, _, mass, _ = eng.scan((w1, w2, None), kern, threads)
+    return math.fsum(w3 * mass)
 
 
 def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
@@ -706,9 +698,9 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
         raise NumericError(f"divisor split lost mass at p3={ps[lost[0]]}")
 
     logs = np.log(ps.astype(np.float64))
-    w3 = [a * logs for a in (a1, a2, a3, rvals)]
-    gamma, count, (g1, g2, g3, gamma0), _ = eng.scan(
-        sharp=(logs, logs, w3[3]), cols=(logs, logs, w3), kern=kern, threads=threads)
+    gamma, count, mass, _ = eng.scan((logs, logs, rvals * logs), kern, threads)
+    # every column is a dot product with the per-p₃ pair mass
+    g1, g2, g3, gamma0 = (math.fsum(a * logs * mass) for a in (a1, a2, a3, rvals))
 
     ident = 4.0 * (g1 + g2 + g3)
     tol = 1e-9 * max(1.0, abs(gamma0))
@@ -822,7 +814,7 @@ def find_triples(inst: Instance, table: PrimeTable,
         return []
     masks = tuple(linnik_mask if i in require_linnik else None for i in (1, 2, 3))
     eng = _oriented_engine(inst, table, masks, work_budget)
-    _, _, _, (p1h, p2h, p3h, res) = eng.scan(threads=threads, collect=True)
+    _, _, _, (p1h, p2h, p3h, res) = eng.scan((None,) * 3, threads=threads, collect=True)
     if len(res) == 0:
         return []
     order = np.lexsort((p3h, p2h, p1h, np.abs(res)))

@@ -263,21 +263,28 @@ def test_gamma_split_json(capsys):
 
 
 def test_gamma_lattice_identical_for_any_thread_count(capsys, monkeypatch):
-    # a decimal split that the lattice computes: the same bytes on 1, 4 and
-    # 8 threads, and exit 3 once its FFT counts cannot be rounded
+    # a decimal split that the lattice computes and a named-constant split
+    # that stays on the pair scan (22 chunks of live pairs): the same
+    # bytes on 1, 4 and 8 threads, and exit 3 once the lattice's FFT counts
+    # cannot be rounded
     from linniklab import gamma
     took = []
-    scan = gamma._Lattice.scan
-    monkeypatch.setattr(gamma._Lattice, "scan",
-                        lambda self, *a, **k: took.append(1) or scan(self, *a, **k))
+    for engine in (gamma._Lattice, gamma._Engine):
+        monkeypatch.setattr(engine, "scan", lambda self, *a, scan=engine.scan, **k:
+                            took.append(type(self)) or scan(self, *a, **k))
     argv = ("gamma", "--mode", "split", "--x", "3e4", "--l1", "1.4", "--l2", "-1",
             "--l3", "-1.7", "--eta=-0.3791", "--eps", "2", "--lambda0", "0.1", "--d", "100")
-    outs = set()
-    for threads in ("1", "4", "8"):
-        rc, out, err = run(capsys, *argv, "--threads", threads)
-        assert rc == 0 and err == ""
-        outs.add(out)
-    assert len(outs) == 1 and len(took) == 3
+    named = ("gamma", "--mode", "split", "--x", "1e4", "--l1", "sqrt2", "--l2", "-1",
+             "--l3=-sqrt3", "--eta=0.3", "--eps", "2", "--lambda0", "0.1", "--k", "4",
+             "--d", "30")
+    for args, engine in ((argv, gamma._Lattice), (named, gamma._Engine)):
+        outs = set()
+        took.clear()
+        for threads in ("1", "4", "8"):
+            rc, out, err = run(capsys, *args, "--threads", threads)
+            assert rc == 0 and err == ""
+            outs.add(out)
+        assert len(outs) == 1 and took == [engine] * 3
     monkeypatch.setattr(gamma, "_FFT_C", 1e20)
     rc, out, err = run(capsys, *argv)
     assert rc == 3 and out == "" and "rounding" in err

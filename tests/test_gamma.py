@@ -306,7 +306,7 @@ def _box_scan(eng, weights):
     hits = ([], [], [], [])
     for i, j in zip(*np.nonzero(hi > lo)):
         for k in range(lo[i, j], hi[i, j]):
-            for col, v in zip(hits, (eng.p1[i], eng.p2[j], eng.p3_sorted[k],
+            for col, v in zip(hits, (eng.p1[i], eng.p2[j], eng.p3[eng.order[k]],
                                      eng.zs[k] - nc[i, j])):
                 col.append(v)
     w1, w2, w3 = weights
@@ -357,7 +357,7 @@ def test_live_strip_matches_full_box(table4):
         weights = (np.log(eng.p1.astype(np.float64)), np.log(eng.p2.astype(np.float64)),
                    _r2(eng.p3, table4) * np.log(eng.p3.astype(np.float64)))
         want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
-        got, cnt, _, hits = eng.scan(sharp=weights, collect=True)
+        got, cnt, _, hits = eng.scan(weights, collect=True)
         if kind == "ends":
             assert (hi_edge == eng.zs[0]).any() and (lo_edge == eng.zs[-1]).any()
         assert cnt == wcnt > 0, (inst, kind)
@@ -381,7 +381,7 @@ def test_live_strip_matches_full_box(table4):
 
 
 def test_split_bounds_each_chunk_once(table4, monkeypatch):
-    # Γ, the triple count and the θ-weighted columns share one pair sweep,
+    # Γ, the triple count and the per-p₃ pair mass share one pair sweep,
     # whose chunks tile the live pairs in order
     inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=2000.0, lambda0=0.3)
     monkeypatch.setattr(gamma_mod, "_CHUNK", 1000)
@@ -587,7 +587,7 @@ def test_every_sorted_slot_gives_the_same_results(table4, monkeypatch, lam, eta,
                 for w in find_triples(inst, table4, require_linnik=linnik,
                                       max_results=10**6)]
         # the scan's hits, float residuals included, in a fixed order
-        hits = gamma_mod._oriented_engine(inst, table4, masks).scan(collect=True)[3]
+        hits = gamma_mod._oriented_engine(inst, table4, masks).scan((None,) * 3, collect=True)[3]
         hits = sorted(zip(*(h.tolist() for h in hits)))
         runs[s] = (gamma_sharp(inst, table4), gamma_split(inst, kern, table4, d_split=7.0),
                    rows, hits)
@@ -648,7 +648,21 @@ def _exact_count(inst, table):
     return int(np.count_nonzero(np.abs(r) < n_eps))
 
 
-@pytest.mark.parametrize("lam, eta, eps, g", [
+def _forced_engines():
+    # stand-ins for _oriented_engine: the lattice, and the scan sorting each slot
+    def lattice(inst, table, *args, **kw):
+        return gamma_mod._Lattice(inst, gamma_mod._slot_primes(inst, table, (None,) * 3))
+
+    def sorting(s):
+        def engine(inst, table, *args, **kw):
+            perm = gamma_mod._sorting(s)
+            return gamma_mod._Engine(gamma_mod._permuted(inst, perm), table, perm=perm)
+        return engine
+
+    return {"lattice": lattice, **{s: sorting(s) for s in (2, 1, 0)}}
+
+
+_decimal_instances = pytest.mark.parametrize("lam, eta, eps, g", [
     (("1.4", "-1", "-1.7"), "0.30007", 2.0, 2),
     (("1.5", "-1", "-1.7"), "-0.40003", 2.0, 5),
     (("1.3", "-1", "-1.7"), "0.10009", 3.0, 1),
@@ -657,6 +671,9 @@ def _exact_count(inst, table):
     # M = 1 and the window holds five σ: each p₃ gathers five entries
     (("-1", "-1", "1"), "0.30007", 2.5, 1),
 ], ids=["gcd-2", "gcd-5", "gcd-1", "lambda2-positive", "lambda3-positive", "five-shifts"])
+
+
+@_decimal_instances
 def test_lattice_matches_the_scan_under_every_sorted_slot(table4, monkeypatch, lam, eta,
                                                           eps, g):
     # the instances of test_every_sorted_slot_gives_the_same_results made
@@ -675,17 +692,8 @@ def test_lattice_matches_the_scan_under_every_sorted_slot(table4, monkeypatch, l
     scaled = Instance(*map(float, (n1, n2, n3, n_eta)), eps=float(n_eps), x=1000.0,
                       lambda0=0.3)
 
-    def lattice(inst, table, *args, **kw):
-        return gamma_mod._Lattice(inst, gamma_mod._slot_primes(inst, table, (None,) * 3))
-
-    def sorting(s):
-        def engine(inst, table, *args, **kw):
-            perm = gamma_mod._sorting(s)
-            return gamma_mod._Engine(gamma_mod._permuted(inst, perm), table, perm=perm)
-        return engine
-
     runs = {}
-    for name, engine in (("lattice", lattice), *((s, sorting(s)) for s in (2, 1, 0))):
+    for name, engine in _forced_engines().items():
         monkeypatch.setattr(gamma_mod, "_oriented_engine", engine)
         runs[name] = [(gamma_sharp(i, table4),
                        gamma_split(i, kernel_new(i.eps, 4), table4, d_split=7.0))
@@ -699,6 +707,45 @@ def test_lattice_matches_the_scan_under_every_sorted_slot(table4, monkeypatch, l
         for f in ("gamma", "gamma0", "g1", "g2", "g3"):
             a, b = getattr(split_x, f), getattr(split, f)
             assert abs(a - b) <= 1e-12 * abs(b), (name, f)
+
+
+@_decimal_instances
+def test_mass_is_the_pair_mass_of_every_p3(table4, monkeypatch, lam, eta, eps, g):
+    # mass[j] = Σ θ(residual)·ln p₁·ln p₂ over the window hits of the j-th p₃,
+    # the hits taken from the box scan; on the scan under every sorted slot θ
+    # reads the scan's float residual, on the lattice the correctly rounded
+    # exact one.  Each gamma_split column is fsum(column·mass)
+    inst = _decimal(lam, eta, eps, x=1000.0, lambda0=0.3)
+    kern = kernel_new(inst.eps, 4)
+    w = gamma_mod._weights(inst, table4)
+    ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)[0]
+    _, _, hits, _, _ = _box_scan(gamma_mod._Engine(inst, table4), w)
+    p1, p2, p3, res = (np.array(h) for h in hits)
+    den, n1, n2, n3, n_eta, _ = inst.lattice
+    exact = np.array([(n1 * int(a) + n2 * int(b) + n3 * int(c) + n_eta) / den
+                      for a, b, c in zip(p1, p2, p3)])
+    logs = np.log(ps.astype(np.float64))
+    pair = logs[ps.searchsorted(p1)] * logs[ps.searchsorted(p2)]
+
+    def brute(r):
+        want = np.zeros(len(ps))
+        for j, v in zip(ps.searchsorted(p3), theta_eval(kern, r) * pair):
+            want[j] += v
+        return want
+
+    cut1, cut2 = gamma_mod._edge(7.0, strict=True), gamma_mod._edge(inst.x / 7.0, strict=False)
+    cols = [gamma_mod.divisor_sum(ps - 1, lo, hi, chi=True)
+            for lo, hi in ((1, cut1), (cut1, cut2), (cut2, int(ps.max())))]
+    cols.append(linnik_rows(table4, inst.lambda0 * inst.x, inst.x)[0])
+    for name, engine in _forced_engines().items():
+        mass = engine(inst, table4).scan(w, kern)[2]
+        want = brute(exact if name == "lattice" else res)
+        assert want.any(), name
+        assert np.all(np.abs(mass - want) <= 1e-13 * want), name
+        monkeypatch.setattr(gamma_mod, "_oriented_engine", engine)
+        split = gamma_split(inst, kern, table4, d_split=7.0)
+        assert [split.g1, split.g2, split.g3, split.gamma0] == \
+            [math.fsum(c * logs * mass) for c in cols], name
 
 
 def test_lattice_counts_the_boundary_instance_exactly():
@@ -720,12 +767,12 @@ def test_lattice_refuses_counts_past_the_rounding_bound(table4, monkeypatch):
     assert lat.round_bound >= 0.5
     monkeypatch.setattr(np.fft, "irfft", None)
     with pytest.raises(NumericError, match="rounding"):
-        lat.scan(sharp=sharp)
+        lat.scan(sharp)
     monkeypatch.undo()
     # a bound below the rounding the FFT does make: the count that strays is caught
     monkeypatch.setattr(gamma_mod, "_FFT_C", 1e-30)
     with pytest.raises(NumericError, match="strayed"):
-        gamma_mod._Lattice(inst, ps).scan(sharp=sharp)
+        gamma_mod._Lattice(inst, ps).scan(sharp)
 
 
 def test_dispatch_takes_the_lattice_only_where_cheaper():
