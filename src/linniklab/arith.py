@@ -178,8 +178,8 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     cap is checked here, before anything is allocated.
     """
     global _kept
-    if not limit >= 2:
-        raise DomainError(f"limit must be ≥ 2, got {limit}")
+    if not isinstance(limit, (int, np.integer)) or not limit >= 2:
+        raise DomainError(f"limit must be an integer ≥ 2, got {limit!r}")
     if limit + 1 > memory_budget:
         raise ResourceError(
             f"sieve of {limit + 1} slots exceeds memory budget {memory_budget}"

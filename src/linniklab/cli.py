@@ -10,9 +10,9 @@ Coefficients (--l1/--l2/--l3/--eta) accept plain decimals (`-1`, `0.25`),
 decimals with an explicit uncertainty (`1.4142135±1e-7`), or the named
 constants sqrt2, sqrt3, phi, e (optionally signed), which are resolved to
 certified rationals; a signed value may follow its flag as a separate
-argument (`--l3 -sqrt3`) or after `=`.  Each is held as an exact rational
-and as its nearest float; the triple finder re-checks its candidates with
-the exact values.
+argument (`--l3 -sqrt3`) or after `=`.  Each is passed to `gamma.Instance`
+as an exact rational, which the lattice and the triple finder's re-check
+read; the pair scan reads its correctly rounded float.
 
 `_build_parser` declares each flag's type and default once, on the
 subcommands that read it; a `--config` file and LINNIKLAB_WORK_BUDGET only
@@ -67,15 +67,18 @@ def _emit_json(obj: dict):
 
 
 class _Coeff:
-    """A parsed coefficient: float working value + exact certified value."""
+    """A coefficient flag's value: its constant's name, if named, and its
+    exact certified value."""
 
     def __init__(self, text: str):
         s = text.strip()
         key = s.lstrip("+-")
         self.name = key if key in cfrac.NAMED else None
-        cert = cfrac.certified_named(s) if self.name else cfrac.certified_decimal(s)
-        self.value = float(cert.value)
-        self.hp = cert.value
+        try:
+            cert = cfrac.certified_named(s) if self.name else cfrac.certified_decimal(s)
+        except (DomainError, PrecisionError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot use {text!r}: {exc}") from None
+        self.value = cert.value
 
 
 def _ratio_irrational(c1: _Coeff, c2: _Coeff, forced: bool) -> bool:
@@ -110,13 +113,6 @@ def _positive_int(text: str) -> int:
 def _int_list(text: str) -> list[int]:
     """Comma list of integers, e.g. `100,1e4`; the empty string is the empty list."""
     return [_int_from_float(t) for t in text.split(",") if t.strip()]
-
-
-def _coeff(text: str) -> _Coeff:
-    try:
-        return _Coeff(text)
-    except (DomainError, PrecisionError, OverflowError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot use {text!r}: {exc}") from None
 
 
 # ------------------------------------------------------ config and parsing
@@ -349,7 +345,6 @@ def _parse_instance(args, x: float, forced_irrational: bool = False) -> gamma.In
         lambda1=c1.value, lambda2=c2.value, lambda3=c3.value,
         eta=ce.value, eps=_need(args, "eps"), x=x, lambda0=args.lambda0,
         ratio_irrational=_ratio_irrational(c1, c2, forced_irrational),
-        hp_coeffs=(c1.hp, c2.hp, c3.hp, ce.hp),
     )
 
 
@@ -488,10 +483,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("--x", type=num)
-    instance.add_argument("--l1", type=_coeff)
-    instance.add_argument("--l2", type=_coeff)
-    instance.add_argument("--l3", type=_coeff)
-    instance.add_argument("--eta", type=_coeff, default="0")
+    instance.add_argument("--l1", type=_Coeff)
+    instance.add_argument("--l2", type=_Coeff)
+    instance.add_argument("--l3", type=_Coeff)
+    instance.add_argument("--eta", type=_Coeff, default="0")
     instance.add_argument("--eps", type=num)
     instance.add_argument("--lambda0", type=num, default=0.5)
 

@@ -86,50 +86,58 @@ _CHUNK = 2**14
 
 @dataclass(frozen=True)
 class Instance:
-    """One experiment: the form coefficients, shift, window, and scale."""
+    """One experiment: the form coefficients, shift, window, and scale.
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    eta: float
+    λ₁, λ₂, λ₃ and η are held as the exact Fractions of the ints, floats, decimal
+    strings or Fractions given; the pair scan and `b_j_volume` read their `floats`."""
+
+    lambda1: Fraction
+    lambda2: Fraction
+    lambda3: Fraction
+    eta: Fraction
     eps: float
     x: float
     lambda0: float = 0.5
     ratio_irrational: bool = False   # caller's pledge that λ₁/λ₂ is irrational
-    hp_coeffs: tuple | None = None   # exact (λ₁, λ₂, λ₃, η); default the floats
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "eta", "eps", "x", "lambda0"):
+        for name in ("lambda1", "lambda2", "lambda3", "eta"):
+            v = getattr(self, name)
+            try:
+                float(exact := Fraction(v))
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+                raise DomainError(
+                    f"{name} must be a rational with a finite float: {exc}") from None
+            object.__setattr__(self, name, exact)
+        for name in ("eps", "x", "lambda0"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lambda1 == 0 or self.lambda2 == 0 or self.lambda3 == 0:
-            raise DomainError("all three coefficients must be nonzero")
+        if 0.0 in self.floats[:3]:
+            raise DomainError("all three coefficients must be nonzero finite floats")
         if self.eps < 0:
             raise DomainError(f"eps must be ≥ 0, got {self.eps}")
         if not 0.0 < self.lambda0 < 1.0:
             raise DomainError(f"lambda0 must lie in (0,1), got {self.lambda0}")
         if self.x <= 0:
             raise DomainError(f"X must be positive, got {self.x}")
-        hp = self.hp_coeffs or (self.lambda1, self.lambda2, self.lambda3, self.eta)
-        try:
-            l1, l2, l3, eta = map(Fraction, hp)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"hp_coeffs must be 4 finite rationals: {exc}") from None
-        object.__setattr__(self, "hp_coeffs", (l1, l2, l3, eta))
+
+    @property
+    def floats(self) -> tuple[float, float, float, float]:
+        """(λ₁, λ₂, λ₃, η), each correctly rounded to a float."""
+        return tuple(float(v) for v in (self.lambda1, self.lambda2, self.lambda3, self.eta))
 
     @property
     def lattice(self) -> tuple[int, int, int, int, int, int]:
-        """(den, n₁, n₂, n₃, n_η, n_ε): hp_coeffs and ε over their common
+        """(den, n₁, n₂, n₃, n_η, n_ε): λ₁, λ₂, λ₃, η and ε over their common
         denominator den, so that a triple is in the window exactly when
         |n₁p₁ + n₂p₂ + n₃p₃ + n_η| < n_ε, and its residual is that integer / den."""
-        exact = (*self.hp_coeffs, Fraction(self.eps))
+        exact = (self.lambda1, self.lambda2, self.lambda3, self.eta, Fraction(self.eps))
         den = math.lcm(*(v.denominator for v in exact))
         return (den, *(v.numerator * (den // v.denominator) for v in exact))
 
     @property
     def theorem_mode(self) -> bool:
-        signs = {math.copysign(1.0, v) for v in (self.lambda1, self.lambda2, self.lambda3)}
-        return len(signs) == 2 and self.ratio_irrational
+        return len({v > 0 for v in self.floats[:3]}) == 2 and self.ratio_irrational
 
 
 @dataclass(frozen=True)
@@ -180,10 +188,11 @@ def _scan_keys(inst: Instance, p1, p2, p3):
 
     Every float the scan forms lies within mag of 0.
     """
-    l1p1 = inst.lambda1 * p1.astype(np.float64)
-    na = -(l1p1 + inst.eta)
-    l2p2 = inst.lambda2 * p2.astype(np.float64)
-    z = inst.lambda3 * p3.astype(np.float64)
+    lambda1, lambda2, lambda3, eta = inst.floats
+    l1p1 = lambda1 * p1.astype(np.float64)
+    na = -(l1p1 + eta)
+    l2p2 = lambda2 * p2.astype(np.float64)
+    z = lambda3 * p3.astype(np.float64)
     mag = (float(np.max(np.abs(na), initial=0.0)) + float(np.max(np.abs(l2p2), initial=0.0))
            + inst.eps + float(np.max(np.abs(z), initial=0.0)))
     return l1p1, na, l2p2, z, mag
@@ -267,9 +276,7 @@ def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None)
 def _permuted(inst: Instance, perm) -> Instance:
     """inst with its slot k taken from the caller's slot perm[k]."""
     lams = (inst.lambda1, inst.lambda2, inst.lambda3)
-    hp = inst.hp_coeffs
-    return replace(inst, lambda1=lams[perm[0]], lambda2=lams[perm[1]],
-                   lambda3=lams[perm[2]], hp_coeffs=(*(hp[i] for i in perm), hp[3]))
+    return replace(inst, lambda1=lams[perm[0]], lambda2=lams[perm[1]], lambda3=lams[perm[2]])
 
 
 def _check_pair_budget(n1: int, n2: int, work_budget: int):
@@ -309,8 +316,8 @@ class _Engine:
         self.order = order
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
-        c_mag = (abs(inst.lambda1) * float(np.max(self.p1, initial=0))
-                 + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.eta))
+        c_mag = (abs(inst.floats[0]) * float(np.max(self.p1, initial=0))
+                 + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.floats[3]))
         self.clamp = inst.eps <= 2.0 * float(np.spacing(c_mag))
         self.tab = None
         self._build_buckets()
@@ -411,7 +418,7 @@ class _Engine:
         for kern or collect, and only then count against HITS_BUDGET: each
         chunk's, and with collect the running total of those kept.
         """
-        perm, eta = self.perm, self.inst.eta
+        perm, eta = self.perm, self.inst.floats[3]
         k3 = perm.index(2)          # the engine's slot of the caller's p₃
         enumerate_hits = kern is not None or collect
         off, cum = self.runs()
@@ -647,6 +654,11 @@ def _weights(inst: Instance, table: PrimeTable):
     return logs, logs, r.astype(np.float64) * logs
 
 
+def _check_kernel(inst: Instance, kern: SmoothingKernel):
+    if kern.eps != inst.eps:
+        raise DomainError(f"kernel eps {kern.eps} does not match instance eps {inst.eps}")
+
+
 def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
                 work_budget: int = WORK_BUDGET) -> tuple[float, int]:
     """Sharp-window weighted count Γ and the number of contributing triples."""
@@ -660,10 +672,7 @@ def gamma_sharp(inst: Instance, table: PrimeTable, threads: int = 1,
 def gamma_smoothed(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
                    threads: int = 1, work_budget: int = WORK_BUDGET) -> float:
     """Smoothed count Γ₀ = Σ r(p₃−1)·θ(residual)·ln p₁ ln p₂ ln p₃."""
-    if kern.eps != inst.eps:
-        raise DomainError(
-            f"kernel eps {kern.eps} does not match instance eps {inst.eps}"
-        )
+    _check_kernel(inst, kern)
     check_table_budget(kern.k, work_budget)
     eng = _oriented_engine(inst, table, work_budget=work_budget, lattice=True)
     w1, w2, w3 = _weights(inst, table)
@@ -675,10 +684,7 @@ def gamma_split(inst: Instance, kern: SmoothingKernel, table: PrimeTable,
                 d_split: float, threads: int = 1,
                 work_budget: int = WORK_BUDGET) -> GammaBreakdown:
     """Γ₀ split by divisor size at D and X/D, with the exactness self-check."""
-    if kern.eps != inst.eps:
-        raise DomainError(
-            f"kernel eps {kern.eps} does not match instance eps {inst.eps}"
-        )
+    _check_kernel(inst, kern)
     if not 1.0 < d_split < math.sqrt(inst.x):
         raise DomainError(
             f"divisor split needs 1 < D < √X for the small/middle/large "
@@ -743,25 +749,24 @@ def b_j_volume(inst: Instance, kern: SmoothingKernel, j: tuple[float, float],
         B_J = (λ₁λ₂λ₃)⁻¹ · Σ over the 8 corners c of ±Θ₃(λ·c + η),
 
     each corner signed by the product of its end signs (− lower, + upper).
-    A, δ, λ, η and the box ends are floats, hence exact rationals: the sum
-    runs in `Fraction` and is rounded once, so the result is the correctly
-    rounded volume of the float-defined θ.
+    A, δ, the box ends and λ, η (`Instance.floats`) are floats, hence exact
+    rationals: the sum runs in `Fraction` and is rounded once, so the result
+    is the correctly rounded volume of the float-defined θ.
 
     A corner inside θ's support sums up to k truncated powers of degree k + 3
     of O(k)-word integers (time grows about like k³), so each such corner is
     charged (k+1)·(k+3)² against work_budget before any power is formed.
     """
-    if kern.eps != inst.eps:
-        raise DomainError("kernel eps does not match instance eps")
+    _check_kernel(inst, kern)
     j_lo, j_hi = j
     a_box, b_box = inst.lambda0 * inst.x, inst.x
     if not (a_box <= j_lo < j_hi <= b_box):
         raise DomainError(f"J={j} must sit inside ({a_box:.6g}, {b_box:.6g}]")
-    lams = [Fraction(v) for v in (inst.lambda1, inst.lambda2, inst.lambda3)]
+    *lams, eta = (Fraction(v) for v in inst.floats)
     ends = [(Fraction(lo), Fraction(hi))
             for lo, hi in ((a_box, b_box), (a_box, b_box), (j_lo, j_hi))]
     k, half_k = kern.k, Fraction(kern.k, 2)
-    fa, fd, eta = Fraction(kern.a), Fraction(kern.delta), Fraction(inst.eta)
+    fa, fd = Fraction(kern.a), Fraction(kern.delta)
     corners = []
     for corner in itertools.product((0, 1), repeat=3):
         y = eta + sum(lam * e[c] for lam, e, c in zip(lams, ends, corner))
@@ -791,8 +796,8 @@ def find_triples(inst: Instance, table: PrimeTable,
     a Linnik prime; sorted by |residual|, ties by (p1,p2,p3).
 
     Every candidate surviving the float scan is re-verified exactly, in
-    integers over the common denominator of hp_coeffs and ε; its stored
-    residual is the exact one, correctly rounded.
+    the integers of `Instance.lattice`; its stored residual is the exact
+    one, correctly rounded.
     """
     if not require_linnik <= {1, 2, 3}:
         raise DomainError(f"require_linnik must be ⊆ {{1,2,3}}, got {require_linnik}")

@@ -27,9 +27,6 @@ from linniklab.gamma import Instance, find_triples, gamma_sharp, \
 from linniklab.schedule import THETA0, eps_positivity_report
 from linniklab.smoothing import kernel_new, theta_eval, theta_fourier, theta_fourier_bound
 
-SQ2, SQ3 = math.sqrt(2.0), math.sqrt(3.0)
-
-
 @pytest.fixture(scope="module")
 def table5():
     return sieve_primes(10**5)
@@ -49,9 +46,8 @@ def _grid(inst, table):
     sl = table.prime_slice(inst.lambda0 * inst.x, inst.x)
     ps = table.primes[sl]
     w = np.log(ps.astype(np.float64))
-    res = ((inst.lambda1 * ps + inst.eta)[:, None]
-           + inst.lambda2 * ps[None, :])[:, :, None] \
-        + inst.lambda3 * ps[None, None, :]
+    l1, l2, l3, eta = inst.floats
+    res = ((l1 * ps + eta)[:, None] + l2 * ps[None, :])[:, :, None] + l3 * ps[None, None, :]
     return ps, w, res
 
 
@@ -315,10 +311,6 @@ def test_criterion_09_divisor_statistics(table4, table6, capsys):
     assert dt < 180.0
 
 
-def _hp_coeffs():
-    return (certified_named("sqrt2").value, -1, certified_named("-sqrt3").value, 0)
-
-
 def _reverify_256(wits, eps):
     with mpmath.workprec(256):
         r2hp, r3hp = mpmath.sqrt(2), mpmath.sqrt(3)
@@ -330,16 +322,14 @@ def _reverify_256(wits, eps):
 
 
 def test_criterion_10_theorem_demo(table5, table6, capsys):
-    hp = _hp_coeffs()
-    inst5 = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e5, lambda0=0.5,
-                     ratio_irrational=True, hp_coeffs=hp)
+    exact = (certified_named("sqrt2").value, -1, certified_named("-sqrt3").value, 0)
+    inst5 = Instance(*exact, eps=0.01, x=1e5, lambda0=0.5, ratio_irrational=True)
     t0 = time.perf_counter()
     w5 = find_triples(inst5, table5, require_linnik={3}, threads=1)
     dt5 = time.perf_counter() - t0
     _reverify_256(w5, 0.01)
 
-    inst6 = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e6, lambda0=0.5,
-                     ratio_irrational=True, hp_coeffs=hp)
+    inst6 = Instance(*exact, eps=0.01, x=1e6, lambda0=0.5, ratio_irrational=True)
     t0 = time.perf_counter()
     w6 = find_triples(inst6, table6, require_linnik={3}, threads=8)
     dt6 = time.perf_counter() - t0

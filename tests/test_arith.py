@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -496,7 +497,7 @@ def test_sieve_validation():
 def test_sieve_rejects_non_finite_limit():
     with pytest.raises(DomainError):
         sieve_primes(math.nan)
-    with pytest.raises(ResourceError):
+    with pytest.raises(DomainError):
         sieve_primes(math.inf)
 
 
@@ -635,6 +636,21 @@ def test_table_cut_from_a_longer_column_keeps_its_limit(empty_column):
     assert linnik_rows(table, 0, 10**6)[0].size == 78_498
     with pytest.raises(DomainError):
         linnik_rows(table, 0, 2e6)
+
+
+@pytest.mark.parametrize("kept", [None, 10**4], ids=["fresh", "kept"])
+def test_sieve_primes_takes_only_integer_limits(empty_column, monkeypatch, kept):
+    # a float limit is refused before the budget check, whether or not the
+    # kept column already covers it; numpy ints are integers
+    if kept:
+        sieve_primes(kept)
+    monkeypatch.setattr(arith, "primes_upto", None)
+    for bad in (1e4, 2.0, 1e4 + 0.5, "10000", Fraction(10**4)):
+        with pytest.raises(DomainError, match="integer"):
+            sieve_primes(bad, memory_budget=10)
+    if kept:
+        assert sieve_primes(np.int64(10**4)).primes.size == 1229
+    assert arith._kept[0] == (kept or 1)
 
 
 def test_sieve_primes_checks_before_sieving(empty_column, monkeypatch):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -681,6 +682,24 @@ def test_tour_in_one_process_matches_cold_runs(capsys, monkeypatch):
         assert (rc, out) == want[argv], argv
 
 
+def _readme_tour() -> list[list[str]]:
+    """The argvs of every `linniklab` line of README's command-line tour,
+    backslash continuations joined and comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line tour", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    return [argv[1:] for argv in lines if argv[:1] == ["linniklab"]]
+
+
+def test_readme_tour_runs(capsys):
+    # a line cut at its continuation would miss a required flag and exit 2
+    tour = _readme_tour()
+    assert {argv[0] for argv in tour} == set(_build_parser()[1])
+    for argv in tour:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and out, (argv, err)
+
+
 _INSTANCE = ("--l1", "1", "--l2", "-1", "--l3", "-1", "--eps", "0.5")
 # every subcommand: a valid argv, and the numeric flags it takes
 _ADVERSARIAL_BASE = {
@@ -718,6 +737,11 @@ _ADVERSARIAL = [
                  id="triples--work-budget=0"),
     pytest.param(("gamma", *_INSTANCE, "--x", "100", "--l1", "1e400"), {}, 2,
                  id="gamma--l1=1e400"),
+    # exact rationals whose floats overflow or round to 0, refused by the instance
+    pytest.param(("gamma", *_INSTANCE, "--x", "100", "--eta=1e400"), {}, 2,
+                 id="gamma--eta=1e400"),
+    pytest.param(("gamma", *_INSTANCE, "--x", "100", "--l3=-1e-400"), {}, 2,
+                 id="gamma--l3=-1e-400"),
     # read only by the triple finder's theorem-mode warning
     pytest.param(("gamma", *_INSTANCE, "--x", "100", "--ratio-irrational"), {}, 2,
                  id="gamma--ratio-irrational"),

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -37,9 +38,8 @@ def _grid(inst, table):
     sl = table.prime_slice(inst.lambda0 * inst.x, inst.x)
     ps = table.primes[sl]
     w = np.log(ps.astype(np.float64))
-    res = ((inst.lambda1 * ps + inst.eta)[:, None]
-           + inst.lambda2 * ps[None, :])[:, :, None] \
-        + inst.lambda3 * ps[None, None, :]
+    l1, l2, l3, eta = inst.floats
+    res = ((l1 * ps + eta)[:, None] + l2 * ps[None, :])[:, :, None] + l3 * ps[None, None, :]
     return ps, w, res
 
 
@@ -293,11 +293,11 @@ def _box_scan(eng, weights):
     # returns the sharp Γ of the weight triple, the count, the hits (p1, p2,
     # p3, residual) in (p₁, p₂) order, the lo < hi mask and the two window edges
     inst = eng.inst
-    l2p2 = inst.lambda2 * eng.p2.astype(np.float64)
-    nc = (-(inst.lambda1 * eng.p1.astype(np.float64) + inst.eta))[:, None] - l2p2
+    l1, l2, _, eta = inst.floats
+    l2p2 = l2 * eng.p2.astype(np.float64)
+    nc = (-(l1 * eng.p1.astype(np.float64) + eta))[:, None] - l2p2
     lo_edge, hi_edge = nc - inst.eps, nc + inst.eps
-    mag = (abs(inst.lambda1) * float(eng.p1.max()) + float(np.abs(l2p2).max())
-           + abs(inst.eta))
+    mag = abs(l1) * float(eng.p1.max()) + float(np.abs(l2p2).max()) + abs(eta)
     if inst.eps <= 2.0 * float(np.spacing(mag)):
         lo_edge = np.minimum(lo_edge, np.nextafter(nc, -np.inf))
         hi_edge = np.maximum(hi_edge, np.nextafter(nc, np.inf))
@@ -634,12 +634,6 @@ def test_linnik_finder_scans_a_third_of_the_pairs(table4):
 
 # ------------------------------------------------------------ lattice engine
 
-def _decimal(lam, eta, eps, x, lambda0):
-    # the instance of the typed decimals, as the CLI builds it
-    hp = tuple(Fraction(v) for v in (*lam, eta))
-    return Instance(*(float(v) for v in hp), eps=eps, x=x, lambda0=lambda0, hp_coeffs=hp)
-
-
 def _exact_count(inst, table):
     # |n₁p₁ + n₂p₂ + n₃p₃ + n_η| < n_ε over the whole cube, in integers
     _, n1, n2, n3, n_eta, n_eps = inst.lattice
@@ -679,7 +673,7 @@ def test_lattice_matches_the_scan_under_every_sorted_slot(table4, monkeypatch, l
     # the instances of test_every_sorted_slot_gives_the_same_results made
     # decimal, and one more; g = gcd(n₁, n₂) once n₁, n₂, n₃ are divided by
     # their gcd
-    inst = _decimal(lam, eta, eps, x=1000.0, lambda0=0.3)
+    inst = Instance(*lam, eta, eps=eps, x=1000.0, lambda0=0.3)
     den, n1, n2, n3, n_eta, n_eps = inst.lattice
     f = math.gcd(n1, n2, n3)
     assert math.gcd(n1 // f, n2 // f) == g
@@ -715,7 +709,7 @@ def test_mass_is_the_pair_mass_of_every_p3(table4, monkeypatch, lam, eta, eps, g
     # the hits taken from the box scan; on the scan under every sorted slot θ
     # reads the scan's float residual, on the lattice the correctly rounded
     # exact one.  Each gamma_split column is fsum(column·mass)
-    inst = _decimal(lam, eta, eps, x=1000.0, lambda0=0.3)
+    inst = Instance(*lam, eta, eps=eps, x=1000.0, lambda0=0.3)
     kern = kernel_new(inst.eps, 4)
     w = gamma_mod._weights(inst, table4)
     ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)[0]
@@ -748,16 +742,32 @@ def test_mass_is_the_pair_mass_of_every_p3(table4, monkeypatch, lam, eta, eps, g
             [math.fsum(c * logs * mass) for c in cols], name
 
 
+def test_every_engine_counts_the_one_exact_instance(table4, monkeypatch):
+    # the instance is its rationals: the lattice, the scan under every sorted
+    # slot and the finder's scan with its integer re-check all count 1.5, and
+    # so does a brute force in integers
+    inst = Instance("1.5", "-1", "-1.7", "0.3", eps=2.0, x=3000.0, lambda0=0.1)
+    want = _exact_count(inst, table4)
+    for name, engine in _forced_engines().items():
+        monkeypatch.setattr(gamma_mod, "_oriented_engine", engine)
+        assert gamma_sharp(inst, table4)[1] == want, name
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # not in theorem mode
+        found = find_triples(inst, table4, require_linnik=frozenset(), max_results=10**7)
+    assert len(found) == want > 0
+
+
 def test_lattice_counts_the_boundary_instance_exactly():
     # 899,712 triples lie on |r| = ε; the float scan keeps a share of them
     table = sieve_primes(10**5)
-    inst = _decimal(("1.4", "-1", "-1.7"), "0.3", 2.0, x=1e5, lambda0=0.1)
+    inst = Instance("1.4", "-1", "-1.7", "0.3", eps=2.0, x=1e5, lambda0=0.1)
     assert isinstance(gamma_mod._oriented_engine(inst, table, lattice=True), gamma_mod._Lattice)
     assert gamma_sharp(inst, table)[1] == 7_971_043
 
 
 def test_lattice_refuses_counts_past_the_rounding_bound(table4, monkeypatch):
-    inst = _decimal(("1.4", "-1", "-1.7"), "0.30007", 2.0, x=1e4, lambda0=0.1)
+    inst = Instance("1.4", "-1", "-1.7", "0.30007", eps=2.0, x=1e4, lambda0=0.1)
     ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
     sharp = gamma_mod._weights(inst, table4)
     assert gamma_mod._Lattice(inst, ps).round_bound < 1e-10
@@ -783,22 +793,21 @@ def test_dispatch_takes_the_lattice_only_where_cheaper():
 
     # the split-1e5 bench instance at seed 0, and at X = 3e4
     for x in (1e5, 3e4):
-        assert engine(_decimal(("1.4", "-1", "-1.7"), "-0.3791", 2.0, x, 0.1)) \
+        assert engine(Instance("1.4", "-1", "-1.7", "-0.3791", eps=2.0, x=x, lambda0=0.1)) \
             is gamma_mod._Lattice
     scan = [
         # float-only: λ's denominator is a power of two near 2⁵²
         Instance(1.4, -1.0, -1.7, eta=-0.3791, eps=2.0, x=1e5, lambda0=0.1),
         # a named constant, whose certified value has a denominator near 2²⁹⁶
-        Instance(SQ2, -1.0, -1.7, eta=0.0, eps=2.0, x=1e5, lambda0=0.1,
-                 hp_coeffs=(certified_named("sqrt2").value, -1, Fraction("-1.7"), 0)),
-        _decimal(("1.0000000000000000001", "-1", "-1"), "0", 1.0, 200.0, 0.1),
+        Instance(certified_named("sqrt2").value, -1, "-1.7", 0, eps=2.0, x=1e5, lambda0=0.1),
+        Instance("1.0000000000000000001", -1, -1, 0, eps=1.0, x=200.0, lambda0=0.1),
         # too small for the FFTs to pay: the instance of test_gamma_sharp_golden
-        _decimal(("1", "-1", "-1"), "0", 0.5, 30.0, 0.05),
+        Instance(1, -1, -1, 0, eps=0.5, x=30.0, lambda0=0.05),
     ]
     for inst in scan:
         assert engine(inst) is gamma_mod._Engine, inst
     # the finder's call has no lattice path
-    seed0 = _decimal(("1.4", "-1", "-1.7"), "-0.3791", 2.0, 1e5, 0.1)
+    seed0 = Instance("1.4", "-1", "-1.7", "-0.3791", eps=2.0, x=1e5, lambda0=0.1)
     assert type(gamma_mod._oriented_engine(seed0, table)) is gamma_mod._Engine
 
 
@@ -992,8 +1001,7 @@ def test_find_triples_sorted_by_residual(table4):
     with mpmath.workprec(256):
         hp = (mpmath.sqrt(2), mpmath.mpf(-1), -mpmath.sqrt(3), mpmath.mpf(0))
     exact = (certified_named("sqrt2").value, -1, certified_named("-sqrt3").value, 0)
-    inst = Instance(SQ2, -1.0, -SQ3, eta=0.0, eps=0.01, x=1e4, lambda0=0.5,
-                    ratio_irrational=True, hp_coeffs=exact)
+    inst = Instance(*exact, eps=0.01, x=1e4, lambda0=0.5, ratio_irrational=True)
     wits = find_triples(inst, table4, max_results=50)
     assert len(wits) >= 1
     resid = [abs(w.residual) for w in wits]
@@ -1122,17 +1130,40 @@ def test_instance_validation(table4):
                 Instance(**{**good, key: bad})
 
 
-def test_instance_hp_coeffs_exact_rationals():
-    good = dict(lambda1=1.0, lambda2=-1.0, lambda3=-1.0, eta=0.0, eps=0.5, x=30.0)
-    inst = Instance(**good, hp_coeffs=("1.0000000000000000001", -1, 0.5, Fraction(1, 3)))
-    assert inst.hp_coeffs == (Fraction(10 ** 19 + 1, 10 ** 19), -1, Fraction(1, 2),
-                              Fraction(1, 3))
-    assert all(type(v) is Fraction for v in inst.hp_coeffs)
-    assert Instance(**{**good, "eta": 0.1}).hp_coeffs == (1, -1, -1, Fraction(0.1))
-    for bad in ((mpmath.mpf(1), -1, -1, 0), (1, -1, -1, math.nan),
-                (1, -1, -1, math.inf), (1, -1, -1), (1, -1, -1, 0, 0), (1, -1, -1, "abc")):
-        with pytest.raises(DomainError, match="hp_coeffs"):
-            Instance(**good, hp_coeffs=bad)
+def test_instance_holds_exact_rationals():
+    # each coefficient is held as the exact rational given, whatever its type
+    inst = Instance("1.0000000000000000001", -1, 0.5, Fraction(1, 3), eps=0.5, x=30.0)
+    exact = (inst.lambda1, inst.lambda2, inst.lambda3, inst.eta)
+    assert exact == (Fraction(10 ** 19 + 1, 10 ** 19), -1, Fraction(1, 2), Fraction(1, 3))
+    assert all(type(v) is Fraction for v in exact)
+    assert inst.floats == (1.0, -1.0, 0.5, 1 / 3)
+    # a float is held as its binary value, so floats gives it back
+    held = Instance(1.0, -1.0, -1.0, eta=0.1, eps=0.5, x=30.0)
+    assert held.eta == Fraction(0.1) and held.floats[3] == 0.1
+    # floats rounds once to nearest, ties to even, where float(num)/float(den)
+    # would overflow
+    big, half = 10 ** 400, Fraction(1, 2 ** 53)
+    for v, want in ((1 + half, 1.0), (1 + 3 * half, 1 + 4 * half),
+                    (1 + half + Fraction(1, big), 1 + 2 * half),
+                    (Fraction(big + 1, big), 1.0), (Fraction(2 * big - 1, 3 * big), 2 / 3)):
+        assert Instance(v, -1, -1, 0, eps=0.5, x=30.0).floats[0] == want, v
+    # replace rebuilds the instance from its exact fields, not from its floats
+    moved = replace(inst, eps=0.25)
+    assert (moved.lambda1, moved.lambda2, moved.lambda3, moved.eta) == exact
+    assert moved.lattice[0] == 3 * 10 ** 19
+    good = dict(lambda1=1, lambda2=-1, lambda3=-1, eta=0, eps=0.5, x=30.0)
+    for key in ("lambda1", "lambda2", "lambda3", "eta"):
+        for bad in (mpmath.mpf(1), math.nan, math.inf, -math.inf, "abc", "1e400",
+                    Fraction(10 ** 400)):
+            with pytest.raises(DomainError, match="finite"):
+                Instance(**{**good, key: bad})
+    # a coefficient whose float is 0 is refused, as 0 is; η may round to 0
+    for key in ("lambda1", "lambda2", "lambda3"):
+        for bad in ("1e-400", "-1e-400", 0):
+            with pytest.raises(DomainError, match="nonzero finite"):
+                Instance(**{**good, key: bad})
+    tiny = Instance(**{**good, "eta": "1e-400"})
+    assert tiny.eta == Fraction(1, 10 ** 400) and tiny.floats[3] == 0.0
 
 
 def test_theorem_mode_flag():
