@@ -25,10 +25,10 @@ window lo ≤ d < hi, for all the n at once.
 
 A prime p is called a *Linnik prime* here when p − 1 = x² + y² has a
 solution in integers; r₂(p−1) > 0 is the equivalent character-sum test.  The
-least pair (x, y) comes from ``linnik_rows`` for every prime of a range, which
-is how ``linniklab linnik`` gets its witnesses, and from ``least_witnesses``,
-a search over x for a given set of n, which is how ``linnik_witness`` and the
-triple finder get theirs for a few primes.
+least pair (x, y) comes from ``linnik_rows`` alone: one sweep gives it for
+every prime of a range, which is how ``linniklab linnik`` and the triple
+finder get their witnesses, and ``linnik_witness`` is that sweep over the
+one prime of (p − 1, p].
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ _SEGMENT = 2**19
 # ``expsums.s_ld``, the factors of ``dirichlet.n_s``): 512 KB per float64
 # temporary.
 PRIME_BLOCK = 2**16
-# Elements (n, x) tried per block by ``least_witnesses``: 8 MB per int64
-# temporary.
-_WITNESS_BLOCK = 2**20
 # Points looked up per block of rows by ``_half_lattice``: 256 KB per int64
 # temporary.  2¹⁶ is as fast but leaves the tour-arith worker's peak RSS
 # 0.8 MB higher, 2¹⁴ costs 10 % more at 1e7.
@@ -358,54 +355,14 @@ def linnik_sum(table: PrimeTable, lo: float, hi: float) -> int:
     return 4 * (units + k)
 
 
-def least_witnesses(ns) -> tuple[np.ndarray, np.ndarray]:
-    """Least (x, y), x ≤ y, with x² + y² = n for every n in ``ns``; −1 if none.
-
-    Returns two int64 arrays, one entry per n.  Each distinct n tries
-    x = 0, 1, … while 2x² ≤ n; x is a witness when y = rint(√(n − x²)) has
-    y² = n − x² in int64 and y ≥ x.  The float root of a perfect square below
-    2⁵² is exact, so the test is.  The search takes blocks of at most
-    ``_WITNESS_BLOCK`` (n, x) elements, a run of x for the n still without a
-    witness, so it costs about (distinct n)·√(max n / 2) steps and allocates
-    nothing over [0, max n].
-    """
-    n, inv = np.unique(np.asarray(ns, dtype=np.int64), return_inverse=True)
-    wx = np.full(n.size, -1, dtype=np.int64)
-    wy = np.full(n.size, -1, dtype=np.int64)
-    if n.size == 0:
-        return wx, wy
-    if int(n[0]) < 0 or int(n[-1]) >= 2**52:
-        raise DomainError("least_witnesses inputs must lie in [0, 2⁵²)")
-    for lo in range(0, n.size, _WITNESS_BLOCK):
-        idx = np.arange(lo, min(lo + _WITNESS_BLOCK, n.size))
-        x0 = 0
-        while idx.size:
-            x1 = min(x0 + max(1, _WITNESS_BLOCK // idx.size),
-                     math.isqrt(int(n[idx[-1]]) // 2) + 1)
-            xs = np.arange(x0, x1)
-            m = n[idx, None] - xs * xs
-            y = np.rint(np.sqrt(np.maximum(m, 0))).astype(np.int64)
-            hit = (y * y == m) & (y >= xs)
-            col = hit.argmax(axis=1)
-            found = hit[np.arange(idx.size), col]
-            wx[idx[found]] = xs[col[found]]
-            wy[idx[found]] = y[found, col[found]]
-            idx = idx[~found & (n[idx] >= 2 * x1 * x1)]
-            x0 = x1
-    return wx[inv], wy[inv]
-
-
 def linnik_witness(p: int, table: PrimeTable) -> tuple[int, int] | None:
-    """Least witness (x, y), x ≤ y, with p − 1 = x² + y², or None.
-
-    A one-element ``least_witnesses`` search; it builds no table.  Exists iff
-    r₂(p − 1) > 0.
-    """
+    """Least witness (x, y), x ≤ y, with p − 1 = x² + y², or None if
+    r₂(p − 1) = 0: the ``linnik_rows`` sweep over the one prime of (p − 1, p],
+    about √(p/2) rows that allocate O(√p) and no table over [0, p]."""
     if p < 2 or p > table.limit or not table.is_prime(p):
         raise DomainError(f"linnik_witness needs a prime ≤ {table.limit}, got {p}")
-    wx, wy = least_witnesses(np.array([p - 1]))
-    x = int(wx[0])
-    return None if x < 0 else (x, int(wy[0]))
+    x = int(linnik_rows(table, p - 1, p)[1][0])
+    return None if x < 0 else (x, math.isqrt(p - 1 - x * x))
 
 
 def divisor_sum(ns, lo: int, hi: int, chi: bool) -> np.ndarray:

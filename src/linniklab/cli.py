@@ -427,7 +427,7 @@ def cmd_singular(args) -> int:
         "linnik_constant": math.pi * n0,
     }
     if dmax is not None:
-        out["chi_phi"] = dirichlet.chi_phi_partial(dmax, table, args.checkpoints or None)
+        out["chi_phi"] = dirichlet.chi_phi_partial(dmax, args.checkpoints or None)
     _emit_json(out)
     return 0
 

@@ -76,7 +76,7 @@ def linnik_constant(pmax: int, table: PrimeTable) -> float:
     return math.pi * n_s(0.0, pmax, table).value
 
 
-def chi_phi_partial(dmax: int, table: PrimeTable,
+def chi_phi_partial(dmax: int,
                     checkpoints: list[int] | None = None) -> list[tuple[int, float]]:
     """Partial sums Σ_{d ≤ D} χ(d)/φ(d) at each checkpoint D.
 

@@ -71,7 +71,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import WORK_BUDGET, PrimeTable, divisor_sum, least_witnesses, linnik_rows
+from .arith import WORK_BUDGET, PrimeTable, divisor_sum, linnik_rows
 from .errors import DomainError, NumericError, ResourceError
 from .smoothing import SmoothingKernel, check_table_budget, theta_eval
 
@@ -156,6 +156,10 @@ class GammaBreakdown:
 
 @dataclass(frozen=True)
 class TripleWitness:
+    """A `find_triples` row: (x, y) is p₃'s least witness, x = y = −1 when p₃
+    has none; ``witness1`` and ``witness2`` are those of p₁ and p₂, None
+    unless that slot is in ``require_linnik``."""
+
     p1: int
     p2: int
     p3: int
@@ -797,7 +801,9 @@ def find_triples(inst: Instance, table: PrimeTable,
 
     Every candidate surviving the float scan is re-verified exactly, in
     the integers of `Instance.lattice`; its stored residual is the exact
-    one, correctly rounded.
+    one, correctly rounded.  One `linnik_rows` sweep gives the Linnik mask
+    and each printed prime's least x; y = isqrt(p − 1 − x²), and a pair that
+    fails 0 ≤ x ≤ y, x² + y² = p − 1 in integers raises NumericError.
     """
     if not require_linnik <= {1, 2, 3}:
         raise DomainError(f"require_linnik must be ⊆ {{1,2,3}}, got {require_linnik}")
@@ -814,7 +820,8 @@ def find_triples(inst: Instance, table: PrimeTable,
     base = _range_primes(inst, table)
     if base.size == 0:
         return []
-    linnik_mask = linnik_rows(table, inst.lambda0 * inst.x, inst.x)[0] > 0
+    rvals, wx = linnik_rows(table, inst.lambda0 * inst.x, inst.x)
+    linnik_mask = rvals > 0
     if require_linnik and not linnik_mask.any():
         return []
     masks = tuple(linnik_mask if i in require_linnik else None for i in (1, 2, 3))
@@ -834,25 +841,26 @@ def find_triples(inst: Instance, table: PrimeTable,
             kept.append(idx)
             resid.append(r)
     slots = (p1h[kept], p2h[kept], p3h[kept])
-    # one search per slot over its distinct primes; −1 where p is not Linnik
-    wits = {i: [w.tolist() for w in least_witnesses(slots[i - 1] - 1)]
-            for i in require_linnik | {3}}
-    x3, y3 = wits[3]
-    if 3 in require_linnik and -1 in x3:
-        q3 = int(slots[2][x3.index(-1)])
-        raise NumericError(f"mask said p3={q3} is Linnik but no witness")
 
-    def pairs(i: int) -> list[tuple[int, int] | None]:
-        if i not in wits:
-            return [None] * len(kept)
-        return [None if x < 0 else (x, y) for x, y in zip(*wits[i])]
+    def witness(p: int, x: int) -> tuple[int, int] | None:
+        # the sweep's x for p, checked in integers; None where p is not Linnik
+        y = math.isqrt(max(p - 1 - x * x, 0))
+        if x != -1 and not (0 <= x <= y and x * x + y * y == p - 1):
+            raise NumericError(f"row sweep gave p={p} the witness x={x}")
+        return None if x == -1 else (x, y)
 
+    # every slot draws its primes from base, so a prime's x is wx at its index
+    wits = [[witness(p, x) for p, x in
+             zip(s.tolist(), wx[np.searchsorted(base, s)].tolist())]
+            if i in require_linnik | {3} else [None] * len(kept)
+            for i, s in enumerate(slots, 1)]
     return [
         TripleWitness(p1=q1, p2=q2, p3=q3, x=x, y=y,
                       residual=r / den,     # int true division rounds correctly
                       witness1=w1, witness2=w2)
-        for q1, q2, q3, r, x, y, w1, w2 in zip(
-            *(c.tolist() for c in slots), resid, x3, y3, pairs(1), pairs(2))
+        for q1, q2, q3, r, w1, w2, (x, y) in zip(
+            *(c.tolist() for c in slots), resid, wits[0], wits[1],
+            (w or (-1, -1) for w in wits[2]))
     ]
 
 

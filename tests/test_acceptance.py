@@ -244,7 +244,7 @@ def test_criterion_07_singular_series(table6, table7, capsys):
     v7 = n_s(0.0, 10**7, table7)
     move = abs(v6.value - v7.value)
     assert move <= v6.tail_bound
-    cp = chi_phi_partial(10**6, table6)[-1][1]
+    cp = chi_phi_partial(10**6)[-1][1]
     fz = f_zero(10**7, table7)
     gap = abs(cp - fz)
     # frozen at calibration: measured 1.38e-6

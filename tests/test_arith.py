@@ -14,7 +14,6 @@ from linniklab.arith import (
     chi_vec,
     divisor_sum,
     euler_phi,
-    least_witnesses,
     linnik_rows,
     linnik_sum,
     linnik_witness,
@@ -96,14 +95,9 @@ def test_linnik_rows_on_every_prime_to_ten_million(table7):
     ps = table7.primes
     assert r.size == wx.size == ps.size == 664_579
     assert np.array_equal(r, 4 * divisor_sum(ps - 1, 1, 10**7, chi=True))
-    # the search stops at the first witness, so it is cheap where there is one
-    live = r > 0
-    want_x, want_y = least_witnesses(ps[live] - 1)
-    assert np.array_equal(wx[live], want_x) and np.all(wx[~live] == -1)
+    # every witness, found or not, against the one-pass-per-x oracle
+    assert np.array_equal(wx, witness_table(10**7)[0][ps - 1])
     assert linnik_sum(table7, 0, 10**7) == int(r.sum())
-    # and every witness, found or not, on the primes to 1e6
-    n6 = table7.prime_count(10**6)
-    assert np.array_equal(wx[:n6], least_witnesses(ps[:n6] - 1)[0])
 
 
 def test_linnik_rows_small_primes_and_both_kinds_of_weight(table4):
@@ -312,7 +306,7 @@ def test_witness_table_matches_brute():
         for y in range(x, math.isqrt(n_max - x * x) + 1):
             least.setdefault(x * x + y * y, (x, y))
     table = sieve_primes(n_max)
-    wx, wy = least_witnesses(np.arange(n_max + 1))
+    wx, wy = witness_table(n_max)
     for n in range(n_max + 1):
         assert (int(wx[n]), int(wy[n])) == least.get(n, (-1, -1)), n
     r, rx = linnik_rows(table, 0, n_max)
@@ -321,46 +315,27 @@ def test_witness_table_matches_brute():
         assert x == least.get(p - 1, (-1, -1))[0] and (rp > 0) == (p - 1 in least), p
 
 
-@pytest.mark.parametrize("block", [1, 7, 1000, 2**20])
-def test_least_witnesses_across_blocks(monkeypatch, block):
-    monkeypatch.setattr(arith, "_WITNESS_BLOCK", block)
-    n_max = 20_000 if block >= 1000 else 2_000
-    wx, wy = witness_table(n_max)
-    got_x, got_y = least_witnesses(np.arange(1, n_max + 1))
-    assert got_x.dtype == got_y.dtype == np.int64
-    assert np.array_equal(got_x, wx[1:]) and np.array_equal(got_y, wy[1:])
-    assert (got_x[0], got_y[0]) == (0, 1) and (got_x[1], got_y[1]) == (1, 1)
-    assert (got_x[2], got_y[2]) == (-1, -1)          # n = 3 has no witness
-    # n = 0, and repeated and unordered inputs
-    got_x, got_y = least_witnesses([25, 0, 25, 3])
-    assert got_x.tolist() == [0, 0, 0, -1] and got_y.tolist() == [5, 0, 5, -1]
-    for empty in (np.zeros(0, dtype=np.int64), []):
-        got_x, got_y = least_witnesses(empty)
-        assert got_x.shape == got_y.shape == (0,)
-
-
-def test_least_witnesses_validation():
-    for bad in ([-1], [2**52]):
-        with pytest.raises(DomainError):
-            least_witnesses(np.array(bad))
-
-
-def test_is_prime_and_linnik_witness_build_no_table(monkeypatch):
+def test_is_prime_and_linnik_witness_build_no_table(table7):
     limit = 20_000
     table = sieve_primes(limit)
     want = _NAIVE_SPF[: limit + 1]
     for n in range(limit + 1):
         assert table.is_prime(n) == (n >= 2 and want[n] == n), n
-
-    def refuse(odd):
-        raise AssertionError("row sweep over the range")
-
-    monkeypatch.setattr(arith, "_half_lattice", refuse)
     for p in (2, 3, 7, 19_997):
         linnik_witness(p, table)
     assert table._logs is None
     for name in ("spf", "_spf", "witnesses", "_witnesses"):
         assert not hasattr(table, name), name
+    # the sweep over one prime near 1e7 keeps O(√p) live, against 20 MB for
+    # a uint16 column over [0, p]
+    for p, want in ((9_999_991, None), (9_999_971, (399, 3137))):
+        tracemalloc.start()
+        try:
+            got = linnik_witness(p, table7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < 2**20, (p, got, peak / 2**20)
 
 
 def test_prime_table_basics(table4):

@@ -67,17 +67,17 @@ def test_constant_identities(table6):
     assert 0.3 < f_zero(10**6, table6) < 0.9
 
 
-def test_chi_phi_small_values(table4):
+def test_chi_phi_small_values():
     # by hand: 1 − 1/2 + 1/4 − 1/6 + 1/6 = 3/4
-    [(d, v)] = chi_phi_partial(10, table4)
+    [(d, v)] = chi_phi_partial(10)
     assert d == 10 and abs(v - 0.75) < 1e-15
     # checkpoints slice the same cumulative sum
-    pts = chi_phi_partial(100, table4, checkpoints=[1, 2, 10, 99, 100])
+    pts = chi_phi_partial(100, checkpoints=[1, 2, 10, 99, 100])
     assert pts[0] == (1, 1.0)
     assert pts[1] == (2, 1.0)          # even d contributes nothing
     assert abs(pts[2][1] - 0.75) < 1e-15
     assert pts[3][1] == pts[4][1]      # 100 is even
-    seq = chi_phi_partial(100, table4, checkpoints=list(range(1, 101)))
+    seq = chi_phi_partial(100, checkpoints=list(range(1, 101)))
     direct = 0.0
     for d in range(1, 101):
         if d % 2 == 1:
@@ -96,10 +96,9 @@ def cumsum_chi_over_phi(dmax: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dmax", [1, 2, 3, 4, 8, 9, 24, 25, 26, 2 * 10**4])
-def test_chi_phi_matches_euler_phi_bitwise(table4, dmax):
-    # dmax = 2·10⁴ lies past table4.limit: chi_phi_partial does not read the table
+def test_chi_phi_matches_euler_phi_bitwise(dmax):
     want = cumsum_chi_over_phi(dmax)
-    got = chi_phi_partial(dmax, table4, checkpoints=list(range(1, dmax + 1)))
+    got = chi_phi_partial(dmax, checkpoints=list(range(1, dmax + 1)))
     assert [c for c, _ in got] == list(range(1, dmax + 1))
     assert np.array_equal(np.array([v for _, v in got]), want[1:]), dmax
 
@@ -126,12 +125,12 @@ def chi_phi_full_range(dmax: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dmax", [1, 2, 3, 4, 1000, 10**5 + 1])
-def test_chi_phi_odd_sieve_matches_full_range_bitwise(table4, dmax):
+def test_chi_phi_odd_sieve_matches_full_range_bitwise(dmax):
     # every checkpoint, odd and even, against the sieve over all d ≤ dmax
     want = chi_phi_full_range(dmax)
-    got = chi_phi_partial(dmax, table4, checkpoints=list(range(1, dmax + 1)))
+    got = chi_phi_partial(dmax, checkpoints=list(range(1, dmax + 1)))
     assert np.array_equal(np.array([v for _, v in got]), want[1:]), dmax
-    assert chi_phi_partial(dmax, table4) == [(dmax, float(want[dmax]))]
+    assert chi_phi_partial(dmax) == [(dmax, float(want[dmax]))]
 
 
 def chi_phi_odd_int64(dmax: int) -> np.ndarray:
@@ -153,20 +152,20 @@ def chi_phi_odd_int64(dmax: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("dmax", [1, 2, 3, 999, 10**4 + 1, 10**6])
-def test_chi_phi_int32_matches_int64_signs_bitwise(table4, dmax):
+def test_chi_phi_int32_matches_int64_signs_bitwise(dmax):
     want = chi_phi_odd_int64(dmax)
-    got = chi_phi_partial(dmax, table4, checkpoints=list(range(1, dmax + 1)))
+    got = chi_phi_partial(dmax, checkpoints=list(range(1, dmax + 1)))
     vals = np.array([v for _, v in got])
     assert np.array_equal(vals.view(np.uint64),
                           want[np.arange(dmax) // 2].view(np.uint64)), dmax
 
 
-def test_chi_phi_peak_memory(table4):
+def test_chi_phi_peak_memory():
     # int32 φ and cofactor, and one ±1/φ column summed in place: 10.6 MiB at
     # D = 1e6, against 21.8 MiB for int64 columns and a separate sign column
     tracemalloc.start()
     try:
-        chi_phi_partial(10**6, table4)
+        chi_phi_partial(10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,17 +204,17 @@ def test_linnik_constant_peak_memory(table7):
 
 
 def test_chi_phi_converges_to_f_zero(table6):
-    tail = chi_phi_partial(10**4, table6)[0][1]
+    tail = chi_phi_partial(10**4)[0][1]
     assert abs(tail - f_zero(10**6, table6)) < 1e-3
 
 
-def test_chi_phi_validation(table4):
+def test_chi_phi_validation():
     with pytest.raises(DomainError):
-        chi_phi_partial(0, table4)
+        chi_phi_partial(0)
     with pytest.raises(DomainError):
-        chi_phi_partial(10, table4, checkpoints=[11])
+        chi_phi_partial(10, checkpoints=[11])
     with pytest.raises(DomainError):
-        chi_phi_partial(10, table4, checkpoints=[0])
+        chi_phi_partial(10, checkpoints=[0])
 
 
 def test_n_s_validation(table4):

@@ -964,9 +964,10 @@ def test_find_triples_searches_witnesses_without_the_table():
     runs = {req: find_triples(inst, table, require_linnik=req, max_results=2000)
             for req in (frozenset({1, 2, 3}), frozenset())}
     assert not hasattr(table, "_witnesses")          # no array over [0, X]
-    _, wx = linnik_rows(table, 0, 2e4)
-    least = {p: (x, math.isqrt(p - 1 - x * x))
-             for p, x in zip(table.primes.tolist(), wx.tolist()) if x >= 0}
+    least = {}
+    for x in range(math.isqrt(10_000) + 1):          # x ascending: first hit is least
+        for y in range(x, math.isqrt(20_000 - x * x) + 1):
+            least.setdefault(x * x + y * y + 1, (x, y))
 
     def lookup(p):
         return least.get(p, (-1, -1))
@@ -987,14 +988,27 @@ def test_find_triples_missing_witness_is_an_error(table4, monkeypatch):
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=30.0, lambda0=0.05,
                     ratio_irrational=True)
 
-    def none_found(ns):
-        return np.full(len(ns), -1), np.full(len(ns), -1)
+    def sweep_with(p, r_p, x_p):
+        def corrupted(table, lo, hi):
+            r, wx = linnik_rows(table, lo, hi)
+            at = table.primes[table.prime_slice(lo, hi)] == p
+            r[at], wx[at] = r_p, x_p
+            return r, wx
+        monkeypatch.setattr(gamma_mod, "linnik_rows", corrupted)
 
-    monkeypatch.setattr(gamma_mod, "least_witnesses", none_found)
-    with pytest.raises(NumericError, match="p3=3 is Linnik but no witness"):
-        find_triples(inst, table4)
+    # 5 − 1 = 0² + 2²: x² > p − 1, p − 1 − x² not a square, and x > y
+    for x in (3, 1, 2):
+        sweep_with(5, 4, x)
+        with pytest.raises(NumericError, match=f"p=5 the witness x={x}"):
+            find_triples(inst, table4)
+    # a sweep that finds 3 − 1 = 1² + 1² not Linnik drops p3 = 3 from the
+    # rows it masks, and prints (−1, −1) for it where p3 is not masked
+    sweep_with(3, 0, -1)
+    assert [(w.p1, w.p2, w.p3) for w in find_triples(inst, table4)][:2] \
+        == [(5, 3, 2), (7, 2, 5)]
     wits = find_triples(inst, table4, require_linnik={1})
-    assert wits and all(w.witness1 is None and w.x == -1 for w in wits)
+    assert (wits[0].p3, wits[0].x, wits[0].y, wits[0].witness1) == (3, -1, -1, (0, 2))
+    assert all(w.x >= 0 for w in wits[1:])
 
 
 def test_find_triples_sorted_by_residual(table4):
