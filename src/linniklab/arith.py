@@ -41,8 +41,9 @@ import numpy as np
 from .errors import DomainError, ResourceError
 
 # Default cap on a table's limit, in numbers.  Below 2³¹ the per-slot column
-# of ``linnik_rows`` fits uint16 (r₂(n)/4 ≤ τ(n) ≤ 1600, witness x ≤ 2¹⁵) and
-# ``dirichlet.chi_phi_partial`` fits int32.
+# of ``linnik_rows`` fits uint16 (r₂(n)/4 ≤ τ(n) ≤ 1600, witness x ≤ 2¹⁵),
+# ``divisor_sum``'s accumulator int16 (|Σ| ≤ τ(n) ≤ 1600) and
+# ``dirichlet.chi_phi_partial`` int32.
 MEMORY_BUDGET = 2**31
 # Default cap on inner-loop evaluations per call: (p1,p2) pairs in the pair
 # scans, Q·π(X) modulus-prime steps in the progression error scan.
@@ -378,7 +379,10 @@ def divisor_sum(ns, lo: int, hi: int, chi: bool) -> np.ndarray:
     odd d divides n exactly when it divides n's odd part n / (n & −n), so χ
     runs over the odd parts instead, with N their maximum, odd cofactors only
     and slot (n + 1) / 2 for odd n (slot 0 for n = 0): a quarter of the
-    slots when every n is even, as the n = p − 1 are.
+    slots when every n is even, as the n = p − 1 are.  The accumulator is
+    int16, exact because no slot's sum exceeds in size the divisor count
+    τ(n) ≤ 1600 of its n ≤ N ≤ ``MEMORY_BUDGET``; a larger N is refused with
+    ResourceError before anything is allocated.
     """
     ns = np.asarray(ns)
     if ns.min(initial=0) < 0:
@@ -387,7 +391,10 @@ def divisor_sum(ns, lo: int, hi: int, chi: bool) -> np.ndarray:
     if chi:
         ns = ns // np.maximum(ns & -ns, 1)
     n_max = int(ns.max(initial=0))
-    acc = np.zeros(((n_max + h) >> h) + 1, dtype=np.int64)
+    if n_max > MEMORY_BUDGET:
+        raise ResourceError(
+            f"divisor_sum counts in int16, exact for N ≤ {MEMORY_BUDGET}; got N = {n_max}")
+    acc = np.zeros(((n_max + h) >> h) + 1, dtype=np.int16)
     s = math.isqrt(n_max)
     lo, hi = max(lo, 1), min(hi, n_max + 1)
     q, classes = (4, ((1, 1), (3, -1))) if chi else (1, ((0, 1),))
@@ -401,4 +408,4 @@ def divisor_sum(ns, lo: int, hi: int, chi: bool) -> np.ndarray:
             if b <= a:
                 break
             acc[(m * a + h) >> h : ((m * (b - 1) + h) >> h) + 1 : (q * m) >> h] += w
-    return acc[(ns + h) >> h]
+    return acc[(ns + h) >> h].astype(np.int64)

@@ -45,11 +45,13 @@ any thread count.
 The Γ family has a second path, the lattice (`_Lattice`), for instances
 whose λᵢ are small rationals, such as typed decimals.  Over the common
 denominator of `Instance.lattice`, n₁p₁ + n₂p₂ is an integer, so the
-(p₁,p₂) sum is a convolution: split into residue classes (p₁ mod |m₂|, p₂
-mod |m₁| with mᵢ = nᵢ/gcd(n₁,n₂)), each class pair is one short
+(p₁,p₂) sum is a convolution: split into residue classes (p₁ mod 2|m₂|, p₂
+mod 2|m₁| with mᵢ = nᵢ/gcd(n₁,n₂); classed mod |m| with |m| odd, the odd
+primes would fill only every other place), each class pair is one short
 `numpy.fft.rfft` convolution of the ln p weights and one of the 0/1
 indicators, the latter rounded to exact pair counts under an a priori
-bound.  Each p₃ gathers the entries at the integer shifts of the window,
+bound; a pair with a one-prime class is the other class shifted, with no
+FFT.  Each p₃ gathers the entries at the integer shifts of the window,
 decided exactly in integers, into its W with θ at the correctly rounded
 residuals.
 So the lattice computes Γ of the rationals, not of their floats, and
@@ -510,16 +512,19 @@ class _Engine:
 # the radix-2 FFT of that proof, so each rounded count is checked against it
 _FFT_C = 18.0
 # the lattice's time, estimated in ns per FFT point per level, per p₃ looked
-# up, per class pair and per σ of θ's table, against _NS_PER_LIVE_PAIR per
-# live pair of the pair scan; the lattice runs where its estimate is the
-# lower.  The first three were fitted on 17 instances, X = 30 to 1e5, one
-# to 6,840 class pairs (2-vCPU x86-64, Python 3.11, numpy 2.4), within a
-# factor 1.6 but 2.5× under at X ≤ 300; θ's table took 200–410 ns per σ;
-# the scan, 37–44 ns per live pair on sparse windows and 80–120 on dense ones
-# (instances of over 2e5 live pairs)
-_NS_PER_FFT_UNIT = 1.2
-_NS_PER_LOOKUP = 7.0
-_NS_PER_CLASS_PAIR = 60_000.0
+# up, per convolved class pair, per class pair with a one-prime class and per
+# σ of θ's table, against _NS_PER_LIVE_PAIR per live pair of the pair scan;
+# the lattice runs where its estimate is the lower.  The first four were
+# fitted, relative error weighted, on 190 sharp scans with classes mod 2|m|:
+# 12 decimal λ, X = 30 to 1e5, λ₀ = 0.1 and λ₀X = 1.5 (2-vCPU x86-64,
+# Python 3.11, numpy 2.4), within a factor 0.67–3.1 at X > 300 and up to
+# 4.9× under at X ≤ 300; θ's table took 200–410 ns per σ; the scan, 37–44 ns
+# per live pair on sparse windows and 80–120 on dense ones (instances of
+# over 2e5 live pairs)
+_NS_PER_FFT_UNIT = 0.8
+_NS_PER_LOOKUP = 6.0
+_NS_PER_CLASS_PAIR = 45_000.0
+_NS_PER_SHIFTED_PAIR = 20_000.0
 _NS_PER_SIGMA = 300.0
 _NS_PER_LIVE_PAIR = 40.0
 
@@ -532,16 +537,22 @@ class _Lattice:
     window exactly when |fσ + n_η| < n_ε, i.e. lo ≤ σ ≤ hi; its residual is
     (fσ + n_η)/den, correctly rounded.  Let g = gcd(n₁', n₂'), mᵢ = nᵢ'/g,
     M = |m₁m₂| and t = m₁p₁ + m₂p₂, so σ = g·t + n₃'p₃.  Split p₁ by its
-    residue mod |m₂| and p₂ by its residue mod |m₁|: a member p = q + mod·i
+    residue mod 2|m₂| and p₂ by its residue mod 2|m₁|: a member p = q + mod·i
     of a class with least member q sits at place i (at span − 1 − i on p₂'s
-    side when m₂ has the other sign), and then t = off + sgn(m₁)·M·k over a
-    pair of classes, k the sum of the two places.  So each class pair's
-    weights per t are one convolution in k, and by CRT t mod M fixes both
-    residues, so each t lies in one class pair.  Per class pair two
-    `numpy.fft.rfft` convolutions give the w₁·w₂ weights and the pair counts,
-    the latter rounded to integers under Percival's bound (`_FFT_C`); each
-    p₃ then gathers the entries whose σ ≡ n₃'p₃ + g·off (mod gM) lies in
-    [lo, hi], with θ read off a table over [lo, hi].
+    side when m₂ has the other sign), and then t = off + sgn(m₁)·2M·k over
+    a pair of classes, k the sum of the two places.  So each class pair's
+    weights per t are one convolution in k, and each pair (p₁, p₂) lies in
+    one class pair.  Twice the modulus halves both spans, so n_fft: a class
+    mod |m| with |m| odd holds its odd primes at every other place only, and
+    mod 2|m| the same primes fill every place; with |m| even each class
+    splits in two.  p = 2, in range when λ₀X < 2, is a class of its own.
+    Per class pair two `numpy.fft.rfft` convolutions give the w₁·w₂ weights
+    and the pair counts, the latter rounded to integers under Percival's
+    bound (`_FFT_C`); where one class is one prime, at place 0, the pair's
+    entries are the other class's places and weights times its weight, with
+    no FFT and no rounding.  Each p₃ then gathers the entries whose
+    σ ≡ n₃'p₃ + g·off (mod 2gM) lies in [lo, hi], with θ read off a table
+    over [lo, hi].
     """
 
     def __init__(self, inst: Instance, ps):
@@ -553,18 +564,18 @@ class _Lattice:
         m1, m2 = n1 // self.g, n2 // self.g
         top = sum(abs(n) * int(p[-1]) for n, p in zip((n1, n2, self.n3), ps))
         self.cost = math.inf
-        if top >= 2**52 or self.g * abs(m1 * m2) >= 2**52:
+        self.modulus = self.g * 2 * abs(m1 * m2)    # of σ ≡ n₃'p₃ + g·off in a class pair
+        if top >= 2**52 or self.modulus >= 2**52:
             return      # σ and its classes must stay exact in int64 and float
-        self.modulus = self.g * abs(m1 * m2)    # of σ ≡ n₃'p₃ + g·off in a class pair
-        self.sgn = 1 if m1 > 0 else -1                  # t = off + sgn·M·k
+        self.sgn = 1 if m1 > 0 else -1                  # t = off + sgn·2M·k
         # the window in σ, cut to the σ the primes can form
         self.lo = max((-n_eps - n_eta) // f + 1, -top)
         self.hi = min(-((n_eta - n_eps) // f) - 1, top)
         self.resid = (f, n_eta, den)        # σ's residual is (fσ + n_η)/den
-        self.sides = ((self.p1, abs(m2), m1, False),
-                      (p2, abs(m1), m2, (m1 > 0) != (m2 > 0)))
+        self.sides = ((self.p1, 2 * abs(m2), m1, False),
+                      (p2, 2 * abs(m1), m2, (m1 > 0) != (m2 > 0)))
         # per side, p's positions by residue class and where each class starts
-        self.classes, spans, sizes, counts = [], [], [], []
+        self.classes, spans, sizes, fulls, counts = [], [], [], [], []
         for p, mod, _, _ in self.sides:
             res = p % mod
             order = np.argsort(res, kind="stable")
@@ -573,6 +584,7 @@ class _Lattice:
             self.classes.append((order, starts[1:]))
             spans.append(int(((p[order[ends - 1]] - p[order[starts]]) // mod).max()) + 1)
             sizes.append(len(starts))
+            fulls.append(int(np.count_nonzero(ends - starts > 1)))  # classes with spectra
             counts.append(int((ends - starts).max()))
         self.n_fft = 1 << (spans[0] + spans[1] - 2).bit_length()
         self.held = 0 if sizes[0] < sizes[1] else 1   # the side whose spectra are kept
@@ -584,24 +596,32 @@ class _Lattice:
         # of them in [lo, hi]
         width = max(0, self.hi - self.lo + 1)
         self.steps = -(-width // self.modulus)
-        pairs = sizes[0] * sizes[1]
-        self.cost = (_NS_PER_FFT_UNIT * 2 * (pairs + sizes[0] + sizes[1]) * self.n_fft * levels
+        pairs, convolved = sizes[0] * sizes[1], fulls[0] * fulls[1]
+        self.cost = (_NS_PER_FFT_UNIT * 2 * (convolved + fulls[0] + fulls[1]) * self.n_fft * levels
                      + _NS_PER_LOOKUP * pairs * len(self.p3) * self.steps
-                     + _NS_PER_CLASS_PAIR * pairs + _NS_PER_SIGMA * width) if width else 0.0
+                     + _NS_PER_CLASS_PAIR * convolved + _NS_PER_SHIFTED_PAIR * (pairs - convolved)
+                     + _NS_PER_SIGMA * width) if width else 0.0
 
-    def _classes(self, side: int, w: np.ndarray):
+    def _classes(self, side: int, w: np.ndarray, out=(None, None)):
         """Per residue class of one side: the spectra of its weights w and of
-        its 0/1 indicator at their places, its off and its span."""
+        its 0/1 indicator at their places, its off, its span, its places and
+        its weights.  The spectra are written into out's two buffers where
+        given, else fresh arrays; a class of one prime has none, as its one
+        place is 0."""
         p, mod, coef, rev = self.sides[side]
+        # one pair of n_fft arrays for every class, zeroed again at its places
+        ln, ones = np.zeros(self.n_fft), np.zeros(self.n_fft)
         for pos in np.split(*self.classes[side]):
             q = p[pos]
             at = (q - q[0]) // mod
             if rev:
                 at = at[-1] - at
-            ln, ones = np.zeros(self.n_fft), np.zeros(self.n_fft)
-            ln[at], ones[at] = w[pos], 1.0
-            yield (np.fft.rfft(ln), np.fft.rfft(ones),
-                   coef * int(q[-1] if rev else q[0]), int(at.max()) + 1)
+            spectra = None, None
+            if len(pos) > 1:
+                ln[at], ones[at] = w[pos], 1.0
+                spectra = np.fft.rfft(ln, out=out[0]), np.fft.rfft(ones, out=out[1])
+                ln[at] = ones[at] = 0.0
+            yield (*spectra, coef * int(q[-1] if rev else q[0]), int(at.max()) + 1, at, w[pos])
 
     def scan(self, w, kern: SmoothingKernel | None = None, threads: int = 1):
         """The (sharp, count, mass, None) of `_Engine.scan` without collect,
@@ -618,19 +638,29 @@ class _Lattice:
                 th = theta_eval(kern, np.array([(f * s + n_eta) / den
                                                 for s in range(lo, hi + 1)]))
             n3p3 = self.n3 * self.p3
-            # one set of n_fft buffers for every class pair
-            prod = np.empty(self.n_fft // 2 + 1, complex)
+            # one set of n_fft buffers for every class pair, and one pair of
+            # spectra for every class of the side that is not held
+            prod, *spectra = (np.empty(self.n_fft // 2 + 1, complex) for _ in range(3))
             raw, cnt, err, wts = (np.empty(self.n_fft) for _ in range(4))
             held = list(self._classes(self.held, w[self.held]))
-            for a_ln, a_ones, a_off, a_span in self._classes(1 - self.held, w[1 - self.held]):
-                for b_ln, b_ones, b_off, b_span in held:
+            outer = self._classes(1 - self.held, w[1 - self.held], spectra)
+            for a_ln, a_ones, a_off, a_span, a_at, a_w in outer:
+                for b_ln, b_ones, b_off, b_span, b_at, b_w in held:
                     span = a_span + b_span - 1
-                    np.fft.irfft(np.multiply(a_ones, b_ones, out=prod), self.n_fft, out=raw)
-                    np.rint(raw[:span], out=cnt[:span])
-                    err_span = np.subtract(raw[:span], cnt[:span], out=err[:span])
-                    if float(np.abs(err_span, out=err_span).max()) > self.round_bound:
-                        raise NumericError("an FFT pair count strayed past its rounding bound")
-                    np.fft.irfft(np.multiply(a_ln, b_ln, out=prod), self.n_fft, out=wts)
+                    if a_ln is None or b_ln is None:
+                        # one class is one prime at place 0: the pair's row
+                        # is the other class at its own places, no FFT
+                        at, row = (b_at, a_w[0] * b_w) if a_ln is None else (a_at, a_w * b_w[0])
+                        cnt[:span] = wts[:span] = 0.0
+                        cnt[at], wts[at] = 1.0, row
+                    else:
+                        np.fft.irfft(np.multiply(a_ones, b_ones, out=prod), self.n_fft, out=raw)
+                        np.rint(raw[:span], out=cnt[:span])
+                        err_span = np.subtract(raw[:span], cnt[:span], out=err[:span])
+                        if float(np.abs(err_span, out=err_span).max()) > self.round_bound:
+                            raise NumericError(
+                                "an FFT pair count strayed past its rounding bound")
+                        np.fft.irfft(np.multiply(a_ln, b_ln, out=prod), self.n_fft, out=wts)
                     d0 = n3p3 + self.g * (a_off + b_off)
                     sig = lo + (d0 - lo) % q_mod      # each p₃'s least σ ≥ lo
                     k = sgn * ((sig - d0) // q_mod)

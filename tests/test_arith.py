@@ -257,6 +257,40 @@ def test_divisor_sum_matches_brute_on_every_window():
     assert divisor_sum(np.zeros(0, dtype=np.int64), 1, 10, chi=True).shape == (0,)
 
 
+def test_divisor_sum_at_a_highly_composite_n():
+    # 720720 = 2⁴·3²·5·7·11·13 has τ = 240 divisors, its odd part 45045 has
+    # 48, and 5·13·17·29·37 has 32, all ≡ 1 (mod 4): the int16 accumulator
+    # holds every window's sum, which is read back in int64
+    ns = np.array([720720, 45045, 5 * 13 * 17 * 29 * 37])
+    top = int(ns.max())
+    divs = [np.array([d for d in range(1, math.isqrt(n) + 1) if n % d == 0]) for n in ns]
+    divs = [np.union1d(ds, n // ds) for n, ds in zip(ns.tolist(), divs)]
+    for lo, hi in ((1, top + 1), (1, 100), (100, top + 1), (27, 1000), (848, 849)):
+        for c in (True, False):
+            want = [int((chi_vec(ds) if c else np.ones_like(ds))[(lo <= ds) & (ds < hi)].sum())
+                    for ds in divs]
+            got = divisor_sum(ns, lo, hi, chi=c)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, (lo, hi, c)
+    assert divisor_sum(ns, 1, top + 1, chi=False).tolist() == [240, 48, 32]
+    # 7 divides 720720 once, so r₂(720720) = 0; every divisor of the last n counts
+    assert divisor_sum(ns, 1, top + 1, chi=True).tolist() == [0, 0, 32]
+
+
+def test_divisor_sum_refuses_past_the_memory_budget(monkeypatch):
+    # the int16 accumulator is exact up to MEMORY_BUDGET; past it nothing is
+    # allocated.  For χ the slots run over the odd parts
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 1001)
+    monkeypatch.setattr(np, "zeros", None)
+    for c in (True, False):
+        with pytest.raises(ResourceError, match="int16"):
+            divisor_sum(np.array([5, 1003]), 1, 10, chi=c)
+    monkeypatch.undo()
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 1001)
+    assert divisor_sum(np.array([1001, 1000]), 1, 10, chi=False).tolist() == [2, 5]
+    assert divisor_sum(np.array([1001 * 2**40]), 1, 10, chi=True).tolist() == [0]
+
+
 def test_euler_phi(table4):
     for n in range(1, 300):
         direct = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)

@@ -635,11 +635,14 @@ def test_linnik_finder_scans_a_third_of_the_pairs(table4):
 # ------------------------------------------------------------ lattice engine
 
 def _exact_count(inst, table):
-    # |n₁p₁ + n₂p₂ + n₃p₃ + n_η| < n_ε over the whole cube, in integers
+    # |n₁p₁ + n₂p₂ + n₃p₃ + n_η| < n_ε over the whole cube, in integers: the
+    # sorted n₂p₂ + n₃p₃ of every pair, searched at each p₁'s open window
     _, n1, n2, n3, n_eta, n_eps = inst.lattice
     ps = table.primes[table.prime_slice(inst.lambda0 * inst.x, inst.x)].astype(np.int64)
-    r = (n1 * ps + n_eta)[:, None, None] + (n2 * ps)[None, :, None] + (n3 * ps)[None, None, :]
-    return int(np.count_nonzero(np.abs(r) < n_eps))
+    pair = np.sort(((n2 * ps)[:, None] + n3 * ps).ravel())
+    c = n1 * ps + n_eta
+    return int((pair.searchsorted(n_eps - c, "left")
+                - pair.searchsorted(-n_eps - c, "right")).sum())
 
 
 def _forced_engines():
@@ -756,6 +759,59 @@ def test_every_engine_counts_the_one_exact_instance(table4, monkeypatch):
         warnings.simplefilter("ignore")     # not in theorem mode
         found = find_triples(inst, table4, require_linnik=frozenset(), max_results=10**7)
     assert len(found) == want > 0
+
+
+@pytest.mark.parametrize("lam, x, lambda0", [
+    (("1.4", "-1", "-1.7"), 3000.0, 0.1),       # M = 35, odd
+    (("1.5", "-1", "-1.7"), 3000.0, 0.1),       # M = 6, even
+    (("1.4", "0.7", "-1.7"), 3000.0, 0.1),      # λ₂ > 0
+    (("1.4", "-1", "-1.7"), 1000.0, 0.0015),    # λ₀X = 1.5 < 2: p = 2 is in range
+    (("1.5", "-1", "-1.7"), 1000.0, 0.0015),
+    (("1.4", "0.7", "-1.7"), 1000.0, 0.0015),
+], ids=["m-odd", "m-even", "lambda2-positive", "m-odd-with-2", "m-even-with-2",
+        "lambda2-positive-with-2"])
+@pytest.mark.parametrize("eta", ["0.30007", "0", "-0.5"])
+def test_lattice_counts_equal_a_brute_force_in_integers(table4, lam, x, lambda0, eta):
+    # p₁ is classed mod 2|m₂| and p₂ mod 2|m₁|; η = 0 and −0.5 put triples on
+    # |r| = ε, where only an exact count is right
+    inst = Instance(*lam, eta, eps=2.0, x=x, lambda0=lambda0)
+    ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
+    lat = gamma_mod._Lattice(inst, ps)
+    w = gamma_mod._weights(inst, table4)
+    sharp, count, _, _ = lat.scan(w)
+    assert count == _exact_count(inst, table4) > 0
+    # Γ over the same integer window, per p₁; a pair with a one-prime class
+    # takes its weights without an FFT
+    _, n1, n2, n3, n_eta, n_eps = inst.lattice
+    p = ps[0].astype(np.int64)
+    rest, w23 = (n2 * p)[:, None] + n3 * p, w[1][:, None] * w[2]
+    want = math.fsum(float(w[0][i] * w23[np.abs(rest + (n1 * q + n_eta)) < n_eps].sum())
+                     for i, q in enumerate(p.tolist()))
+    assert sharp == pytest.approx(want, rel=1e-12)
+    # every class holds one parity, so p = 2 sits alone in its class on each side
+    for side, (p, mod, _, _) in enumerate(lat.sides):
+        classes = [p[pos] for pos in np.split(*lat.classes[side])]
+        assert all(len(set((q % 2).tolist())) == 1 for q in classes)
+        assert ([2] in [q.tolist() for q in classes]) == (ps[0][0] == 2)
+
+
+def test_dispatch_keeps_a_one_prime_class_instance_on_the_lattice(table4):
+    # λ₀X = 1.5 puts p = 2 in range, a one-prime class on each side, and
+    # η = 0 puts triples on |r| = ε, where the float scan counts 9,758
+    inst = Instance("1.4", "0.7", "-1.7", "0", eps=2.0, x=1e3, lambda0=0.0015)
+    assert type(gamma_mod._oriented_engine(inst, table4, lattice=True)) is gamma_mod._Lattice
+    assert gamma_sharp(inst, table4)[1] == _exact_count(inst, table4) == 9270
+
+
+def test_lattice_fft_length_at_the_bench_sizes(table6):
+    # the split-1e5 instance at seed 0, the dense X = 1e6 split (λ₀ = 0.1, η = 0.3),
+    # and M even at X = 1e5: odd primes fill every place of a class mod 2|m|
+    for lam, eta, x, want in ((("1.4", "-1", "-1.7"), "-0.3791", 1e5, 2**14),
+                              (("1.4", "-1", "-1.7"), "0.3", 1e6, 2**18),
+                              (("1.5", "-1", "-1.7"), "0.3", 1e5, 2**16)):
+        inst = Instance(*lam, eta, eps=2.0, x=x, lambda0=0.1)
+        lat = gamma_mod._Lattice(inst, gamma_mod._slot_primes(inst, table6, (None,) * 3))
+        assert lat.n_fft == want, (lam, x)
 
 
 def test_lattice_counts_the_boundary_instance_exactly():
