@@ -40,7 +40,15 @@ see the same floats.  The live pairs, row after row, are cut into chunks of
 a fixed count, independent of the thread count; their sharp partial sums
 are combined in chunk order with exact compensated summation, and their
 masses are added into W in chunk order, so results are bit-identical for
-any thread count.
+any thread count.  The chunks go to a pool of threads, capped at the CPUs
+the process may run on, only where each worker gets at least 16 of them
+(2¹⁸ live pairs); a smaller sweep, such as the finder's at X = 1e6, runs on
+the calling thread, where a pool costs more than it saves.  The finder's
+chunks return their non-empty windows, whose hits are expanded once after
+the sweep, and its running hit total is checked in chunk order, so a
+budget error reads the same for any thread count.  The orientation the
+picker chooses hands the engine its keys and live runs, so each is formed
+once per scan.
 
 The Γ family has a second path, the lattice (`_Lattice`), for instances
 whose λᵢ are small rationals, such as typed decimals.  Over the common
@@ -62,10 +70,10 @@ its estimated time is below the scan's for the live pairs that
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -84,6 +92,12 @@ HITS_BUDGET = 2**26        # max materialized in-window triples per call
 # 2¹⁵ about 450k (fresh pages for every temporary, 1.5× the time), and 2¹³
 # is slower by its per-chunk overhead
 _CHUNK = 2**14
+# chunks per worker below which no pool starts.  On 2 vCPUs, with a pool at
+# every size, two threads lost to one on the finder at X = 1e6 (27 chunks,
+# 38.1 against 33.5 ms) and on a named sharp Γ at X = 1e4 (22 chunks, 17.9
+# against 16.9 ms), and won on that Γ at X = 3e4 (154 chunks, 78.2 against
+# 115.1 ms); medians of fresh processes, BENCH_35.json
+_POOL_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -189,21 +203,6 @@ def _slot_primes(inst: Instance, table: PrimeTable, masks) -> list[np.ndarray]:
     return [base if m is None else base[m] for m in masks]
 
 
-def _scan_keys(inst: Instance, p1, p2, p3):
-    """λ₁p₁, −(λ₁p₁ + η), λ₂p₂ and λ₃p₃ as the scan forms them, and mag.
-
-    Every float the scan forms lies within mag of 0.
-    """
-    lambda1, lambda2, lambda3, eta = inst.floats
-    l1p1 = lambda1 * p1.astype(np.float64)
-    na = -(l1p1 + eta)
-    l2p2 = lambda2 * p2.astype(np.float64)
-    z = lambda3 * p3.astype(np.float64)
-    mag = (float(np.max(np.abs(na), initial=0.0)) + float(np.max(np.abs(l2p2), initial=0.0))
-           + inst.eps + float(np.max(np.abs(z), initial=0.0)))
-    return l1p1, na, l2p2, z, mag
-
-
 def _run_ends(inst: Instance, na, l2p2, z_lo: float, z_hi: float, mag: float):
     """Ends [a, b) of the live run of p₂ columns of every p₁ row.
 
@@ -220,8 +219,26 @@ def _run_ends(inst: Instance, na, l2p2, z_lo: float, z_hi: float, mag: float):
     t_lo = sgn * (na - z_hi - eps - delta)
     t_hi = sgn * (na - z_lo + eps + delta)
     key = sgn * l2p2                           # ascending in p₂
-    return (key.searchsorted(np.minimum(t_lo, t_hi), side="left"),
-            key.searchsorted(np.maximum(t_lo, t_hi), side="right"))
+    return (_search_monotone(key, np.minimum(t_lo, t_hi), "left"),
+            _search_monotone(key, np.maximum(t_lo, t_hi), "right"))
+
+
+def _search_monotone(key, t, side: str):
+    """key.searchsorted(t, side) for thresholds t monotone in either direction.
+
+    numpy narrows each search to [previous result, len(key)) on ascending
+    needles and to [0, previous result] on descending ones.  The run ends'
+    thresholds follow p₁, so t is searched in the order that keeps those
+    ranges short: ascending where its middle result lies in the upper half
+    of key.  On the finder at X = 1e6, whose results lie near 0, the two
+    sorted slots' searches take a quarter of the time in p₁ order.
+    """
+    if len(t) < 2:
+        return key.searchsorted(t, side=side)
+    upper = 2 * int(key.searchsorted(t[len(t) // 2], side=side)) >= len(key)
+    if upper == (t[0] <= t[-1]):
+        return key.searchsorted(t, side=side)
+    return key.searchsorted(t[::-1], side=side)[::-1]
 
 
 def _sorting(s: int) -> tuple[int, int, int]:
@@ -231,38 +248,71 @@ def _sorting(s: int) -> tuple[int, int, int]:
     return tuple(perm)
 
 
-def _pick_slot(inst: Instance, ps) -> tuple[int, int]:
-    """The caller's slot (0-based) to sort, the one with the fewest live
-    pairs, and that scan's live pair count.
+@dataclass(frozen=True, eq=False)
+class _Orientation:
+    """The pair scan that sorts the caller's slot perm[2]: what `_pick_slot`
+    forms to count its live pairs, and what `_Engine` then scans.
+
+    inst is the caller's instance with its slot k taken from the caller's
+    slot perm[k]; ps, and the keys λ₁p₁, na = −(λ₁p₁ + η), λ₂p₂ and
+    z = λ₃p₃, are in those slots.  ends are the live runs' (a, b) of
+    `_run_ends`, and live is the number of pairs they hold.
+    """
+
+    inst: Instance
+    perm: tuple[int, int, int]
+    ps: tuple[np.ndarray, np.ndarray, np.ndarray]
+    l1p1: np.ndarray
+    na: np.ndarray
+    l2p2: np.ndarray
+    z: np.ndarray
+    ends: tuple[np.ndarray, np.ndarray]
+    live: int
+
+
+def _pick_slot(inst: Instance, ps, slots=(2, 1, 0)) -> _Orientation:
+    """The orientation, among those sorting the caller's slots (0-based),
+    with the fewest live pairs; ties go to the first of slots.
 
     The three primes play alike in |λ₁p₁ + λ₂p₂ + λ₃p₃ + η| < ε, so any
     slot s may be the sorted one: exchanging λₛ with λ₃ (and the masks
-    with them) gives an instance with the same triples.  For each s the
-    live count is that of `_run_ends` over the other two slots' keys ps;
-    the least wins, ties going to p₃, then p₂.  The choice reads only the
-    instance and the masked primes, never the thread count.  Where 4·mag
+    with them) gives an instance with the same triples.  The three λᵢpᵢ
+    columns are formed once; each orientation counts its live pairs with
+    `_run_ends` over the other two slots' keys, and only the best so far is
+    kept.  The choice reads only the instance and the masked primes ps,
+    never the thread count.  Every float an orientation's scan forms lies
+    within mag = max|na| + max|λ₂p₂| + ε + max|z| of 0; where 4·mag
     overflows for any s, no rounding margin is provable: DomainError.
     """
-    live = {}
-    for s in (2, 1, 0):
+    *lams, eta = inst.floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        lps = [lam * p.astype(np.float64) for lam, p in zip(lams, ps)]
+        tops = [float(np.max(np.abs(v), initial=0.0)) for v in lps]
+    best = None
+    for s in slots:
         perm = _sorting(s)
         swapped = _permuted(inst, perm)
+        l1p1, l2p2, z = (lps[i] for i in perm)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, na, l2p2, z, mag = _scan_keys(swapped, *(ps[i] for i in perm))
+            na = -(l1p1 + eta)
+            mag = (float(np.max(np.abs(na), initial=0.0)) + tops[perm[1]] + inst.eps
+                   + tops[perm[2]])
         if not math.isfinite(4.0 * mag):
             raise DomainError(
                 f"the pair scan's floats reach {mag:.3e}, too near the float "
                 "range to bound their rounding")
         a, b = _run_ends(swapped, na, l2p2, float(z.min()), float(z.max()), mag)
-        live[s] = int((b - a).sum())
-    slot = min((2, 1, 0), key=live.__getitem__)
-    return slot, live[slot]
+        live = int((b - a).sum())
+        if best is None or live < best.live:
+            best = _Orientation(swapped, perm, tuple(ps[i] for i in perm),
+                                l1p1, na, l2p2, z, (a, b), live)
+    return best
 
 
 def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None),
                      work_budget: int = WORK_BUDGET, lattice: bool = False):
-    """The engine that sorts the slot `_pick_slot` names, or with lattice the
-    `_Lattice` where its cost is below that scan's.
+    """The `_Engine` of the orientation `_pick_slot` picks, or with lattice
+    the `_Lattice` where its cost is below that scan's.
 
     The engine's slot k holds the caller's slot perm[k]; its scan takes
     weights and returns hits in the caller's slots.  The pair budget is
@@ -270,13 +320,12 @@ def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None)
     """
     ps = _slot_primes(inst, table, masks)
     _check_pair_budget(len(ps[0]), len(ps[1]), work_budget)
-    slot, live = _pick_slot(inst, ps)
+    orient = _pick_slot(inst, ps)
     if lattice:
         lat = _Lattice(inst, ps)
-        if lat.cost < _NS_PER_LIVE_PAIR * live:
+        if lat.cost < _NS_PER_LIVE_PAIR * orient.live:
             return lat
-    perm = _sorting(slot)
-    return _Engine(_permuted(inst, perm), table, *(masks[i] for i in perm), perm=perm)
+    return _Engine(orient)
 
 
 def _permuted(inst: Instance, perm) -> Instance:
@@ -293,10 +342,23 @@ def _check_pair_budget(n1: int, n2: int, work_budget: int):
         )
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunks(fn, spans: list[tuple[int, int]], threads: int):
-    """fn(k0, k1) for every span, yielded in span order, on up to threads workers."""
-    workers = max(1, min(threads, len(spans), os.cpu_count() or 1))
-    if workers == 1:
+    """fn(k0, k1) for every span, yielded in span order.
+
+    A pool of up to threads workers, capped at the usable CPUs, starts only
+    where each worker gets at least _POOL_CHUNKS spans; a smaller sweep runs
+    on the calling thread.  Chunks are cut alike either way, so the thread
+    count moves no result.
+    """
+    workers = min(threads, len(spans) // _POOL_CHUNKS, _cpus())
+    if workers <= 1:
         yield from (fn(k0, k1) for k0, k1 in spans)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -306,19 +368,19 @@ def _run_chunks(fn, spans: list[tuple[int, int]], threads: int):
 class _Engine:
     """Shared state for one pair scan: λ₃p₃ sorted, and the order that sorts it.
 
-    inst may be a caller's instance with two slots exchanged; perm[k] names
-    the caller's slot that the engine's slot k holds (see _oriented_engine).
+    Built from the `_Orientation` that `_pick_slot` returns: its inst may be
+    a caller's instance with two slots exchanged, and perm[k] names the
+    caller's slot that the engine's slot k holds.
     """
 
-    def __init__(self, inst: Instance, table: PrimeTable,
-                 p1_mask=None, p2_mask=None, p3_mask=None, *, perm=(0, 1, 2)):
-        self.inst = inst
-        self.perm = perm       # the caller's slot of each of p1, p2, p3
-        self.p1, self.p2, self.p3 = _slot_primes(inst, table, (p1_mask, p2_mask, p3_mask))
-        self.l1p1, self.na, self.l2p2, z, self.mag = _scan_keys(
-            inst, self.p1, self.p2, self.p3)
-        order = np.argsort(z, kind="stable")
-        self.zs = z[order]
+    def __init__(self, orient: _Orientation):
+        inst = self.inst = orient.inst
+        self.perm = orient.perm       # the caller's slot of each of p1, p2, p3
+        self.p1, self.p2, self.p3 = orient.ps
+        self.l1p1, self.na, self.l2p2 = orient.l1p1, orient.na, orient.l2p2
+        self.ends = orient.ends
+        order = np.argsort(orient.z, kind="stable")
+        self.zs = orient.z[order]
         self.order = order
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
@@ -347,17 +409,19 @@ class _Engine:
         if not math.isfinite(self.binv):     # a span of subnormal width
             return
         self.top = nb + 1
-        per = np.bincount(self._bucket(zs), minlength=self.top + 1)
-        self.depth = int(per.max())
-        self.tab = np.zeros(self.top + 1, np.intp)
-        np.cumsum(per[:-1], out=self.tab[1:])
+        # each bucket's count one place up, so that summed in place it
+        # counts the zs below each bucket
+        tab = np.bincount(self._bucket(zs) + 1, minlength=self.top + 1)
+        self.depth = int(tab.max())
+        self.tab = np.cumsum(tab, out=tab)
         # NaN compares false on both sides, so a key of +inf stops at P₃
         self.zpad = np.append(zs, np.nan)
 
     def _bucket(self, v):
         with np.errstate(over="ignore"):    # +inf clips to the top bucket
-            t = (v - self.zs[0]) * self.binv
-        return np.clip(t, 0.0, self.top).astype(np.intp)
+            t = np.subtract(v, self.zs[0])
+            t *= self.binv
+        return np.clip(t, 0.0, self.top, out=t).astype(np.intp)
 
     def _search(self, key, side):
         """zs.searchsorted(key, side), through the bucket table.
@@ -367,10 +431,12 @@ class _Engine:
         """
         if self.tab is None:
             return self.zs.searchsorted(key, side=side)
-        idx = self.tab[self._bucket(key)]
+        idx = self.tab.take(self._bucket(key))
         cmp = np.less if side == "left" else np.less_equal
+        at, step = np.empty(len(key)), np.empty(len(key), bool)
         for _ in range(self.depth):
-            idx += cmp(self.zpad[idx], key)
+            # in range, so "clip" only skips the buffered copy of "raise"
+            idx += cmp(self.zpad.take(idx, out=at, mode="clip"), key, out=step)
         return idx
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +445,7 @@ class _Engine:
         Row i's run holds the cum[i+1] − cum[i] columns off[i] + k for
         cum[i] ≤ k < cum[i+1]; k numbers the live pairs row after row.
         """
-        a, b = _run_ends(self.inst, self.na, self.l2p2, self.zs[0], self.zs[-1], self.mag)
+        a, b = self.ends
         cum = np.zeros(len(a) + 1, np.int64)
         np.cumsum(b - a, out=cum[1:])
         return a - cum[:-1], cum
@@ -398,13 +464,28 @@ class _Engine:
         r0 = int(cum.searchsorted(k0, side="right")) - 1
         r1 = int(cum.searchsorted(k1, side="left"))
         rows = np.repeat(np.arange(r0, r1), np.diff(np.clip(cum[r0:r1 + 1], k0, k1)))
-        cols = off[rows] + np.arange(k0, k1)
-        nc = self.na[rows] - self.l2p2[cols]
+        cols = off.take(rows)
+        cols += np.arange(k0, k1)
+        nc = self.na.take(rows)
+        nc -= self.l2p2.take(cols)
         lo_edge, hi_edge = nc - eps, nc + eps
         if self.clamp:
-            lo_edge = np.minimum(lo_edge, np.nextafter(nc, -np.inf))
-            hi_edge = np.maximum(hi_edge, np.nextafter(nc, np.inf))
+            np.minimum(lo_edge, np.nextafter(nc, -np.inf), out=lo_edge)
+            np.maximum(hi_edge, np.nextafter(nc, np.inf), out=hi_edge)
         return rows, cols, self._search(lo_edge, "right"), self._search(hi_edge, "left")
+
+    def _expand(self, i1, i2, lo, reps):
+        """The hits of the windows (row i1, column i2, first zs index lo,
+        reps entries): each hit's index into the engine's three slot columns,
+        and its residual fl(λ₃p₃) − (fl(−(fl(λ₁p₁) + η)) − fl(λ₂p₂)) in the
+        caller's slots, the same floats whichever slot is sorted."""
+        starts = np.cumsum(reps) - reps
+        inner = np.repeat(lo - starts, reps) + np.arange(int(reps.sum()))
+        idx = (np.repeat(i1, reps), np.repeat(i2, reps), self.order[inner])
+        v = [None] * 3
+        v[self.perm[0]], v[self.perm[1]] = self.l1p1[idx[0]], self.l2p2[idx[1]]
+        v[self.perm[2]] = self.zs[inner]
+        return idx, v[2] - (-(v[0] + self.inst.floats[3]) - v[1])
 
     def scan(self, w, kern: SmoothingKernel | None = None, threads: int = 1,
              collect: bool = False):
@@ -418,17 +499,17 @@ class _Engine:
         over the in-window triples whose p₃ is the caller's j-th, each
         chunk's hits added into it in chunk order (None without kern);
         hits, with collect=True, are the flat arrays (p1, p2, p3, residual)
-        in the engine's (p₁, p₂) order.  A hit's residual is
-        fl(λ₃p₃) − (fl(−(fl(λ₁p₁) + η)) − fl(λ₂p₂)) in the caller's slots,
-        the same floats whichever slot is sorted.  Hits are enumerated only
-        for kern or collect, and only then count against HITS_BUDGET: each
-        chunk's, and with collect the running total of those kept.
+        in the engine's (p₁, p₂) order, the residuals those of `_expand`.
+        With collect each chunk returns its non-empty windows only, and
+        their hits are expanded once, after the sweep.  Hits are enumerated
+        only for kern or collect, and only then count against HITS_BUDGET:
+        each chunk's, and with collect the running total, taken in chunk
+        order.
         """
-        perm, eta = self.perm, self.inst.floats[3]
+        perm = self.perm
         k3 = perm.index(2)          # the engine's slot of the caller's p₃
         enumerate_hits = kern is not None or collect
         off, cum = self.runs()
-        lock, kept = threading.Lock(), [0]
         if w[2] is not None:
             w1, w2, w3 = (w[i] for i in perm)
             pref = np.zeros(len(self.zs) + 1)
@@ -439,7 +520,7 @@ class _Engine:
             val = None
             if w[2] is not None:
                 val = float(np.sum(w1[rows] * w2[i2] * (pref[hi] - pref[lo])))
-            cnt = hi - lo
+            cnt = np.subtract(hi, lo, out=hi)
             tot = int(cnt.sum())
             if not enumerate_hits or tot == 0:
                 return val, tot, None, None
@@ -447,61 +528,42 @@ class _Engine:
                 raise ResourceError(
                     f"{tot:.2e} window hits in one chunk exceeds the hits budget"
                 )
-            if collect:
-                with lock:
-                    kept[0] += tot
-                    held = kept[0]
-                if held > HITS_BUDGET:
-                    raise ResourceError(
-                        f"{held:.2e} collected window hits exceed the hits budget"
-                    )
             nz = np.flatnonzero(cnt)
-            reps = cnt[nz]
-            starts = np.cumsum(reps) - reps
-            inner = np.repeat(lo[nz] - starts, reps) + np.arange(tot)
-            i1, i2 = rows[nz], i2[nz]
-            j = self.order[inner]           # each hit's index into the slot-2 columns
-
-            def take(k, col):
-                """col, a column of the engine's slot k, at each hit."""
-                return col[j] if k == 2 else np.repeat(col[(i1, i2)[k]], reps)
-
-            v = [None] * 3
-            v[perm[0]], v[perm[1]] = take(0, self.l1p1), take(1, self.l2p2)
-            v[perm[2]] = self.zs[inner]
-            res = v[2] - (-(v[0] + eta) - v[1])
+            win = rows[nz], i2[nz], lo[nz], cnt[nz]
             part = None
             if kern is not None:
-                a, b = (take(k, w[perm[k]]) for k in range(3) if k != k3)
-                part = (j if k3 == 2 else np.repeat((i1, i2)[k3], reps),
-                        theta_eval(kern, res) * a * b)
-            hits = None
-            if collect:
-                ps = [None] * 3
-                for k, p in enumerate((self.p1, self.p2, self.p3)):
-                    ps[perm[k]] = take(k, p)
-                hits = (*ps, res)
-            return val, tot, part, hits
+                idx, res = self._expand(*win)
+                a, b = (w[perm[k]][idx[k]] for k in range(3) if k != k3)
+                part = idx[k3], theta_eval(kern, res) * a * b
+            return val, tot, part, win if collect else None
 
         n_live = int(cum[-1])
         spans = [(k, min(k + _CHUNK, n_live)) for k in range(0, n_live, _CHUNK)]
         vals, count, found = [], 0, []
         mass = None if kern is None else np.zeros(len((self.p1, self.p2, self.p3)[k3]))
-        for val, tot, part, hits in _run_chunks(do, spans, threads):
-            vals.append(val)
-            count += tot
-            if part is not None:
-                np.add.at(mass, *part)
-            if hits is not None:
-                found.append(hits)
+        # closed on a raise, so a pool cancels its pending chunks at once
+        with contextlib.closing(_run_chunks(do, spans, threads)) as chunks:
+            for val, tot, part, win in chunks:
+                vals.append(val)
+                count += tot
+                if part is not None:
+                    np.add.at(mass, *part)
+                if win is not None:
+                    if count > HITS_BUDGET:
+                        raise ResourceError(
+                            f"{count:.2e} collected window hits exceed the hits budget"
+                        )
+                    found.append(win)
         sharp = math.fsum(vals) if w[2] is not None else None
         if not collect:
             return sharp, count, mass, None
-        if found:
-            merged = tuple(np.concatenate([h[i] for h in found]) for i in range(4))
-        else:
-            merged = (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
-        return sharp, count, mass, merged
+        if not found:
+            return sharp, count, mass, (np.zeros(0, np.int64),) * 3 + (np.zeros(0),)
+        idx, res = self._expand(*(np.concatenate(c) for c in zip(*found)))
+        ps = [None] * 3
+        for k, p in enumerate((self.p1, self.p2, self.p3)):
+            ps[perm[k]] = p[idx[k]]
+        return sharp, count, mass, (*ps, res)
 
 
 # ------------------------------------------------------------ lattice engine

@@ -315,6 +315,12 @@ def _box_scan(eng, weights):
     return val, int((hi - lo).sum()), hits, hi > lo, (lo_edge, hi_edge)
 
 
+def _engine_sorting(inst, table, s=2, masks=(None, None, None)):
+    # the scan engine that sorts the caller's slot s (0-based)
+    ps = gamma_mod._slot_primes(inst, table, masks)
+    return gamma_mod._Engine(gamma_mod._pick_slot(inst, ps, (s,)))
+
+
 def _run_pairs(eng):
     # every (row, column) of the live runs, row after row
     off, cum = eng.runs()
@@ -347,13 +353,13 @@ def test_live_strip_matches_full_box(table4):
     trimmed = 0
     for inst, kind in cases:
         base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
-        masks = {}
+        masks = (None, None, None)
         if kind == "linnik":
             lin = _r2(base, table4) > 0
-            masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
+            masks = (lin, lin, lin)
         elif kind == "one-p2":
-            masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
-        eng = gamma_mod._Engine(inst, table4, **masks)
+            masks = (None, np.arange(len(base)) == len(base) // 2, None)
+        eng = _engine_sorting(inst, table4, masks=masks)
         weights = (np.log(eng.p1.astype(np.float64)), np.log(eng.p2.astype(np.float64)),
                    _r2(eng.p3, table4) * np.log(eng.p3.astype(np.float64)))
         want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
@@ -403,6 +409,8 @@ def test_split_bounds_each_chunk_once(table4, monkeypatch):
 
 
 def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
+    # a pool starts only where each worker gets _POOL_CHUNKS chunks, and never
+    # with more workers than the CPUs the process may run on
     asked = []
 
     class Pool:
@@ -419,17 +427,41 @@ def test_threads_capped_by_chunks_and_cpus(table4, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    def cpus(affinity, count):
+        # the CPU sources: the affinity set where the platform has one
+        if affinity is None:
+            monkeypatch.delattr(gamma_mod.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(gamma_mod.os, "sched_getaffinity",
+                                lambda pid: set(range(affinity)), raising=False)
+        monkeypatch.setattr(gamma_mod.os, "cpu_count", lambda: count)
+
+    assert gamma_mod._POOL_CHUNKS == 16
     inst = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=2.0, x=1e4, lambda0=0.1)
     _, cum = gamma_mod._oriented_engine(inst, table4).runs()
-    chunks = -(-int(cum[-1]) // gamma_mod._CHUNK)
-    assert 4 <= chunks < 64
+    live = int(cum[-1])
     want = gamma_sharp(inst, table4)
     monkeypatch.setattr(gamma_mod, "ThreadPoolExecutor", Pool)
-    for threads, cpus, workers in ((10**6, 64, chunks), (10**6, 3, 3), (2, 64, 2),
-                                   (10**6, None, None)):
-        monkeypatch.setattr(gamma_mod.os, "cpu_count", lambda: cpus)
+    for chunk, chunks, threads, (affinity, count), workers in (
+            # 22 chunks at the default 2¹⁴: too few for two workers
+            (gamma_mod._CHUNK, 22, 10**6, (64, 64), None),
+            # 31 chunks, one short of two workers' 32
+            (-(-live // 31), 31, 10**6, (64, 64), None),
+            (-(-live // 32), 32, 10**6, (64, 64), 2),
+            (2**10, 348, 10**6, (64, 64), 348 // 16),
+            (2**10, 348, 10**6, (3, 64), 3),
+            (2**10, 348, 2, (64, 64), 2),
+            # one CPU in the affinity set of a two-CPU machine
+            (2**10, 348, 10**6, (1, 2), None),
+            # no affinity set: the CPU count, if known
+            (2**10, 348, 10**6, (None, 3), 3),
+            (2**10, 348, 10**6, (None, None), None)):
+        monkeypatch.setattr(gamma_mod, "_CHUNK", chunk)
+        assert -(-live // chunk) == chunks
+        cpus(affinity, count)
         asked.clear()
-        assert gamma_sharp(inst, table4, threads=threads) == want
+        got = gamma_sharp(inst, table4, threads=threads)
+        assert got[1] == want[1] and abs(got[0] - want[0]) <= 1e-12 * want[0]
         assert asked == ([] if workers is None else [workers])
 
 
@@ -458,6 +490,80 @@ def test_results_independent_of_threads_and_chunking(table4, monkeypatch):
     assert wits7 == wits and len(wits) == sharp[1]
     assert abs(sharp7[0] - sharp[0]) <= 1e-12 * sharp[0]
     assert abs(split7.gamma0 - split.gamma0) <= 1e-12 * split.gamma0
+
+
+def test_results_identical_on_both_sides_of_the_pool_threshold(table4, monkeypatch):
+    # a named-constant instance, scanned with and without a Linnik mask, in
+    # chunks too few for a pool and in chunks enough for eight workers: every
+    # result is bit-identical for 1, 2 and 8 threads
+    sqrt2, sqrt3 = (certified_named(n).value for n in ("sqrt2", "sqrt3"))
+    inst = Instance(sqrt2, -1, -sqrt3, "0.1", eps=0.5, x=2000.0, lambda0=0.3,
+                    ratio_irrational=True)
+    kern = kernel_new(inst.eps, 4)
+    lin = linnik_rows(table4, inst.lambda0 * inst.x, inst.x)[0] > 0
+    linniks = {frozenset(): (None,) * 3, frozenset({3}): (None, None, lin)}
+    assert type(gamma_mod._oriented_engine(inst, table4, lattice=True)) is gamma_mod._Engine
+    lives = [int(gamma_mod._oriented_engine(inst, table4, m).runs()[1][-1])
+             for m in linniks.values()]
+    monkeypatch.setattr(gamma_mod.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+
+    def results(threads):
+        rows = [find_triples(inst, table4, require_linnik=lk, max_results=10**6,
+                             threads=threads) for lk in linniks]
+        hits = [[h.tolist() for h in gamma_mod._oriented_engine(inst, table4, m).scan(
+            (None,) * 3, threads=threads, collect=True)[3]] for m in linniks.values()]
+        return (rows, hits, gamma_sharp(inst, table4, threads),
+                gamma_smoothed(inst, kern, table4, threads),
+                gamma_split(inst, kern, table4, 7.0, threads))
+
+    real_pool, workers = gamma_mod.ThreadPoolExecutor, set()
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("a sweep below the pool threshold started a pool")
+
+    # at most 20 chunks per sweep: under 2·_POOL_CHUNKS, so no pool starts
+    monkeypatch.setattr(gamma_mod, "_CHUNK", -(-max(lives) // 20))
+    assert max(-(-n // gamma_mod._CHUNK) for n in lives) < 2 * gamma_mod._POOL_CHUNKS
+    monkeypatch.setattr(gamma_mod, "ThreadPoolExecutor", NoPool)
+    small = [results(t) for t in (1, 2, 8)]
+    assert small[1] == small[0] and small[2] == small[0]
+    rows, hits, sharp, smoothed, split = small[0]
+    assert all(rows) and all(h[0] for h in hits) and sharp[1] == split.triple_count > 0
+
+    # at least 130 chunks per sweep: pools of 2 and of 8 workers
+    def pool(max_workers):
+        workers.add(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(gamma_mod, "_CHUNK", min(lives) // 130)
+    assert min(-(-n // gamma_mod._CHUNK) for n in lives) >= 8 * gamma_mod._POOL_CHUNKS
+    monkeypatch.setattr(gamma_mod, "ThreadPoolExecutor", pool)
+    large = [results(t) for t in (1, 2, 8)]
+    assert workers == {2, 8}
+    assert large[1] == large[0] and large[2] == large[0]
+    # the chunking regroups sums only: rows, hits and counts stay put
+    assert large[0][:2] == small[0][:2] and large[0][2][1] == sharp[1]
+
+
+def test_one_orientation_pass_per_scan(table4, monkeypatch):
+    # the picker forms each orientation's keys and live runs once and hands
+    # the winner to the engine: per scan, one slot-prime pass and three
+    # live-run searches, one per orientation
+    calls = dict.fromkeys(("_run_ends", "_slot_primes"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(gamma_mod, name), name=name, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(gamma_mod, name, counted)
+    sqrt2 = certified_named("sqrt2").value
+    inst = Instance(sqrt2, -1, "-1.7", 0, eps=0.05, x=1e4, lambda0=0.5, ratio_irrational=True)
+    assert type(gamma_mod._oriented_engine(inst, table4, lattice=True)) is gamma_mod._Engine
+    for run in (lambda: find_triples(inst, table4), lambda: gamma_sharp(inst, table4)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run()
+        assert calls == {"_run_ends": 3, "_slot_primes": 1}
 
 
 def test_sharp_keeps_exact_hits_below_float_resolution(table4):
@@ -504,13 +610,13 @@ def test_bucket_lookup_matches_searchsorted(table4):
     ]
     for inst, kind in cases:
         base = table4.primes[table4.prime_slice(inst.lambda0 * inst.x, inst.x)]
-        masks = {}
+        masks = (None, None, None)
         if kind == "linnik":
             lin = _r2(base, table4) > 0
-            masks = dict(p1_mask=lin, p2_mask=lin, p3_mask=lin)
+            masks = (lin, lin, lin)
         elif kind == "one-p2":
-            masks = dict(p2_mask=np.arange(len(base)) == len(base) // 2)
-        eng = gamma_mod._Engine(inst, table4, **masks)
+            masks = (None, np.arange(len(base)) == len(base) // 2, None)
+        eng = _engine_sorting(inst, table4, masks=masks)
         zs = eng.zs
         edges = zs[0] + np.arange(eng.top + 2) / eng.binv
         keys = np.concatenate([
@@ -555,10 +661,7 @@ def test_clamped_edges_count_only_window_triples(table4):
 
 def _live_when_sorting(inst, table, s, masks=(None, None, None)):
     # live pairs of the scan that sorts the caller's slot s (0-based)
-    perm = gamma_mod._sorting(s)
-    eng = gamma_mod._Engine(gamma_mod._permuted(inst, perm), table,
-                            *(masks[i] for i in perm), perm=perm)
-    return int(eng.runs()[1][-1])
+    return int(_engine_sorting(inst, table, s, masks).runs()[1][-1])
 
 
 @pytest.mark.parametrize("lam, eta, eps, linnik", [
@@ -580,9 +683,10 @@ def test_every_sorted_slot_gives_the_same_results(table4, monkeypatch, lam, eta,
     lin = _r2(base, table4) > 0
     masks = tuple(lin if i in linnik else None for i in (1, 2, 3))
     runs = {}
+    pick = gamma_mod._pick_slot
     for s in (2, 1, 0):
-        # a live count of 0 also keeps every Γ call on the pair scan
-        monkeypatch.setattr(gamma_mod, "_pick_slot", lambda inst, ps, s=s: (s, 0))
+        # float λ keep every Γ call on the pair scan
+        monkeypatch.setattr(gamma_mod, "_pick_slot", lambda inst, ps, s=s: pick(inst, ps, (s,)))
         rows = [(w.p1, w.p2, w.p3, w.x, w.y, w.residual)
                 for w in find_triples(inst, table4, require_linnik=linnik,
                                       max_results=10**6)]
@@ -616,8 +720,9 @@ def test_picker_sorts_the_slot_with_fewest_live_pairs(table4):
         ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)
         live = {s: _live_when_sorting(inst, table4, s) for s in (2, 1, 0)}
         want = min(live.values())
-        assert gamma_mod._pick_slot(inst, ps) == (next(s for s in (2, 1, 0) if live[s] == want),
-                                                  want)
+        picked = gamma_mod._pick_slot(inst, ps)
+        assert (picked.perm[2], picked.live) == (next(s for s in (2, 1, 0) if live[s] == want),
+                                                 want)
         ties |= {tuple(s for s in (2, 1, 0) if live[s] == want)}
     assert {(2, 1), (1, 0)} <= ties
 
@@ -652,8 +757,7 @@ def _forced_engines():
 
     def sorting(s):
         def engine(inst, table, *args, **kw):
-            perm = gamma_mod._sorting(s)
-            return gamma_mod._Engine(gamma_mod._permuted(inst, perm), table, perm=perm)
+            return _engine_sorting(inst, table, s)
         return engine
 
     return {"lattice": lattice, **{s: sorting(s) for s in (2, 1, 0)}}
@@ -716,7 +820,7 @@ def test_mass_is_the_pair_mass_of_every_p3(table4, monkeypatch, lam, eta, eps, g
     kern = kernel_new(inst.eps, 4)
     w = gamma_mod._weights(inst, table4)
     ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)[0]
-    _, _, hits, _, _ = _box_scan(gamma_mod._Engine(inst, table4), w)
+    _, _, hits, _, _ = _box_scan(_engine_sorting(inst, table4), w)
     p1, p2, p3, res = (np.array(h) for h in hits)
     den, n1, n2, n3, n_eta, _ = inst.lattice
     exact = np.array([(n1 * int(a) + n2 * int(b) + n3 * int(c) + n_eta) / den
@@ -1154,21 +1258,32 @@ def test_finder_caps_total_hits(table4, monkeypatch):
     for threads in (1, 2):
         with pytest.raises(ResourceError, match="hits budget"):
             find_triples(inst, table4, require_linnik=frozenset(), threads=threads)
-    # more workers than cores, switching threads often: a lost update of the
-    # running total would let the last hit through
+    # eight workers on 202 chunks, switching threads often: the running total
+    # is checked in chunk order as the chunks are consumed, so no lost update
+    # lets the last hit through, and at half the hits the error names the
+    # same count for any thread count
     small = Instance(SQ2, -1.0, -SQ3, eta=0.1, eps=0.5, x=1000.0, lambda0=0.3,
                      ratio_irrational=True)
-    monkeypatch.setattr(gamma_mod, "_CHUNK", 64)
-    monkeypatch.setattr(gamma_mod.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(gamma_mod, "HITS_BUDGET", gamma_sharp(small, table4)[1] - 1)
+    monkeypatch.setattr(gamma_mod, "_CHUNK", 8)
+    monkeypatch.setattr(gamma_mod.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    _, cum = gamma_mod._oriented_engine(small, table4).runs()
+    assert -(-int(cum[-1]) // 8) // gamma_mod._POOL_CHUNKS >= 8
+    total = gamma_sharp(small, table4)[1]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            with pytest.raises(ResourceError, match="hits budget"):
-                find_triples(small, table4, require_linnik=frozenset(), threads=8)
+        for budget in (total - 1, total // 2):
+            monkeypatch.setattr(gamma_mod, "HITS_BUDGET", budget)
+            texts = []
+            for threads in (1, 8, 8, 8, 8, 8, 8, 8, 8):
+                with pytest.raises(ResourceError, match="hits budget") as err:
+                    find_triples(small, table4, require_linnik=frozenset(), threads=threads)
+                texts.append(str(err.value))
+            assert texts == [texts[0]] * 9, budget
     finally:
         sys.setswitchinterval(interval)
+    assert texts[0] == "1.36e+02 collected window hits exceed the hits budget"
 
 
 def test_sharp_enumerates_no_hits(table4):
