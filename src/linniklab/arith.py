@@ -3,9 +3,8 @@
 A segmented byte sieve over the odd numbers gives the primes ≤ limit, which
 is all that sums over primes read.  The process keeps one read-only column,
 the primes up to the largest limit sieved so far, and every table holds a
-prefix of it, so only a limit above every earlier one sieves.  What is derived
-from the primes stays per table: their logs are formed on first read, by the
-few readers that want the whole column.
+prefix of it, so only a limit above every earlier one sieves.  A table is its
+primes and its limit; each reader forms its logs from the primes it sums.
 
     χ(n)   the non-principal character mod 4 (+1, −1, 0 for n ≡ 1, 3, 0 mod 2),
     r₂(n)  = 4·Σ_{d|n} χ(d), the number of ways to write n = m₁² + m₂²
@@ -34,7 +33,7 @@ one prime of (p − 1, p].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,32 +65,16 @@ _kept: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
 
 @dataclass
 class PrimeTable:
-    """Sieve products for [2, limit]: the primes, with their logs built on
-    first use.
+    """The primes of [2, limit].
 
     ``primes`` is a read-only view, a prefix of the column that
-    ``sieve_primes`` keeps for the process; tables share it.  The log column
-    belongs to the table: it starts as ``None`` and is built by its first
-    reader, so it does not outlive the table.  ``limit`` is the limit asked
-    for, and reads past it raise even when the shared column goes further.
-    ``is_prime`` reads ``primes`` alone.
+    ``sieve_primes`` keeps for the process; tables share it.  ``limit`` is
+    the limit asked for, and reads past it raise even when the shared
+    column goes further.  ``is_prime`` reads ``primes`` alone.
     """
 
     limit: int
     primes: np.ndarray            # int64, ascending
-    _logs: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        """ln p for every prime, float64, log_weights[i] = ln(primes[i]).
-
-        Built on first read, 8 bytes per prime, for the readers that want
-        the whole column (``e_term``, ``bv_aggregate``); ``s_ld`` and
-        ``n_s`` take their logs per block of primes instead.
-        """
-        if self._logs is None:
-            self._logs = np.log(self.primes.astype(np.float64))
-        return self._logs
 
     def prime_count(self, x: float) -> int:
         """π(x) for x ≤ limit."""
@@ -166,10 +149,9 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     limit at or below the kept one takes the prefix of π(limit) primes, a
     view found by one ``searchsorted``; a larger limit sieves with
     ``primes_upto`` and replaces the kept column.  The column costs 8 bytes
-    per prime while the process lives: 5.3 MB at 1e7.  The table's log column
-    is its own, built by its first reader.  Racing callers each get the
-    primes to their own limit; a race can only repeat a sieve or keep the
-    shorter of two new columns.
+    per prime while the process lives: 5.3 MB at 1e7.  Racing callers each
+    get the primes to their own limit; a race can only repeat a sieve or
+    keep the shorter of two new columns.
 
     ``memory_budget`` caps limit + 1, the numbers a table covers, which keeps
     the per-slot column of ``linnik_rows`` exact (see ``MEMORY_BUDGET``); the

@@ -6,13 +6,16 @@ data is TSV with a leading `#` header comment; every float is rounded to
 runs and thread counts.  Exit codes: 0 success, 2 domain/usage error,
 3 resource-budget or numerical-convergence failure.
 
-Coefficients (--l1/--l2/--l3/--eta) accept plain decimals (`-1`, `0.25`),
-decimals with an explicit uncertainty (`1.4142135±1e-7`), or the named
-constants sqrt2, sqrt3, phi, e (optionally signed), which are resolved to
-certified rationals; a signed value may follow its flag as a separate
-argument (`--l3 -sqrt3`) or after `=`.  Each is passed to `gamma.Instance`
-as an exact rational, which the lattice and the triple finder's re-check
-read; the pair scan reads its correctly rounded float.
+Coefficients (--l1/--l2/--l3/--eta) accept plain decimals (`-1`, `0.25`)
+or the named constants sqrt2, sqrt3, phi, e (optionally signed), which are
+resolved to rationals within (|value| + 1)·2⁻²⁶⁴ of their values; a signed
+value may follow its flag as a separate argument (`--l3 -sqrt3`) or after
+`=`.  A decimal with a nonzero uncertainty (`1.4142135±1e-7`) is refused
+with exit 2, since every command reads one rational per coefficient and
+would drop the interval; `±0` reads as the plain decimal, and `cfrac
+--value` keeps the interval.  Each coefficient is passed to
+`gamma.Instance` as an exact rational, which the lattice and the triple
+finder's re-check read; the pair scan reads its correctly rounded float.
 
 `_build_parser` declares each flag's type and default once, on the
 subcommands that read it; a `--config` file and LINNIKLAB_WORK_BUDGET only
@@ -68,7 +71,8 @@ def _emit_json(obj: dict):
 
 class _Coeff:
     """A coefficient flag's value: its constant's name, if named, and its
-    exact certified value."""
+    exact value.  A decimal must be exact: one with a nonzero `±` error is
+    refused, since the scans read one rational and would drop the error."""
 
     def __init__(self, text: str):
         s = text.strip()
@@ -78,6 +82,9 @@ class _Coeff:
             cert = cfrac.certified_named(s) if self.name else cfrac.certified_decimal(s)
         except (DomainError, PrecisionError) as exc:
             raise argparse.ArgumentTypeError(f"cannot use {text!r}: {exc}") from None
+        if not self.name and cert.abs_error:
+            raise argparse.ArgumentTypeError(
+                f"cannot use {text!r}: a coefficient must be exact, not an interval")
         self.value = cert.value
 
 

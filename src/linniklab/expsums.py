@@ -121,13 +121,10 @@ def e_term(table: PrimeTable, x: float, q: int, a: int) -> float:
         raise DomainError(f"need gcd(a,q)=1, got a={a}, q={q}")
     if x <= 0:
         raise DomainError(f"x must be positive, got {x}")
-    n = table.prime_count(x)
-    ps = table.primes[:n]
+    ps = table.primes[:table.prime_count(x)]
     if q > 1:
-        sel = table.log_weights[:n][np.mod(ps, q) == a % q]
-    else:
-        sel = table.log_weights[:n]
-    return float(np.sum(sel)) - x / euler_phi(q, table)
+        ps = ps[np.mod(ps, q) == a % q]
+    return float(np.sum(np.log(ps.astype(np.float64)))) - x / euler_phi(q, table)
 
 
 def bv_aggregate(table: PrimeTable, x: float, q_max: int,
@@ -151,8 +148,8 @@ def bv_aggregate(table: PrimeTable, x: float, q_max: int,
             f"{work_budget:.3e}; raise --work-budget"
         )
     ps = table.primes[:n]
-    ws = table.log_weights[:n]
     psf = ps.astype(np.float64)
+    ws = np.log(psf)
     total = 0.0
     for q in range(1, q_max + 1):
         best = 0.0

@@ -46,9 +46,10 @@ the process may run on, only where each worker gets at least 16 of them
 the calling thread, where a pool costs more than it saves.  The finder's
 chunks return their non-empty windows, whose hits are expanded once after
 the sweep, and its running hit total is checked in chunk order, so a
-budget error reads the same for any thread count.  The orientation the
-picker chooses hands the engine its keys and live runs, so each is formed
-once per scan.
+budget error reads the same for any thread count.  The picker builds the
+engine of the orientation it chooses from the keys and live runs it formed
+to count that orientation's pairs, so each is formed once per scan, and
+the instance's floats enter the scan at the picker alone.
 
 The Γ family has a second path, the lattice (`_Lattice`), for instances
 whose λᵢ are small rationals, such as typed decimals.  Over the common
@@ -76,7 +77,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -203,19 +204,20 @@ def _slot_primes(inst: Instance, table: PrimeTable, masks) -> list[np.ndarray]:
     return [base if m is None else base[m] for m in masks]
 
 
-def _run_ends(inst: Instance, na, l2p2, z_lo: float, z_hi: float, mag: float):
+def _run_ends(na, l2p2, z_lo: float, z_hi: float, mag: float, eps: float, lam2: float):
     """Ends [a, b) of the live run of p₂ columns of every p₁ row.
 
     A pair can have a λ₃p₃ in its window only if z_lo < −c + ε and
     −c − ε < z_hi, that is  na − z_hi − ε < λ₂p₂ < na − z_lo + ε  with
-    na = −(λ₁p₁+η); λ₂p₂ is monotone in p₂, so these p₂ are one run.  Every
-    float step of the scan and of the two thresholds rounds by at most an
-    ulp of mag, and a clamped edge moves by at most two, so widening the
-    thresholds by 1024 ulps of mag leaves lo == hi for every pair outside
-    the run.  _pick_slot rejects the instances where 4·mag overflows.
+    na = −(λ₁p₁+η); λ₂p₂ = lam2·p₂ is monotone in p₂, so these p₂ are one
+    run.  Every float step of the scan and of the two thresholds rounds by
+    at most an ulp of mag, and a clamped edge moves by at most two, so
+    widening the thresholds by 1024 ulps of mag leaves lo == hi for every
+    pair outside the run.  _pick_slot rejects the instances where 4·mag
+    overflows.
     """
-    eps, delta = inst.eps, 1024.0 * float(np.spacing(mag))
-    sgn = 1.0 if inst.lambda2 > 0 else -1.0
+    delta = 1024.0 * float(np.spacing(mag))
+    sgn = 1.0 if lam2 > 0 else -1.0
     t_lo = sgn * (na - z_hi - eps - delta)
     t_hi = sgn * (na - z_lo + eps + delta)
     key = sgn * l2p2                           # ascending in p₂
@@ -241,48 +243,21 @@ def _search_monotone(key, t, side: str):
     return key.searchsorted(t[::-1], side=side)[::-1]
 
 
-def _sorting(s: int) -> tuple[int, int, int]:
-    """The slot order that sorts the caller's slot s: s and slot 3 exchanged."""
-    perm = [0, 1, 2]
-    perm[s], perm[2] = 2, s
-    return tuple(perm)
-
-
-@dataclass(frozen=True, eq=False)
-class _Orientation:
-    """The pair scan that sorts the caller's slot perm[2]: what `_pick_slot`
-    forms to count its live pairs, and what `_Engine` then scans.
-
-    inst is the caller's instance with its slot k taken from the caller's
-    slot perm[k]; ps, and the keys λ₁p₁, na = −(λ₁p₁ + η), λ₂p₂ and
-    z = λ₃p₃, are in those slots.  ends are the live runs' (a, b) of
-    `_run_ends`, and live is the number of pairs they hold.
-    """
-
-    inst: Instance
-    perm: tuple[int, int, int]
-    ps: tuple[np.ndarray, np.ndarray, np.ndarray]
-    l1p1: np.ndarray
-    na: np.ndarray
-    l2p2: np.ndarray
-    z: np.ndarray
-    ends: tuple[np.ndarray, np.ndarray]
-    live: int
-
-
-def _pick_slot(inst: Instance, ps, slots=(2, 1, 0)) -> _Orientation:
-    """The orientation, among those sorting the caller's slots (0-based),
-    with the fewest live pairs; ties go to the first of slots.
+def _pick_slot(inst: Instance, ps, slots=(2, 1, 0), bid: float = math.inf):
+    """The `_Engine` that sorts whichever of the caller's slots (0-based)
+    leaves the fewest live pairs, ties going to the first of slots; None
+    where its scan's cost, _NS_PER_LIVE_PAIR per live pair, exceeds bid.
 
     The three primes play alike in |λ₁p₁ + λ₂p₂ + λ₃p₃ + η| < ε, so any
     slot s may be the sorted one: exchanging λₛ with λ₃ (and the masks
-    with them) gives an instance with the same triples.  The three λᵢpᵢ
-    columns are formed once; each orientation counts its live pairs with
-    `_run_ends` over the other two slots' keys, and only the best so far is
-    kept.  The choice reads only the instance and the masked primes ps,
-    never the thread count.  Every float an orientation's scan forms lies
-    within mag = max|na| + max|λ₂p₂| + ε + max|z| of 0; where 4·mag
-    overflows for any s, no rounding margin is provable: DomainError.
+    with them) gives the same triples.  The instance's floats enter the
+    scan here only: the three λᵢpᵢ columns are formed once, each
+    orientation counts its live pairs with `_run_ends` over the other two
+    slots' keys, and only the best so far is kept, to become the engine.
+    The choice reads only the instance and the masked primes ps, never the
+    thread count.  Every float an orientation's scan forms lies within
+    mag = max|na| + max|λ₂p₂| + ε + max|z| of 0; where 4·mag overflows for
+    any s, no rounding margin is provable: DomainError.
     """
     *lams, eta = inst.floats
     with np.errstate(over="ignore", invalid="ignore"):
@@ -290,8 +265,8 @@ def _pick_slot(inst: Instance, ps, slots=(2, 1, 0)) -> _Orientation:
         tops = [float(np.max(np.abs(v), initial=0.0)) for v in lps]
     best = None
     for s in slots:
-        perm = _sorting(s)
-        swapped = _permuted(inst, perm)
+        perm = [0, 1, 2]                # the caller's slot s and slot 3 exchanged
+        perm[s], perm[2] = 2, s
         l1p1, l2p2, z = (lps[i] for i in perm)
         with np.errstate(over="ignore", invalid="ignore"):
             na = -(l1p1 + eta)
@@ -301,18 +276,22 @@ def _pick_slot(inst: Instance, ps, slots=(2, 1, 0)) -> _Orientation:
             raise DomainError(
                 f"the pair scan's floats reach {mag:.3e}, too near the float "
                 "range to bound their rounding")
-        a, b = _run_ends(swapped, na, l2p2, float(z.min()), float(z.max()), mag)
+        a, b = _run_ends(na, l2p2, float(z.min()), float(z.max()), mag, inst.eps,
+                         lams[perm[1]])
         live = int((b - a).sum())
-        if best is None or live < best.live:
-            best = _Orientation(swapped, perm, tuple(ps[i] for i in perm),
-                                l1p1, na, l2p2, z, (a, b), live)
-    return best
+        if best is None or live < best[0]:
+            best = live, tuple(perm), l1p1, na, l2p2, z, (a, b)
+    live, perm, *keys = best
+    if _NS_PER_LIVE_PAIR * live > bid:
+        return None
+    return _Engine(perm, tuple(ps[i] for i in perm), *keys, eta, inst.eps, live)
 
 
 def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None),
                      work_budget: int = WORK_BUDGET, lattice: bool = False):
-    """The `_Engine` of the orientation `_pick_slot` picks, or with lattice
-    the `_Lattice` where its cost is below that scan's.
+    """The `_Engine` that `_pick_slot` picks, or with lattice the `_Lattice`
+    where its cost is below that scan's; the lattice is built first, so its
+    cost is the pick's bid, and no engine is built for it.
 
     The engine's slot k holds the caller's slot perm[k]; its scan takes
     weights and returns hits in the caller's slots.  The pair budget is
@@ -320,18 +299,10 @@ def _oriented_engine(inst: Instance, table: PrimeTable, masks=(None, None, None)
     """
     ps = _slot_primes(inst, table, masks)
     _check_pair_budget(len(ps[0]), len(ps[1]), work_budget)
-    orient = _pick_slot(inst, ps)
-    if lattice:
-        lat = _Lattice(inst, ps)
-        if lat.cost < _NS_PER_LIVE_PAIR * orient.live:
-            return lat
-    return _Engine(orient)
-
-
-def _permuted(inst: Instance, perm) -> Instance:
-    """inst with its slot k taken from the caller's slot perm[k]."""
-    lams = (inst.lambda1, inst.lambda2, inst.lambda3)
-    return replace(inst, lambda1=lams[perm[0]], lambda2=lams[perm[1]], lambda3=lams[perm[2]])
+    if not lattice:
+        return _pick_slot(inst, ps)
+    lat = _Lattice(inst, ps)
+    return _pick_slot(inst, ps, bid=lat.cost) or lat
 
 
 def _check_pair_budget(n1: int, n2: int, work_budget: int):
@@ -368,25 +339,27 @@ def _run_chunks(fn, spans: list[tuple[int, int]], threads: int):
 class _Engine:
     """Shared state for one pair scan: λ₃p₃ sorted, and the order that sorts it.
 
-    Built from the `_Orientation` that `_pick_slot` returns: its inst may be
-    a caller's instance with two slots exchanged, and perm[k] names the
-    caller's slot that the engine's slot k holds.
+    Built by `_pick_slot` from the orientation it picks: perm[k] names the
+    caller's slot that the engine's slot k holds, ps are the slot primes,
+    l1p1, na = −(λ₁p₁ + η), l2p2 and z = λ₃p₃ the keys, all in the engine's
+    slots, ends the live runs' (a, b) of `_run_ends`, and live the number
+    of pairs they hold; eta and eps are η and ε as floats.
     """
 
-    def __init__(self, orient: _Orientation):
-        inst = self.inst = orient.inst
-        self.perm = orient.perm       # the caller's slot of each of p1, p2, p3
-        self.p1, self.p2, self.p3 = orient.ps
-        self.l1p1, self.na, self.l2p2 = orient.l1p1, orient.na, orient.l2p2
-        self.ends = orient.ends
-        order = np.argsort(orient.z, kind="stable")
-        self.zs = orient.z[order]
+    def __init__(self, perm, ps, l1p1, na, l2p2, z, ends, eta: float, eps: float,
+                 live: int):
+        self.perm = perm              # the caller's slot of each of p1, p2, p3
+        self.p1, self.p2, self.p3 = ps
+        self.l1p1, self.na, self.l2p2, self.ends = l1p1, na, l2p2, ends
+        self.eta, self.eps, self.live = eta, eps, live
+        order = np.argsort(z, kind="stable")
+        self.zs = z[order]
         self.order = order
         # ε within two ulps of the largest |−c|: a rounded edge may land on
         # −c itself, so _bounds clamps both edges strictly past −c
-        c_mag = (abs(inst.floats[0]) * float(np.max(self.p1, initial=0))
-                 + float(np.max(np.abs(self.l2p2), initial=0.0)) + abs(inst.floats[3]))
-        self.clamp = inst.eps <= 2.0 * float(np.spacing(c_mag))
+        c_mag = (float(np.max(np.abs(l1p1), initial=0.0))
+                 + float(np.max(np.abs(l2p2), initial=0.0)) + abs(eta))
+        self.clamp = eps <= 2.0 * float(np.spacing(c_mag))
         self.tab = None
         self._build_buckets()
 
@@ -460,7 +433,7 @@ class _Engine:
         least the neighbouring floats, so fl(−c−ε) < −c < fl(−c+ε) and
         hi ≥ lo.
         """
-        eps = self.inst.eps
+        eps = self.eps
         r0 = int(cum.searchsorted(k0, side="right")) - 1
         r1 = int(cum.searchsorted(k1, side="left"))
         rows = np.repeat(np.arange(r0, r1), np.diff(np.clip(cum[r0:r1 + 1], k0, k1)))
@@ -485,7 +458,7 @@ class _Engine:
         v = [None] * 3
         v[self.perm[0]], v[self.perm[1]] = self.l1p1[idx[0]], self.l2p2[idx[1]]
         v[self.perm[2]] = self.zs[inner]
-        return idx, v[2] - (-(v[0] + self.inst.floats[3]) - v[1])
+        return idx, v[2] - (-(v[0] + self.eta) - v[1])
 
     def scan(self, w, kern: SmoothingKernel | None = None, threads: int = 1,
              collect: bool = False):

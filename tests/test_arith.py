@@ -357,8 +357,7 @@ def test_is_prime_and_linnik_witness_build_no_table(table7):
         assert table.is_prime(n) == (n >= 2 and want[n] == n), n
     for p in (2, 3, 7, 19_997):
         linnik_witness(p, table)
-    assert table._logs is None
-    for name in ("spf", "_spf", "witnesses", "_witnesses"):
+    for name in ("spf", "_spf", "witnesses", "_witnesses", "log_weights", "_logs"):
         assert not hasattr(table, name), name
     # the sweep over one prime near 1e7 keeps O(√p) live, against 20 MB for
     # a uint16 column over [0, p]
@@ -464,14 +463,11 @@ def eager_spf(limit: int) -> np.ndarray:
 @pytest.mark.parametrize("limit", [2, 3, 4, 2**19 - 1, 2**19 + 1, 2**20 + 1, 10**6])
 def test_byte_sieve_and_lazy_spf_match_eager_sieve(limit):
     table = sieve_primes(limit)
-    assert table._logs is None                    # built only on demand
     want = eager_spf(limit)
     n = np.arange(limit + 1)
     primes = n[(n >= 2) & (want == n)]
     assert table.primes.dtype == np.int64 and np.array_equal(table.primes, primes)
-    assert np.array_equal(table.log_weights, np.log(primes.astype(np.float64)))
     assert_is_prime_matches(table, want)
-    assert table.log_weights is table.log_weights
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 10**4, 10**4 + 1])
@@ -508,12 +504,6 @@ def test_sieve_rejects_non_finite_limit():
         sieve_primes(math.nan)
     with pytest.raises(DomainError):
         sieve_primes(math.inf)
-
-
-def test_log_weights_match_primes(table4):
-    assert np.allclose(
-        table4.log_weights, np.log(table4.primes.astype(float)), rtol=0, atol=0
-    )
 
 
 def primes_upto_unsegmented(n: int) -> np.ndarray:
@@ -554,17 +544,6 @@ def test_segmented_sieve_strides_longer_than_a_segment(monkeypatch, segment):
         assert_primes_match_unsegmented(n)
 
 
-def test_log_weights_built_on_first_read():
-    for n in (2, 3, 1000, 2**20 + 1):
-        table = sieve_primes(n)
-        assert table._logs is None
-        logs = table.log_weights
-        want = np.log(table.primes.astype(np.float64))
-        assert logs.dtype == np.float64
-        assert np.array_equal(logs.view(np.uint64), want.view(np.uint64)), n
-        assert table._logs is logs and table.log_weights is logs
-
-
 def test_sieve_primes_peak_memory():
     # the primes ≤ 1e7 are 5.1 MiB of int64; the unsegmented sieve peaked at
     # 15.2 MiB with its full-length bytes and index temporaries, the segments
@@ -603,7 +582,6 @@ def test_tables_are_prefixes_of_one_read_only_column(empty_column):
         assert np.array_equal(table.primes, arith.primes_upto(limit)), limit
         with pytest.raises(ValueError):
             table.primes[0] = 4
-        assert table._logs is None
 
 
 def test_concurrent_sieves_each_get_their_own_primes(empty_column):

@@ -583,23 +583,6 @@ def test_linnik_witnesses_peak_memory(capsys, table7):
         assert not hasattr(PrimeTable, name) and not hasattr(table7, name)
 
 
-@pytest.mark.parametrize("argv", [
-    ("linnik", "--x", "1e4", "--empirical"),
-    ("singular", "--pmax", "1e4", "--dmax", "1e3", "--checkpoints", "10,1000"),
-    ("minorarc", "--x", "1e4", "--a", "1", "--q", "7"),
-    ("expsum", "--x", "1e4", "--alpha", "0.3"),
-])
-def test_commands_over_prime_sums_build_no_log_column(capsys, monkeypatch, argv):
-    from linniklab import arith
-
-    def refuse(self):
-        raise AssertionError("log column built")
-
-    monkeypatch.setattr(arith.PrimeTable, "log_weights", property(refuse))
-    rc, out, err = run(capsys, *argv)
-    assert rc == 0 and out.startswith("{"), err
-
-
 def _modules_after_cli_import(pkg: str) -> str:
     """The modules of pkg that `import linniklab.cli` loads, from a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -805,6 +788,11 @@ _ADVERSARIAL = [
     pytest.param(("gamma", "--mode", "sharp", *_INSTANCE, "--x", "100", "--eta", "1e10000000"),
                  {}, 2, id="gamma--eta=1e10000000"),
     pytest.param(("cfrac", "--value", "1e-1000000000"), {}, 2, id="cfrac--value=1e-1000000000"),
+    # a decimal coefficient with a nonzero error: the interval would be dropped
+    pytest.param(("gamma", "--mode", "sharp", *_INSTANCE, "--x", "100", "--l1", "1.4±0.5"),
+                 {}, 2, id="gamma--l1=1.4±0.5"),
+    pytest.param(("triples", *_INSTANCE, "--x", "30", "--eta=-0.3+-0.1"), {}, 2,
+                 id="triples--eta=-0.3+-0.1"),
 ]
 
 
@@ -814,6 +802,25 @@ def test_adversarial_input_exits_cleanly(capsys, monkeypatch, argv, env, want):
         monkeypatch.setenv(k, v)
     rc, out, err = run(capsys, *argv)
     assert rc == want and out == "" and "Traceback" not in err
+
+
+def test_coefficients_refuse_an_uncertainty(capsys):
+    # a nonzero ± names its flag and exits 2; ±0 is the plain decimal; named
+    # constants keep their internal bound, and cfrac --value keeps the ±
+    argv = ("gamma", "--mode", "sharp", "--x", "1e3", "--l2", "-1", "--l3=-1.7",
+            "--eta", "0.3", "--eps", "2", "--lambda0", "0.1")
+    for flag in ("--l1", "--l2", "--l3", "--eta"):
+        for err_text in ("±0.5", "+-0.1", "±1e-30"):
+            rc, out, err = run(capsys, *argv, flag, f"1.4{err_text}")
+            assert rc == 2 and out == "" and f"argument {flag}:" in err, (flag, err_text)
+    rc, plain, _ = run(capsys, *argv, "--l1", "1.4")
+    assert rc == 0 and plain
+    for text in ("1.4±0", "1.4+-0", "1.4±0e5"):
+        assert run(capsys, *argv, "--l1", text) == (0, plain, "")
+    rc, out, _ = run(capsys, *argv, "--l1", "sqrt2")
+    assert rc == 0 and out
+    rc, out, _ = run(capsys, "cfrac", "--value", "1.5±0.2", "--count", "5")
+    assert rc == 0 and out.count("\n") > 1
 
 
 # valid argvs that together take every mode of each subcommand

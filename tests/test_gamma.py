@@ -2,7 +2,6 @@ import math
 import random
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -288,12 +287,12 @@ def test_thread_determinism(table4):
         assert getattr(runs[0], field) == getattr(runs[1], field)
 
 
-def _box_scan(eng, weights):
+def _box_scan(inst, eng, weights):
     # lo and hi for every pair of the box, with the scan's float expressions;
     # returns the sharp Γ of the weight triple, the count, the hits (p1, p2,
     # p3, residual) in (p₁, p₂) order, the lo < hi mask and the two window edges
-    inst = eng.inst
-    l1, l2, _, eta = inst.floats
+    lams = inst.floats
+    l1, l2, eta = lams[eng.perm[0]], lams[eng.perm[1]], lams[3]
     l2p2 = l2 * eng.p2.astype(np.float64)
     nc = (-(l1 * eng.p1.astype(np.float64) + eta))[:, None] - l2p2
     lo_edge, hi_edge = nc - inst.eps, nc + inst.eps
@@ -318,7 +317,7 @@ def _box_scan(eng, weights):
 def _engine_sorting(inst, table, s=2, masks=(None, None, None)):
     # the scan engine that sorts the caller's slot s (0-based)
     ps = gamma_mod._slot_primes(inst, table, masks)
-    return gamma_mod._Engine(gamma_mod._pick_slot(inst, ps, (s,)))
+    return gamma_mod._pick_slot(inst, ps, (s,))
 
 
 def _run_pairs(eng):
@@ -362,7 +361,7 @@ def test_live_strip_matches_full_box(table4):
         eng = _engine_sorting(inst, table4, masks=masks)
         weights = (np.log(eng.p1.astype(np.float64)), np.log(eng.p2.astype(np.float64)),
                    _r2(eng.p3, table4) * np.log(eng.p3.astype(np.float64)))
-        want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(eng, weights)
+        want, wcnt, whits, live, (lo_edge, hi_edge) = _box_scan(inst, eng, weights)
         got, cnt, _, hits = eng.scan(weights, collect=True)
         if kind == "ends":
             assert (hi_edge == eng.zs[0]).any() and (lo_edge == eng.zs[-1]).any()
@@ -686,7 +685,8 @@ def test_every_sorted_slot_gives_the_same_results(table4, monkeypatch, lam, eta,
     pick = gamma_mod._pick_slot
     for s in (2, 1, 0):
         # float λ keep every Γ call on the pair scan
-        monkeypatch.setattr(gamma_mod, "_pick_slot", lambda inst, ps, s=s: pick(inst, ps, (s,)))
+        monkeypatch.setattr(gamma_mod, "_pick_slot",
+                            lambda inst, ps, s=s, **kw: pick(inst, ps, (s,), **kw))
         rows = [(w.p1, w.p2, w.p3, w.x, w.y, w.residual)
                 for w in find_triples(inst, table4, require_linnik=linnik,
                                       max_results=10**6)]
@@ -820,7 +820,7 @@ def test_mass_is_the_pair_mass_of_every_p3(table4, monkeypatch, lam, eta, eps, g
     kern = kernel_new(inst.eps, 4)
     w = gamma_mod._weights(inst, table4)
     ps = gamma_mod._slot_primes(inst, table4, (None,) * 3)[0]
-    _, _, hits, _, _ = _box_scan(_engine_sorting(inst, table4), w)
+    _, _, hits, _, _ = _box_scan(inst, _engine_sorting(inst, table4), w)
     p1, p2, p3, res = (np.array(h) for h in hits)
     den, n1, n2, n3, n_eta, _ = inst.lattice
     exact = np.array([(n1 * int(a) + n2 * int(b) + n3 * int(c) + n_eta) / den
@@ -945,11 +945,24 @@ def test_lattice_refuses_counts_past_the_rounding_bound(table4, monkeypatch):
         gamma_mod._Lattice(inst, ps).scan(sharp)
 
 
-def test_dispatch_takes_the_lattice_only_where_cheaper():
+def test_dispatch_takes_the_lattice_only_where_cheaper(monkeypatch):
     table = sieve_primes(10**5)
+    built = []
+    init = gamma_mod._Engine.__init__
+
+    def spy(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(gamma_mod._Engine, "__init__", spy)
 
     def engine(inst):
-        return type(gamma_mod._oriented_engine(inst, table, lattice=True))
+        # the engine's type; the pick builds one _Engine for the scan, and
+        # none for the lattice
+        built.clear()
+        kind = type(gamma_mod._oriented_engine(inst, table, lattice=True))
+        assert len(built) == (kind is gamma_mod._Engine), inst
+        return kind
 
     # the split-1e5 bench instance at seed 0, and at X = 3e4
     for x in (1e5, 3e4):
@@ -966,6 +979,20 @@ def test_dispatch_takes_the_lattice_only_where_cheaper():
     ]
     for inst in scan:
         assert engine(inst) is gamma_mod._Engine, inst
+    # a lattice whose cost ties the scan's, _NS_PER_LIVE_PAIR per live pair,
+    # stays on the scan, and one a float below it does not
+    tie = Instance("1.4", "-1", "-1.7", "-0.3791", eps=2.0, x=3e4, lambda0=0.1)
+    live = gamma_mod._pick_slot(tie, gamma_mod._slot_primes(tie, table, (None,) * 3)).live
+    scan_ns = gamma_mod._NS_PER_LIVE_PAIR * live
+    lattice_init = gamma_mod._Lattice.__init__
+    for cost, want in ((scan_ns, gamma_mod._Engine),
+                       (math.nextafter(scan_ns, 0), gamma_mod._Lattice)):
+        def priced(self, *args, cost=cost):
+            lattice_init(self, *args)
+            self.cost = cost
+
+        monkeypatch.setattr(gamma_mod._Lattice, "__init__", priced)
+        assert engine(tie) is want
     # the finder's call has no lattice path
     seed0 = Instance("1.4", "-1", "-1.7", "-0.3791", eps=2.0, x=1e5, lambda0=0.1)
     assert type(gamma_mod._oriented_engine(seed0, table)) is gamma_mod._Engine
@@ -1332,8 +1359,8 @@ def test_instance_holds_exact_rationals():
                     (1 + half + Fraction(1, big), 1 + 2 * half),
                     (Fraction(big + 1, big), 1.0), (Fraction(2 * big - 1, 3 * big), 2 / 3)):
         assert Instance(v, -1, -1, 0, eps=0.5, x=30.0).floats[0] == want, v
-    # replace rebuilds the instance from its exact fields, not from its floats
-    moved = replace(inst, eps=0.25)
+    # rebuilt from its exact fields, an instance keeps them, not their floats
+    moved = Instance(*exact, eps=0.25, x=inst.x)
     assert (moved.lambda1, moved.lambda2, moved.lambda3, moved.eta) == exact
     assert moved.lattice[0] == 3 * 10 ** 19
     good = dict(lambda1=1, lambda2=-1, lambda3=-1, eta=0, eps=0.5, x=30.0)
