@@ -18,15 +18,14 @@ would drop the interval; `±0` reads as the plain decimal, and `cfrac
 finder's re-check read; the pair scan reads its correctly rounded float.
 
 `_build_parser` declares each flag's type and default once, on the
-subcommands that read it; a `--config` file and LINNIKLAB_WORK_BUDGET only
-replace defaults of flags the subcommand has, so argparse checks their
-values exactly as it checks flags.
+subcommands that read it, and builds per call the subcommand it runs; a
+`--config` file and LINNIKLAB_WORK_BUDGET only replace defaults of that
+parser's flags, so argparse checks their values exactly as it checks flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -127,7 +126,7 @@ def _int_list(text: str) -> list[int]:
 def _load_config(path: str) -> dict:
     cfg = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -136,7 +135,7 @@ def _load_config(path: str) -> dict:
                     raise DomainError(f"config line is not key=value: {line!r}")
                 k, v = line.split("=", 1)
                 cfg[k.strip().replace("-", "_")] = v.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path!r}: {exc}") from None
     return cfg
 
@@ -189,8 +188,9 @@ def _join_signed_values(subs: dict, argv: list[str]) -> list[str]:
 
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; precedence of a value is flag > environment > config > built-in."""
-    parser, subs = _build_parser()
-    argv = _join_signed_values(subs, sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subs = _build_parser(argv[0] if argv else None)
+    argv = _join_signed_values(subs, argv)
     args = parser.parse_args(argv)
     cfg = _load_config(args.config) if args.config else {}
     env = os.environ.get(ENV_WORK_BUDGET)
@@ -198,15 +198,8 @@ def _parse_args(argv) -> argparse.Namespace:
         cfg["work_budget"] = env
     sp = subs[args.cmd]
     defaults = _config_defaults(sp, cfg)
-    if not defaults:
-        return args
-    # the parser is built once per process: the next call gets its own defaults
-    built_in = {k: sp.get_default(k) for k in defaults}
     sp.set_defaults(**defaults)
-    try:
-        return parser.parse_args(argv)
-    finally:
-        sp.set_defaults(**built_in)
+    return parser.parse_args(argv) if defaults else args
 
 
 def _need(args, key: str):
@@ -472,9 +465,8 @@ _DISPATCH = {
 }
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name, built once per process."""
+def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """A new parser and its subcommand parsers by name: cmd's only, if it names one."""
     num = _finite_float
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value file supplying flag defaults")
@@ -503,10 +495,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     "inequality in which one prime is one plus a sum of "
                     "two squares.",
     )
-    sub = p.add_subparsers(dest="cmd", required=True)
+    # the usage lists every subcommand also when one is built
+    sub = p.add_subparsers(dest="cmd", required=True,
+                           metavar="{%s}" % ",".join(_DISPATCH) if cmd in _DISPATCH else None)
 
-    sp = sub.add_parser(
-        "schedule", parents=[common],
+    def add(name, *parents, **text):
+        if cmd in _DISPATCH and name != cmd:
+            return argparse.Namespace(add_argument=lambda *a, **k: None)
+        return sub.add_parser(name, parents=[common, *parents], **text)
+
+    sp = add(
+        "schedule",
         help="derived parameter schedule at a given scale",
         description="Derived parameters at scale X: major-arc radius, "
                     "divisor cut D, window width, smoothing budget; or, with "
@@ -523,8 +522,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--x-lo", dest="x_lo", type=num, default=100.0)
     sp.add_argument("--x-hi", dest="x_hi", type=num, default=1e300)
 
-    sp = sub.add_parser(
-        "cfrac", parents=[common],
+    sp = add(
+        "cfrac",
         help="certified continued-fraction convergents",
         description="Convergents a/q of a certified real; every emitted "
                     "convergent satisfies |x - a/q| < 1/q².")
@@ -536,8 +535,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--verify", action="store_true",
                     help="append q²·|x - a/q| per row")
 
-    sp = sub.add_parser(
-        "kernel", parents=[common, budget],
+    sp = add(
+        "kernel", budget,
         help="smoothed window function tables",
         description="Tabulate the C^k smoothed window θ (plateau on "
                     "[-3ε/4, 3ε/4], support (-ε, ε)) or, with --fourier, its "
@@ -549,8 +548,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--fourier", action="store_true")
     sp.add_argument("--xmax", type=num)
 
-    sp = sub.add_parser(
-        "expsum", parents=[common],
+    sp = add(
+        "expsum",
         help="prime exponential sum vs its integral",
         description="S(α) = Σ e(αp)·ln p over a prime range against "
                     "I(α) = ∫ e(αy) dy, with the normalized gap |S-I|/X.")
@@ -564,16 +563,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--delta", type=num,
                     help="major-arc radius to compare |α| against")
 
-    sp = sub.add_parser(
-        "eterm", parents=[common],
+    sp = add(
+        "eterm",
         help="prime-progression error term",
         description="E(x;q,a) = Σ_{p≤x, p≡a (q)} ln p − x/φ(q).")
     sp.add_argument("--x", type=num)
     sp.add_argument("--q", type=int)
     sp.add_argument("--a", type=int)
 
-    sp = sub.add_parser(
-        "bvsum", parents=[common, budget],
+    sp = add(
+        "bvsum", budget,
         help="aggregated worst-case progression error",
         description="Σ_{q≤Q} max over residues and y ≤ X of |E(y;q,a)|, "
                     "the quantity the large-sieve machinery controls on "
@@ -581,8 +580,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--x", type=num)
     sp.add_argument("--q-max", dest="q_max", type=int)
 
-    sp = sub.add_parser(
-        "minorarc", parents=[common],
+    sp = add(
+        "minorarc",
         help="exponential sum near a rational point",
         description="|S(α)| for α within 1/q² of a/q, against the classical "
                     "q-dependent ceiling (reported, not asserted).")
@@ -591,8 +590,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--q", type=int)
     sp.add_argument("--alpha", type=num, help="defaults to a/q")
 
-    sp = sub.add_parser(
-        "gamma", parents=[common, threads, budget, instance],
+    sp = add(
+        "gamma", threads, budget, instance,
         help="weighted triple counts",
         description="Weighted counts over prime triples with "
                     "|λ₁p₁+λ₂p₂+λ₃p₃+η| small: sharp window, smoothed "
@@ -605,8 +604,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--j-lo", dest="j_lo", type=num, help="default λ₀X")
     sp.add_argument("--j-hi", dest="j_hi", type=num, help="default X")
 
-    sp = sub.add_parser(
-        "triples", parents=[common, threads, budget, instance],
+    sp = add(
+        "triples", threads, budget, instance,
         help="explicit solution triples with witnesses",
         description="Prime triples satisfying the inequality, each with the "
                     "two-squares witness (x, y) of p3 = x²+y²+1 (-1, -1 when "
@@ -619,8 +618,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                          "(default 3; empty string for none)")
     sp.add_argument("--max-results", dest="max_results", type=int, default=100)
 
-    sp = sub.add_parser(
-        "hooley", parents=[common],
+    sp = add(
+        "hooley",
         help="mid-range divisor statistics of p−1",
         description="Mean-square character sum over divisors of p−1 in "
                     "(D, X/D), or the count of p whose p−1 has a divisor "
@@ -631,8 +630,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--lambda0", type=num, default=0.0)
     sp.add_argument("--omega", type=num)
 
-    sp = sub.add_parser(
-        "singular", parents=[common],
+    sp = add(
+        "singular",
         help="Euler products and the density constant",
         description="Truncated Euler product N(s), the two-squares density "
                     "constant (π/4)·N(0), the asymptotic constant π·N(0), "
@@ -643,8 +642,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--checkpoints", type=_int_list,
                     help="comma list of D ≤ Dmax (default Dmax)")
 
-    sp = sub.add_parser(
-        "linnik", parents=[common],
+    sp = add(
+        "linnik",
         help="primes of the form x²+y²+1",
         description="List primes p ≤ X expressible as x²+y²+1 with a "
                     "witness pair, or (--empirical) compare Σ r(p−1) to its "

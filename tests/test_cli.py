@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from linniklab.cli import _build_parser, main
+from linniklab.cli import _parse_args
 
 SCHEDULE_DESK_GOLDEN = (
     '{"x": 100000.0, "q0_sq": 4.50728223331559e-19, "d": 100.0, "delta": 1.0, '
@@ -504,12 +506,20 @@ def test_config_file(capsys, tmp_path):
     # explicit flag outranks the config value
     rc, out, _ = run(capsys, "schedule", "--config", str(cfg), "--eps", "0.5")
     assert json.loads(out)["eps"] == 0.5
+    # a UTF-8 byte-order mark is not part of the first key
+    cfg.write_text("\ufeff" + cfg.read_text(), encoding="utf-8")
+    rc, out, _ = run(capsys, "schedule", "--config", str(cfg))
+    assert rc == 0 and out.strip() == SCHEDULE_DESK_GOLDEN
+    # bytes that are not UTF-8 are a usage error, not a traceback
+    cfg.write_bytes(b"x = 1e5\xff\n")
+    rc, out, err = run(capsys, "schedule", "--config", str(cfg))
+    assert rc == 2 and out == "" and "cannot read config" in err
 
 
 def test_config_defaults_last_one_call(capsys, tmp_path):
-    # the parser tree is built once per process; a config's values are the
-    # defaults of its own call only, also when that call fails
-    assert _build_parser() is _build_parser()
+    # each call builds its own parser; a config's values are the defaults of
+    # its own call only, also when that call fails
+    assert _build_parser()[0] is not _build_parser()[0]
     cfg = tmp_path / "lab.cfg"
     cfg.write_text("count = 3\nverify = true\n")
     rc, out, _ = run(capsys, "cfrac", "--config", str(cfg), "--name", "sqrt2")
@@ -522,6 +532,32 @@ def test_config_defaults_last_one_call(capsys, tmp_path):
     assert rc == 2 and out == ""
     rc, out, _ = run(capsys, "cfrac", "--name", "e", "--count", "4")
     assert rc == 0 and out.splitlines()[1:] == ["0\t2\t1", "1\t3\t1", "2\t8\t3", "3\t11\t4"]
+
+
+def test_config_defaults_concurrent_calls(tmp_path):
+    # calls in flight at once each parse with their own config's defaults only
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("count = 3\n")
+    jobs = [(["cfrac", "--config", str(cfg), "--name", "sqrt2"], 3)] * 2
+    jobs += [(["cfrac", "--name", "sqrt2"], 10)] * 2
+    counts = [None] * len(jobs)
+
+    def parse(i, argv):
+        counts[i] = [_parse_args(argv).count for _ in range(300)]
+
+    workers = [threading.Thread(target=parse, args=(i, argv))
+               for i, (argv, _) in enumerate(jobs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == [[want] * 300 for _, want in jobs]
 
 
 @pytest.mark.parametrize("joined", [
