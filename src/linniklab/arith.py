@@ -140,7 +140,7 @@ def primes_upto(n: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """A PrimeTable up to ``limit``, whose primes are a prefix of the
     process's shared column.
 
@@ -153,16 +153,16 @@ def sieve_primes(limit: int, memory_budget: int = MEMORY_BUDGET) -> PrimeTable:
     get the primes to their own limit; a race can only repeat a sieve or
     keep the shorter of two new columns.
 
-    ``memory_budget`` caps limit + 1, the numbers a table covers, which keeps
-    the per-slot column of ``linnik_rows`` exact (see ``MEMORY_BUDGET``); the
-    cap is checked here, before anything is allocated.
+    ``MEMORY_BUDGET``, read at call time, caps limit + 1, the numbers a
+    table covers, which keeps the per-slot column of ``linnik_rows`` exact;
+    the cap is checked here, before anything is allocated.
     """
     global _kept
     if not isinstance(limit, (int, np.integer)) or not limit >= 2:
         raise DomainError(f"limit must be an integer ≥ 2, got {limit!r}")
-    if limit + 1 > memory_budget:
+    if limit + 1 > MEMORY_BUDGET:
         raise ResourceError(
-            f"sieve of {limit + 1} slots exceeds memory budget {memory_budget}"
+            f"sieve of {limit + 1} slots exceeds memory budget {MEMORY_BUDGET}"
         )
     kept_limit, column = _kept
     if limit > kept_limit:

@@ -18,9 +18,14 @@ would drop the interval; `±0` reads as the plain decimal, and `cfrac
 finder's re-check read; the pair scan reads its correctly rounded float.
 
 `_build_parser` declares each flag's type and default once, on the
-subcommands that read it, and builds per call the subcommand it runs; a
+subcommands that read it, and builds per call the one subparser it runs:
+`--config`, then the shared groups (`_threads`, `_budget`, `_instance`,
+plain functions that add flags to it), then the command's own flags.  A
 `--config` file and LINNIKLAB_WORK_BUDGET only replace defaults of that
 parser's flags, so argparse checks their values exactly as it checks flags.
+Each `cmd_*` returns its report: a dict, which becomes one JSON line, or
+its TSV text (`kernel`'s as blocks of rows).  `main` alone writes it, once
+it is formed, so a command that fails leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -53,19 +58,15 @@ def _r15(v):
         return {k: _r15(u) for k, u in v.items()}
     if isinstance(v, (list, tuple)):
         return [_r15(u) for u in v]
-    if isinstance(v, (np.floating,)):
-        return float(f"{float(v):.15g}")
-    if isinstance(v, (np.integer,)):
-        return int(v)
     return v
 
 
-def _emit_json(obj: dict):
+def _json_line(obj: dict) -> str:
     try:
         text = json.dumps(_r15(obj), allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"report holds a non-finite value: {exc}") from None
-    sys.stdout.write(text + "\n")
+    return text + "\n"
 
 
 class _Coeff:
@@ -231,21 +232,17 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> dict:
     if args.eps_report:
-        _emit_json(schedule.eps_positivity_report(args.x_lo, args.x_hi))
-        return 0
+        return schedule.eps_positivity_report(args.x_lo, args.x_hi)
     x = _need(args, "x")
     if args.mode == "paper":
-        sch = schedule.paper_schedule(x)
-    else:
-        sch = schedule.desk_schedule(x, _need(args, "d"), _need(args, "eps"),
-                                     h=args.h, delta=args.delta)
-    _emit_json(sch.as_dict())
-    return 0
+        return schedule.paper_schedule(x).as_dict()
+    return schedule.desk_schedule(x, _need(args, "d"), _need(args, "eps"),
+                                  h=args.h, delta=args.delta).as_dict()
 
 
-def cmd_cfrac(args) -> int:
+def cmd_cfrac(args) -> str:
     name, value, count, verify = args.name, args.value, args.count, args.verify
     if (name is None) == (value is None):
         raise DomainError("exactly one of --name / --value is required")
@@ -267,11 +264,10 @@ def cmd_cfrac(args) -> int:
                                      f"a finite float; lower --count") from None
             row += "\t" + _g(err)
         rows.append(row)
-    sys.stdout.write("\n".join(rows) + "\n")
-    return 0
+    return "\n".join(rows) + "\n"
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args):
     eps, k, n = _need(args, "eps"), args.k, args.grid
     kern = smoothing.kernel_new(eps, k)
     if n < 2:
@@ -287,56 +283,52 @@ def cmd_kernel(args) -> int:
         ys = _grid(-ymax, ymax, n)
         header = "# y\ttheta\tantideriv\n"
         cols = (ys, smoothing.theta_eval(kern, ys), smoothing.theta_antiderivative(kern, ys))
-    sys.stdout.write(header)
-    # _g's format on plain floats, a block of rows per write: no call per value,
-    # and the block's strings stay small beside the grid's arrays
-    for i in range(0, n, _ROWS):
-        rows = zip(*(c[i:i + _ROWS].tolist() for c in cols))
-        sys.stdout.write("".join(map("%.15g\t%.15g\t%.15g\n".__mod__, rows)))
-    return 0
+
+    def blocks():
+        # _g's format on plain floats, a block of rows per write: no call per
+        # value, and the block's strings stay small beside the grid's arrays
+        yield header
+        for i in range(0, n, _ROWS):
+            rows = zip(*(c[i:i + _ROWS].tolist() for c in cols))
+            yield "".join(map("%.15g\t%.15g\t%.15g\n".__mod__, rows))
+    return blocks()
 
 
-def cmd_expsum(args) -> int:
+def cmd_expsum(args) -> dict:
     x, alpha, l, d, delta = _need(args, "x"), _need(args, "alpha"), args.l, args.d, args.delta
     lo = args.lo if args.lo is not None else args.lambda0 * x
     hi = args.hi if args.hi is not None else x
     table = _table_for(hi)
     rep = expsums.major_arc_gap(table, x, alpha, delta=delta, j=(lo, hi), l=l, d=d)
     s, i = rep.pop("s"), rep.pop("i")
-    _emit_json({
+    return {
         "x": x, "alpha": alpha, "l": l, "d": d, "lo": lo, "hi": hi,
         "s_re": s.real, "s_im": s.imag, "s_abs": abs(s),
         "i_re": i.real, "i_im": i.imag, "i_abs": abs(i), **rep,
-    })
-    return 0
+    }
 
 
-def cmd_eterm(args) -> int:
+def cmd_eterm(args) -> dict:
     x, q, a = _need(args, "x"), _need(args, "q"), _need(args, "a")
     table = _table_for(x)
-    _emit_json({"x": x, "q": q, "a": a,
-                "e_term": expsums.e_term(table, x, q, a)})
-    return 0
+    return {"x": x, "q": q, "a": a, "e_term": expsums.e_term(table, x, q, a)}
 
 
-def cmd_bvsum(args) -> int:
+def cmd_bvsum(args) -> dict:
     x, q_max = _need(args, "x"), _need(args, "q_max")
     table = _table_for(x)
     val = expsums.bv_aggregate(table, x, q_max, work_budget=args.work_budget)
-    _emit_json({"x": x, "q_max": q_max, "bv_sum": val})
-    return 0
+    return {"x": x, "q_max": q_max, "bv_sum": val}
 
 
-def cmd_minorarc(args) -> int:
+def cmd_minorarc(args) -> dict:
     x, a, q, alpha = _need(args, "x"), _need(args, "a"), _need(args, "q"), args.alpha
     if alpha is None:
         if q < 1:
             raise DomainError(f"q must be ≥ 1, got {q}")
         alpha = a / q
     table = _table_for(x)
-    rep = expsums.minor_arc_report(table, x, a, q, alpha)
-    _emit_json(rep)
-    return 0
+    return expsums.minor_arc_report(table, x, a, q, alpha)
 
 
 def _parse_instance(args, x: float, forced_irrational: bool = False) -> gamma.Instance:
@@ -348,39 +340,30 @@ def _parse_instance(args, x: float, forced_irrational: bool = False) -> gamma.In
     )
 
 
-def cmd_gamma(args) -> int:
+def cmd_gamma(args) -> dict:
     x, mode, threads, budget = _need(args, "x"), args.mode, args.threads, args.work_budget
     inst = _parse_instance(args, x)
     table = _table_for(x)
     if mode == "sharp":
         val, count = gamma.gamma_sharp(inst, table, threads, budget)
-        _emit_json({"mode": "sharp", "x": x, "eps": inst.eps,
-                    "gamma": val, "triple_count": count})
-        return 0
+        return {"mode": "sharp", "x": x, "eps": inst.eps,
+                "gamma": val, "triple_count": count}
     k = args.k if args.k is not None else smoothing.suggested_k(x)
     kern = smoothing.kernel_new(inst.eps, k)
+    out = {"mode": mode, "x": x, "eps": inst.eps, "k": k}
     if mode == "smoothed":
-        val = gamma.gamma_smoothed(inst, kern, table, threads, budget)
-        _emit_json({"mode": "smoothed", "x": x, "eps": inst.eps, "k": k,
-                    "gamma0": val})
-        return 0
+        return {**out, "gamma0": gamma.gamma_smoothed(inst, kern, table, threads, budget)}
     if mode == "split":
         # default divisor cut X^0.4 keeps all three ranges populated at X ≥ 1e4
         d = args.d if args.d is not None else x ** 0.4
-        br = gamma.gamma_split(inst, kern, table, d, threads, budget)
-        out = {"mode": "split", "x": x, "eps": inst.eps, "k": k}
-        out.update(br.as_dict())
-        _emit_json(out)
-        return 0
+        return {**out, **gamma.gamma_split(inst, kern, table, d, threads, budget).as_dict()}
     j_lo = args.j_lo if args.j_lo is not None else inst.lambda0 * x
     j_hi = args.j_hi if args.j_hi is not None else x
-    val = gamma.b_j_volume(inst, kern, (j_lo, j_hi), budget)
-    _emit_json({"mode": "volume", "x": x, "eps": inst.eps, "k": k,
-                "j_lo": j_lo, "j_hi": j_hi, "b_j": val})
-    return 0
+    return {**out, "j_lo": j_lo, "j_hi": j_hi,
+            "b_j": gamma.b_j_volume(inst, kern, (j_lo, j_hi), budget)}
 
 
-def cmd_triples(args) -> int:
+def cmd_triples(args) -> str:
     x = _need(args, "x")
     inst = _parse_instance(args, x, args.ratio_irrational)
     table = _table_for(x)
@@ -389,30 +372,23 @@ def cmd_triples(args) -> int:
         max_results=args.max_results, threads=args.threads,
         work_budget=args.work_budget,
     )
-    sys.stdout.write("# p1\tp2\tp3\tx\ty\tresidual\n")
-    for w in wits:
-        sys.stdout.write(
-            f"{w.p1}\t{w.p2}\t{w.p3}\t{w.x}\t{w.y}\t{_g(w.residual)}\n"
-        )
-    return 0
+    return "# p1\tp2\tp3\tx\ty\tresidual\n" + "".join(
+        f"{w.p1}\t{w.p2}\t{w.p3}\t{w.x}\t{w.y}\t{_g(w.residual)}\n" for w in wits)
 
 
-def cmd_hooley(args) -> int:
+def cmd_hooley(args) -> dict:
     x = _need(args, "x")
     table = _table_for(x)
     if args.stat == "sigma":
         d, lam0 = _need(args, "d"), args.lambda0
-        val = gamma.hooley_sigma_prime(table, x, d, lam0)
-        _emit_json({"stat": "sigma_prime", "x": x, "d": d,
-                    "lambda0": lam0, "value": val})
-        return 0
+        return {"stat": "sigma_prime", "x": x, "d": d, "lambda0": lam0,
+                "value": gamma.hooley_sigma_prime(table, x, d, lam0)}
     omega = _need(args, "omega")
-    val = gamma.hooley_f_omega(table, x, omega)
-    _emit_json({"stat": "f_omega", "x": x, "omega": omega, "value": val})
-    return 0
+    return {"stat": "f_omega", "x": x, "omega": omega,
+            "value": gamma.hooley_f_omega(table, x, omega)}
 
 
-def cmd_singular(args) -> int:
+def cmd_singular(args) -> dict:
     pmax, s, dmax = _need(args, "pmax"), args.s, args.dmax
     table = _table_for(pmax)
     approx = dirichlet.n_s(s, pmax, table)
@@ -428,67 +404,54 @@ def cmd_singular(args) -> int:
     }
     if dmax is not None:
         out["chi_phi"] = dirichlet.chi_phi_partial(dmax, args.checkpoints or None)
-    _emit_json(out)
-    return 0
+    return out
 
 
-def cmd_linnik(args) -> int:
+def cmd_linnik(args) -> dict | str:
     x = _need(args, "x")
     table = _table_for(x)
     if args.empirical:
-        rep = dirichlet.linnik_empirical(table, x)
-        _emit_json({"x": x, **rep})
-        return 0
+        return {"x": x, **dirichlet.linnik_empirical(table, x)}
     r, wx = arith.linnik_rows(table, 0, x)          # the first r.size primes
     n, wx = table.primes[: r.size][r > 0] - 1, wx[r > 0]
     # n − x² is a perfect square below 2⁵², whose float root is exact
     wy = np.sqrt(n - wx * wx).astype(np.int64)
     rows = zip(n.tolist(), wx.tolist(), wy.tolist())
-    sys.stdout.write("# p\tx\ty\n")
-    sys.stdout.write("".join(f"{m + 1}\t{a}\t{b}\n" for m, a, b in rows))
-    return 0
+    return "# p\tx\ty\n" + "".join(f"{m + 1}\t{a}\t{b}\n" for m, a, b in rows)
 
 
-_DISPATCH = {
-    "schedule": cmd_schedule,
-    "cfrac": cmd_cfrac,
-    "kernel": cmd_kernel,
-    "expsum": cmd_expsum,
-    "eterm": cmd_eterm,
-    "bvsum": cmd_bvsum,
-    "minorarc": cmd_minorarc,
-    "gamma": cmd_gamma,
-    "triples": cmd_triples,
-    "hooley": cmd_hooley,
-    "singular": cmd_singular,
-    "linnik": cmd_linnik,
-}
+_COMMANDS = ("schedule", "cfrac", "kernel", "expsum", "eterm", "bvsum",
+             "minorarc", "gamma", "triples", "hooley", "singular", "linnik")
+
+
+# each shared group adds its flags to the one subparser being built
+
+def _threads(sp):
+    sp.add_argument("--threads", type=_positive_int, default=1,
+                    help="worker threads for the pair scan (default 1)")
+
+
+def _budget(sp):
+    sp.add_argument("--work-budget", dest="work_budget", type=_positive_int,
+                    default=arith.WORK_BUDGET,
+                    help=f"cap on work: pair evaluations, the build of θ's "
+                         f"table (kernel, gamma), Q·π(X) (bvsum) (default "
+                         f"{arith.WORK_BUDGET}; env {ENV_WORK_BUDGET})")
+
+
+def _instance(sp):
+    sp.add_argument("--x", type=_finite_float)
+    sp.add_argument("--l1", type=_Coeff)
+    sp.add_argument("--l2", type=_Coeff)
+    sp.add_argument("--l3", type=_Coeff)
+    sp.add_argument("--eta", type=_Coeff, default="0")
+    sp.add_argument("--eps", type=_finite_float)
+    sp.add_argument("--lambda0", type=_finite_float, default=0.5)
 
 
 def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
     """A new parser and its subcommand parsers by name: cmd's only, if it names one."""
     num = _finite_float
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file supplying flag defaults")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=_positive_int, default=1,
-                         help="worker threads for the pair scan (default 1)")
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--work-budget", dest="work_budget", type=_positive_int,
-                        default=arith.WORK_BUDGET,
-                        help=f"cap on work: pair evaluations, the build of θ's "
-                             f"table (kernel, gamma), Q·π(X) (bvsum) (default "
-                             f"{arith.WORK_BUDGET}; env {ENV_WORK_BUDGET})")
-
-    instance = argparse.ArgumentParser(add_help=False)
-    instance.add_argument("--x", type=num)
-    instance.add_argument("--l1", type=_Coeff)
-    instance.add_argument("--l2", type=_Coeff)
-    instance.add_argument("--l3", type=_Coeff)
-    instance.add_argument("--eta", type=_Coeff, default="0")
-    instance.add_argument("--eps", type=num)
-    instance.add_argument("--lambda0", type=num, default=0.5)
-
     p = argparse.ArgumentParser(
         prog="linniklab",
         description="Numerical laboratory for a three-prime Diophantine "
@@ -497,15 +460,20 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     )
     # the usage lists every subcommand also when one is built
     sub = p.add_subparsers(dest="cmd", required=True,
-                           metavar="{%s}" % ",".join(_DISPATCH) if cmd in _DISPATCH else None)
+                           metavar="{%s}" % ",".join(_COMMANDS) if cmd in _COMMANDS else None)
 
-    def add(name, *parents, **text):
-        if cmd in _DISPATCH and name != cmd:
+    def add(name, run, *shared, **text):
+        if cmd in _COMMANDS and name != cmd:
             return argparse.Namespace(add_argument=lambda *a, **k: None)
-        return sub.add_parser(name, parents=[common, *parents], **text)
+        sp = sub.add_parser(name, **text)
+        sp.set_defaults(run=run)
+        sp.add_argument("--config", help="key=value file supplying flag defaults")
+        for group in shared:
+            group(sp)
+        return sp
 
     sp = add(
-        "schedule",
+        "schedule", cmd_schedule,
         help="derived parameter schedule at a given scale",
         description="Derived parameters at scale X: major-arc radius, "
                     "divisor cut D, window width, smoothing budget; or, with "
@@ -523,7 +491,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--x-hi", dest="x_hi", type=num, default=1e300)
 
     sp = add(
-        "cfrac",
+        "cfrac", cmd_cfrac,
         help="certified continued-fraction convergents",
         description="Convergents a/q of a certified real; every emitted "
                     "convergent satisfies |x - a/q| < 1/q².")
@@ -536,7 +504,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
                     help="append q²·|x - a/q| per row")
 
     sp = add(
-        "kernel", budget,
+        "kernel", cmd_kernel, _budget,
         help="smoothed window function tables",
         description="Tabulate the C^k smoothed window θ (plateau on "
                     "[-3ε/4, 3ε/4], support (-ε, ε)) or, with --fourier, its "
@@ -549,7 +517,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--xmax", type=num)
 
     sp = add(
-        "expsum",
+        "expsum", cmd_expsum,
         help="prime exponential sum vs its integral",
         description="S(α) = Σ e(αp)·ln p over a prime range against "
                     "I(α) = ∫ e(αy) dy, with the normalized gap |S-I|/X.")
@@ -564,7 +532,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
                     help="major-arc radius to compare |α| against")
 
     sp = add(
-        "eterm",
+        "eterm", cmd_eterm,
         help="prime-progression error term",
         description="E(x;q,a) = Σ_{p≤x, p≡a (q)} ln p − x/φ(q).")
     sp.add_argument("--x", type=num)
@@ -572,7 +540,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--a", type=int)
 
     sp = add(
-        "bvsum", budget,
+        "bvsum", cmd_bvsum, _budget,
         help="aggregated worst-case progression error",
         description="Σ_{q≤Q} max over residues and y ≤ X of |E(y;q,a)|, "
                     "the quantity the large-sieve machinery controls on "
@@ -581,7 +549,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--q-max", dest="q_max", type=int)
 
     sp = add(
-        "minorarc",
+        "minorarc", cmd_minorarc,
         help="exponential sum near a rational point",
         description="|S(α)| for α within 1/q² of a/q, against the classical "
                     "q-dependent ceiling (reported, not asserted).")
@@ -591,7 +559,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--alpha", type=num, help="defaults to a/q")
 
     sp = add(
-        "gamma", threads, budget, instance,
+        "gamma", cmd_gamma, _threads, _budget, _instance,
         help="weighted triple counts",
         description="Weighted counts over prime triples with "
                     "|λ₁p₁+λ₂p₂+λ₃p₃+η| small: sharp window, smoothed "
@@ -605,7 +573,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--j-hi", dest="j_hi", type=num, help="default X")
 
     sp = add(
-        "triples", threads, budget, instance,
+        "triples", cmd_triples, _threads, _budget, _instance,
         help="explicit solution triples with witnesses",
         description="Prime triples satisfying the inequality, each with the "
                     "two-squares witness (x, y) of p3 = x²+y²+1 (-1, -1 when "
@@ -619,7 +587,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--max-results", dest="max_results", type=int, default=100)
 
     sp = add(
-        "hooley",
+        "hooley", cmd_hooley,
         help="mid-range divisor statistics of p−1",
         description="Mean-square character sum over divisors of p−1 in "
                     "(D, X/D), or the count of p whose p−1 has a divisor "
@@ -631,7 +599,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
     sp.add_argument("--omega", type=num)
 
     sp = add(
-        "singular",
+        "singular", cmd_singular,
         help="Euler products and the density constant",
         description="Truncated Euler product N(s), the two-squares density "
                     "constant (π/4)·N(0), the asymptotic constant π·N(0), "
@@ -643,7 +611,7 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
                     help="comma list of D ≤ Dmax (default Dmax)")
 
     sp = add(
-        "linnik",
+        "linnik", cmd_linnik,
         help="primes of the form x²+y²+1",
         description="List primes p ≤ X expressible as x²+y²+1 with a "
                     "witness pair, or (--empirical) compare Σ r(p−1) to its "
@@ -657,7 +625,11 @@ def _build_parser(cmd: str | None = None) -> tuple[argparse.ArgumentParser, dict
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        return _DISPATCH[args.cmd](args)
+        report = args.run(args)
+        if isinstance(report, dict):
+            report = _json_line(report)
+        sys.stdout.writelines((report,) if isinstance(report, str) else report)
+        return 0
     except SystemExit as exc:      # argparse printed the usage and the reason
         return exc.code
     except (DomainError, PrecisionError) as exc:

@@ -492,11 +492,12 @@ def test_is_prime_and_factorize_at_the_ends(limit):
             linnik_rows(table, 0, n)
 
 
-def test_sieve_validation():
+def test_sieve_validation(monkeypatch):
     with pytest.raises(DomainError):
         sieve_primes(1)
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 10**6)
     with pytest.raises(ResourceError):
-        sieve_primes(10**9, memory_budget=10**6)
+        sieve_primes(10**9)
 
 
 def test_sieve_rejects_non_finite_limit():
@@ -632,9 +633,11 @@ def test_sieve_primes_takes_only_integer_limits(empty_column, monkeypatch, kept)
     if kept:
         sieve_primes(kept)
     monkeypatch.setattr(arith, "primes_upto", None)
-    for bad in (1e4, 2.0, 1e4 + 0.5, "10000", Fraction(10**4)):
-        with pytest.raises(DomainError, match="integer"):
-            sieve_primes(bad, memory_budget=10)
+    with monkeypatch.context() as m:
+        m.setattr(arith, "MEMORY_BUDGET", 10)
+        for bad in (1e4, 2.0, 1e4 + 0.5, "10000", Fraction(10**4)):
+            with pytest.raises(DomainError, match="integer"):
+                sieve_primes(bad)
     if kept:
         assert sieve_primes(np.int64(10**4)).primes.size == 1229
     assert arith._kept[0] == (kept or 1)
@@ -647,12 +650,14 @@ def test_sieve_primes_checks_before_sieving(empty_column, monkeypatch):
     monkeypatch.setattr(arith, "primes_upto", refuse)
     with pytest.raises(DomainError):
         sieve_primes(1)
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 10**6)
     with pytest.raises(ResourceError):
-        sieve_primes(10**9, memory_budget=10**6)
+        sieve_primes(10**9)
     assert arith._kept[0] == 1
     # a limit inside the kept column is still held to the budget
     monkeypatch.setattr(arith, "_kept", (10**4, primes_upto_unsegmented(10**4)))
+    monkeypatch.setattr(arith, "MEMORY_BUDGET", 10**3)
     with pytest.raises(ResourceError):
-        sieve_primes(10**3, memory_budget=10**3)
+        sieve_primes(10**3)
     with pytest.raises(DomainError):
         sieve_primes(1)

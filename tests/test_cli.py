@@ -369,6 +369,17 @@ def test_triples_named_coefficients_no_warning(capsys, recwarn):
     assert abs(float(res) - want) < 1e-9
 
 
+
+def test_windows_without_the_primes_they_need(capsys):
+    # (6.3, 7] holds the prime 7, and 7 − 1 = 6 is no sum of two squares: the
+    # finder prints only the header; (7.2, 8] holds no prime at all
+    inst = ("--l1", "1.4", "--l2", "-1", "--l3=-1.7", "--eps", "2", "--lambda0", "0.9")
+    with pytest.warns(UserWarning):
+        rc, out, err = run(capsys, "triples", "--x", "7", *inst)
+    assert (rc, out, err) == (0, "# p1\tp2\tp3\tx\ty\tresidual\n", "")
+    rc, out, err = run(capsys, "gamma", "--mode", "sharp", "--x", "8", *inst)
+    assert (rc, out, err) == (2, "", "error: no primes in (7.2, 8]\n")
+
 def test_linnik_golden(capsys):
     rc, out, _ = run(capsys, "linnik", "--x", "100")
     assert rc == 0 and out == LINNIK_X100_GOLDEN
@@ -913,6 +924,35 @@ def test_every_declared_flag_is_read(capsys, monkeypatch, cmd):
     declared = {a.dest for a in _build_parser()[1][cmd]._actions if a.dest != "help"}
     assert declared - reads == set()
 
+
+
+_SHARED = {"threads": ["--threads"], "budget": ["--work-budget"],
+           "instance": ["--x", "--l1", "--l2", "--l3", "--eta", "--eps", "--lambda0"]}
+
+
+@pytest.mark.parametrize("cmd, groups, own", [
+    ("schedule", (), ["--x", "--mode", "--d", "--eps", "--h", "--delta", "--eps-report",
+                      "--x-lo", "--x-hi"]),
+    ("cfrac", (), ["--name", "--value", "--count", "--pattern", "--verify"]),
+    ("kernel", ("budget",), ["--eps", "--k", "--grid", "--ymax", "--fourier", "--xmax"]),
+    ("expsum", (), ["--x", "--alpha", "--lambda0", "--l", "--d", "--lo", "--hi", "--delta"]),
+    ("eterm", (), ["--x", "--q", "--a"]),
+    ("bvsum", ("budget",), ["--x", "--q-max"]),
+    ("minorarc", (), ["--x", "--a", "--q", "--alpha"]),
+    ("gamma", ("threads", "budget", "instance"), ["--mode", "--d", "--k", "--j-lo", "--j-hi"]),
+    ("triples", ("threads", "budget", "instance"),
+     ["--ratio-irrational", "--require-linnik", "--max-results"]),
+    ("hooley", (), ["--x", "--stat", "--d", "--lambda0", "--omega"]),
+    ("singular", (), ["--pmax", "--s", "--dmax", "--checkpoints"]),
+    ("linnik", (), ["--x", "--empirical"]),
+])
+def test_flag_order_of_each_subcommand(cmd, groups, own):
+    # the order of --help's options: -h, --config, the shared groups, the
+    # command's own flags; argparse's help text itself varies by version
+    want = ["-h", "--config", *(f for g in groups for f in _SHARED[g]), *own]
+    for parser_cmd in (cmd, None):
+        sp = _build_parser(parser_cmd)[1][cmd]
+        assert [a.option_strings[0] for a in sp._actions] == want
 
 def test_non_finite_report_exits_3(capsys, monkeypatch):
     from linniklab import expsums

@@ -1216,6 +1216,13 @@ def test_find_triples_sorted_by_residual(table4):
             assert 5000.0 < min(w.p1, w.p2, w.p3) and max(w.p1, w.p2, w.p3) <= 10000
 
 
+
+def test_find_triples_without_a_linnik_prime_is_empty():
+    # (6.3, 7] holds the prime 7, and 7 − 1 = 6 is no sum of two squares
+    inst = Instance(1.4, -1.0, -1.7, eta=0.0, eps=2.0, x=7.0, lambda0=0.9)
+    with pytest.warns(UserWarning):
+        assert find_triples(inst, sieve_primes(7)) == []
+
 def test_find_triples_warns_outside_theorem_mode(table4):
     inst = Instance(1.0, -1.0, -1.0, eta=0.0, eps=0.5, x=30.0, lambda0=0.05)
     with pytest.warns(UserWarning):
